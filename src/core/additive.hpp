@@ -118,8 +118,13 @@ class AdditiveErrorArray {
   /// Clears counters AND returns to the exact scale (s = 0) for a new
   /// epoch: unlike a rescaled b, the additive scale is pure workload state,
   /// so a fresh epoch starts exact again.  rescale_count() stays cumulative.
-  void reset() noexcept {
-    store_.fill_zero();
+  void reset() noexcept { reset(size()); }
+
+  /// reset() for an array whose counters at index >= `used` are already
+  /// zero (a halve-all keeps zero counters at zero): only the prefix
+  /// [0, used) is rewritten.
+  void reset(std::size_t used) noexcept {
+    store_.fill_zero(used);
     scale_ = 0;
   }
 

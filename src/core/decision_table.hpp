@@ -76,7 +76,8 @@ class DecisionTable {
     return (f_.size() + step_.size()) * sizeof(double);
   }
 
-  /// f(c) exactly as the scalar path computes it (expm1(c ln b)/(b-1)).
+  /// f(c) exactly as the scalar path computes it (expm1(c ln b)/(b-1)),
+  /// for c in [0, c_max()+1] -- DiscoParams::estimate reads it here.
   [[nodiscard]] double f(std::uint64_t c) const noexcept { return f_[c]; }
   /// Interval width f(c+1) - f(c) = b^c, exactly as the scalar path
   /// computes it (exp(c ln b)).

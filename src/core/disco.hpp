@@ -21,8 +21,8 @@
 //   * DiscoParams     -- base b plus a provisioning factory from an SRAM
 //                        budget (counter bits + largest expected flow); an
 //                        attached DecisionTable (core/decision_table.hpp)
-//                        makes decide/update transcendental-free with
-//                        bit-identical decisions;
+//                        makes decide/update/estimate transcendental-free
+//                        with bit-identical results;
 //   * DiscoCounter    -- a single counter, double-precision math path;
 //   * DiscoArray      -- N counters bit-packed at exactly `bits` per counter
 //                        with overflow accounting;
@@ -66,8 +66,13 @@ class DiscoParams {
   [[nodiscard]] double b() const noexcept { return scale_.b(); }
   [[nodiscard]] const util::GeometricScale& scale() const noexcept { return scale_; }
 
-  /// Unbiased estimate for counter value c (Theorem 1).
+  /// Unbiased estimate for counter value c (Theorem 1).  Read from the
+  /// attached DecisionTable, which stores exactly scale().f(c); counter
+  /// values past the table (or detached params) pay the expm1.
   [[nodiscard]] double estimate(std::uint64_t c) const noexcept {
+    if (const DecisionTable* t = table_.get(); t && c <= t->c_max() + 1) {
+      return t->f(c);
+    }
     return scale_.f(static_cast<double>(c));
   }
 
@@ -295,8 +300,12 @@ class DiscoArray {
   /// Clears counter values and the overflow count for a new epoch.  A
   /// rescaled b is a deployment property, not epoch state: it persists (as
   /// does rescale_count()), exactly as reprovisioned hardware would.
-  void reset() noexcept {
-    store_.fill_zero();
+  /// Counters at index >= `used` must already be zero: only the words of
+  /// the prefix [0, used) are rewritten, so a monitor that handed out
+  /// `used` slots this epoch pays O(used), not O(size()).  A RescaleB remap
+  /// keeps zero counters at zero, so the precondition survives rescales.
+  void reset(std::size_t used) noexcept {
+    store_.fill_zero(used);
     overflows_ = 0;
   }
 

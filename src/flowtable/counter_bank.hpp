@@ -119,11 +119,13 @@ class CounterBank {
     }
   }
 
-  void reset() noexcept {
+  /// Epoch reset of an array whose counters at index >= `used` are already
+  /// zero -- FlowMonitor passes the slots its flow table handed out.
+  void reset(std::size_t used) noexcept {
     if (is_disco()) {
-      disco_->reset();
+      disco_->reset(used);
     } else {
-      additive_->reset();
+      additive_->reset(used);
     }
   }
 

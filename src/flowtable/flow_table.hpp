@@ -184,7 +184,6 @@ class BasicFlowTable {
       }
       k = (k + 1) & mask_;
     }
-    buckets_[gap].slot = kEmpty;
     set_tag(gap, tagprobe::kEmptyTag);
     return freed;
   }
@@ -228,9 +227,10 @@ class BasicFlowTable {
   }
 
   /// Removes all flows (start of a new measurement epoch).  Capacity and
-  /// statistics counters are preserved.
+  /// statistics counters are preserved.  Only the 1-byte tags are reset:
+  /// probe() never reads a bucket behind an empty tag, so the stale bucket
+  /// array is dead until an insert rewrites it.
   void clear() noexcept {
-    for (Bucket& b : buckets_) b.slot = kEmpty;
     tags_.assign(tags_.size(), tagprobe::kEmptyTag);
     keys_.clear();
     slot_used_.clear();
@@ -239,11 +239,12 @@ class BasicFlowTable {
   }
 
  private:
+  /// Meaningful only while its tag is non-empty: an emptied bucket keeps
+  /// its stale contents until an insert reuses it.
   struct Bucket {
     Key key{};
-    std::uint32_t slot = kEmpty;
+    std::uint32_t slot = 0;
   };
-  static constexpr std::uint32_t kEmpty = 0xffffffffu;
   /// Probe-length histogram sampling: 1 in 64 lookups (starting with the
   /// first, so the metric is live as soon as traffic flows).  record()
   /// already honors both telemetry toggles -- a compile-time stub under

@@ -375,25 +375,32 @@ FlowMonitor::EpochReport FlowMonitor::rotate() {
   sync_pressure_counters();
   EpochReport report;
   report.epoch = epoch_;
-  report.totals = totals();
   report.pressure = pressure_;
   report.volume_b = volume_.effective_b();
   report.size_b = size_.effective_b();
   report.volume_error_unit = volume_.error_unit();
   report.size_error_unit = size_.error_unit();
+  report.totals.flows = table_.size();
   report.flows.reserve(table_.size());
+  // One slot-order pass builds the records and sums the totals: the same
+  // additions in the same order as totals(), so the sums are bit-equal.
   table_.for_each([&](std::uint32_t slot, const FiveTuple& key) {
-    report.flows.push_back(
+    const FlowEstimate& flow = report.flows.emplace_back(
         FlowEstimate{key, volume_.estimate(slot), size_.estimate(slot)});
+    report.totals.bytes += flow.bytes;
+    report.totals.packets += flow.packets;
   });
+  // The table hands out slots densely from 0, so every counter word and
+  // timestamp this epoch wrote lies below `used`; the rest are still zero.
+  const std::size_t used = table_.keys().size();
   table_.clear();
-  volume_.reset();
-  size_.reset();
+  volume_.reset(used);
+  size_.reset(used);
   // DiscoArray::reset() zeroes per-epoch overflow tallies but keeps the
   // rescaled scale (a deployment property); realign the sync watermarks.
   saturations_seen_ = 0;
   rescales_seen_ = volume_.rescale_count() + size_.rescale_count();
-  std::fill(last_seen_ns_.begin(), last_seen_ns_.end(), 0);
+  std::fill_n(last_seen_ns_.begin(), used, 0);
   ++epoch_;
   metrics_.occupancy->set(0);
   // Notify after the monitor is fully reset for the next epoch, so a

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <stdexcept>
 
@@ -166,24 +167,38 @@ void write_report_csv(std::ostream& out, const FlowMonitor::EpochReport& report)
   if (!out) throw std::runtime_error("report_io: CSV write failed");
 }
 
+FlowMonitor::EpochReport fold_reports(
+    std::span<FlowMonitor::EpochReport> parts) {
+  FlowMonitor::EpochReport merged;
+  if (parts.empty()) return merged;
+  merged.epoch = parts.front().epoch;
+  std::size_t records = 0;
+  for (const auto& part : parts) records += part.flows.size();
+  merged.flows.reserve(records);
+  for (auto& part : parts) {
+    merged.flows.insert(merged.flows.end(),
+                        std::make_move_iterator(part.flows.begin()),
+                        std::make_move_iterator(part.flows.end()));
+    merged.totals.bytes += part.totals.bytes;
+    merged.totals.packets += part.totals.packets;
+    merged.totals.flows += part.totals.flows;
+    merged.pressure += part.pressure;
+    // RescaleB may diverge the parts' bases, and additive scale-ups their
+    // error units; the max keeps merged-report intervals conservative.
+    merged.volume_b = std::max(merged.volume_b, part.volume_b);
+    merged.size_b = std::max(merged.size_b, part.size_b);
+    merged.volume_error_unit =
+        std::max(merged.volume_error_unit, part.volume_error_unit);
+    merged.size_error_unit =
+        std::max(merged.size_error_unit, part.size_error_unit);
+  }
+  return merged;
+}
+
 FlowMonitor::EpochReport combine_reports(const FlowMonitor::EpochReport& a,
                                          const FlowMonitor::EpochReport& b) {
-  FlowMonitor::EpochReport merged;
-  merged.epoch = a.epoch;
-  merged.flows = a.flows;
-  merged.flows.insert(merged.flows.end(), b.flows.begin(), b.flows.end());
-  merged.totals.bytes = a.totals.bytes + b.totals.bytes;
-  merged.totals.packets = a.totals.packets + b.totals.packets;
-  merged.totals.flows = a.totals.flows + b.totals.flows;
-  merged.pressure = a.pressure;
-  merged.pressure += b.pressure;
-  // Error metadata merges like the sharded rotate: max across contributors,
-  // keeping any interval derived from the combined report conservative.
-  merged.volume_b = std::max(a.volume_b, b.volume_b);
-  merged.size_b = std::max(a.size_b, b.size_b);
-  merged.volume_error_unit = std::max(a.volume_error_unit, b.volume_error_unit);
-  merged.size_error_unit = std::max(a.size_error_unit, b.size_error_unit);
-  return merged;
+  FlowMonitor::EpochReport parts[] = {a, b};
+  return fold_reports(parts);
 }
 
 }  // namespace disco::flowtable

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "flowtable/monitor.hpp"
@@ -83,10 +84,21 @@ class ReportReader {
 /// protocol,bytes,packets" per flow.
 void write_report_csv(std::ostream& out, const FlowMonitor::EpochReport& report);
 
-/// Collector-side aggregation: sums the totals and concatenates the flow
-/// records of two reports (same-key flows from different appliances appear
-/// as separate records; key-level fusion is the collector's policy choice
-/// -- collect::Collector implements it with per-key accumulators).
+/// Merges the reports of one epoch's shards (or appliances) into one, in
+/// order: the flow records are moved out of `parts` and concatenated after
+/// a single reserve; totals and pressure are summed part by part, so the
+/// sums are bit-identical to adding the parts' totals in that order; the
+/// effective bases and error units take the max across parts, keeping any
+/// interval derived from the merged report conservative for every record.
+/// The epoch id is the first part's.  ShardedFlowMonitor::rotate and
+/// PipelineMonitor::rotate fold their shard reports through it.
+[[nodiscard]] FlowMonitor::EpochReport fold_reports(
+    std::span<FlowMonitor::EpochReport> parts);
+
+/// Collector-side aggregation: fold_reports of copies of `a` and `b`
+/// (same-key flows from different appliances appear as separate records;
+/// key-level fusion is the collector's policy choice -- collect::Collector
+/// implements it with per-key accumulators).
 [[nodiscard]] FlowMonitor::EpochReport combine_reports(
     const FlowMonitor::EpochReport& a, const FlowMonitor::EpochReport& b);
 

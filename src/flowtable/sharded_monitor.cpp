@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "flowtable/report_io.hpp"
 #include "telemetry/registry.hpp"
 
 namespace disco::flowtable {
@@ -109,32 +110,13 @@ void ShardedFlowMonitor::subscribe(FlowMonitor::EpochSubscriber subscriber) {
 }
 
 FlowMonitor::EpochReport ShardedFlowMonitor::rotate() {
-  FlowMonitor::EpochReport merged;
-  bool first = true;
+  std::vector<FlowMonitor::EpochReport> reports;
+  reports.reserve(shards_.size());
   for (const auto& shard : shards_) {
     const util::MutexLock lock(shard->mutex);
-    auto report = shard->monitor.rotate();
-    if (first) {
-      merged.epoch = report.epoch;
-      first = false;
-    }
-    merged.flows.insert(merged.flows.end(), report.flows.begin(),
-                        report.flows.end());
-    merged.totals.bytes += report.totals.bytes;
-    merged.totals.packets += report.totals.packets;
-    merged.totals.flows += report.totals.flows;
-    merged.pressure += report.pressure;
-    // RescaleB may have diverged the shards' effective bases; the max keeps
-    // intervals derived from the merged report conservative for every flow.
-    merged.volume_b = std::max(merged.volume_b, report.volume_b);
-    merged.size_b = std::max(merged.size_b, report.size_b);
-    // Additive-mode scale-ups diverge per shard the same way; max keeps the
-    // merged additive-error unit conservative too.
-    merged.volume_error_unit =
-        std::max(merged.volume_error_unit, report.volume_error_unit);
-    merged.size_error_unit =
-        std::max(merged.size_error_unit, report.size_error_unit);
+    reports.push_back(shard->monitor.rotate());
   }
+  FlowMonitor::EpochReport merged = fold_reports(reports);
   // Subscribers run outside every shard lock: a module that queries this
   // monitor from its callback must not deadlock.
   for (const auto& subscriber : subscribers_) subscriber(merged);

@@ -4,15 +4,16 @@
 #include <stdexcept>
 #include <utility>
 
+#include "flowtable/report_io.hpp"
 #include "telemetry/registry.hpp"
 #include "util/fault.hpp"
 
 namespace disco::pipeline {
 
-// A synchronous control-plane message.  The caller allocates it on its own
-// stack, pushes a pointer through the worker's command ring, and waits; the
-// worker fills the result fields and signals.  Commands are serialised by
-// control_mutex_, so at most one is in flight per worker.
+// A synchronous control-plane message.  The caller owns it, pushes a
+// pointer through the worker's command ring, and waits; the worker fills the
+// result fields and signals.  Control calls are serialised by
+// control_mutex_, so at most one command is in flight per worker.
 struct PipelineMonitor::Command {
   enum class Op {
     Rotate,
@@ -27,9 +28,20 @@ struct PipelineMonitor::Command {
     Stop,
   };
 
+  Command() = default;
   explicit Command(Op operation) : op(operation) {}
 
-  Op op;
+  /// Copies `request`'s op and inputs -- how run_on_all hands one request
+  /// to every worker.
+  void set_request(const Command& request) {
+    op = request.op;
+    flow = request.flow;
+    k = request.k;
+    now_ns = request.now_ns;
+    idle_timeout_ns = request.idle_timeout_ns;
+  }
+
+  Op op = Op::Drain;
   // Inputs.
   FiveTuple flow{};
   std::size_t k = 0;
@@ -46,16 +58,16 @@ struct PipelineMonitor::Command {
   // Completion handshake.  Deliberately a plain std::mutex, not the
   // annotated util::Mutex: the condition-variable wait needs the std type,
   // and Thread Safety Analysis cannot model a cv handshake anyway.  The pair
-  // is stack-local to one run_on_worker call and touched by exactly two
-  // threads (requester and worker), so the invariant is structural.
+  // lives for one run_on_worker / run_on_all call and is touched by exactly
+  // two threads (requester and worker), so the invariant is structural.
   std::mutex mutex;
   std::condition_variable cv;
   bool done = false;
 
   void signal() {
-    // Notify UNDER the lock: the waiter owns this object (its stack) and
-    // destroys it the moment wait() returns, so the notify must complete
-    // before the waiter can re-acquire the mutex and wake.
+    // Notify UNDER the lock: the waiter owns this object and may destroy it
+    // the moment wait() returns, so the notify must complete before the
+    // waiter can re-acquire the mutex and wake.
     const std::lock_guard<std::mutex> lock(mutex);
     done = true;
     cv.notify_one();
@@ -426,19 +438,39 @@ void PipelineMonitor::worker_loop(Worker& worker) {
   }
 }
 
-void PipelineMonitor::run_on_worker(unsigned w, Command& command) {
-  Worker& worker = *workers_[w];
-  if (!running_) {
-    // Workers joined (stop() happened-before): safe to run inline.
-    handle_command(worker, command);
-    return;
-  }
-  SpscRing<Message>& ring = *worker.rings[producers_];
+void PipelineMonitor::post(unsigned w, Command& command) {
+  SpscRing<Message>& ring = *workers_[w]->rings[producers_];
   Message msg;
   msg.command = &command;
   unsigned spins = 0;
   while (!ring.try_push(msg)) backoff(spins);
+}
+
+void PipelineMonitor::run_on_worker(unsigned w, Command& command) {
+  if (!running_) {
+    // Workers joined (stop() happened-before): safe to run inline.
+    handle_command(*workers_[w], command);
+    return;
+  }
+  post(w, command);
   command.wait();
+}
+
+std::vector<PipelineMonitor::Command> PipelineMonitor::run_on_all(
+    const Command& request) {
+  std::vector<Command> commands(workers_.size());
+  for (Command& command : commands) command.set_request(request);
+  if (!running_) {
+    for (unsigned w = 0; w < workers_.size(); ++w) {
+      handle_command(*workers_[w], commands[w]);
+    }
+    return commands;
+  }
+  // Post to every worker before waiting on any: the workers run the command
+  // concurrently, so a control call costs its slowest shard, not their sum.
+  for (unsigned w = 0; w < workers_.size(); ++w) post(w, commands[w]);
+  for (Command& command : commands) command.wait();
+  return commands;
 }
 
 void PipelineMonitor::subscribe(
@@ -450,31 +482,12 @@ void PipelineMonitor::subscribe(
 
 PipelineMonitor::EpochReport PipelineMonitor::rotate() {
   const util::MutexLock lock(control_mutex_);
-  EpochReport merged;
-  bool first = true;
-  for (unsigned w = 0; w < workers_.size(); ++w) {
-    Command command(Command::Op::Rotate);
-    run_on_worker(w, command);
-    if (first) {
-      merged.epoch = command.report.epoch;
-      first = false;
-    }
-    merged.flows.insert(merged.flows.end(), command.report.flows.begin(),
-                        command.report.flows.end());
-    merged.totals.bytes += command.report.totals.bytes;
-    merged.totals.packets += command.report.totals.packets;
-    merged.totals.flows += command.report.totals.flows;
-    merged.pressure += command.report.pressure;
-    // Max across shards: RescaleB may diverge per-shard bases (and the
-    // additive estimator its per-shard error units), and the max keeps
-    // merged-report confidence intervals conservative.
-    merged.volume_b = std::max(merged.volume_b, command.report.volume_b);
-    merged.size_b = std::max(merged.size_b, command.report.size_b);
-    merged.volume_error_unit =
-        std::max(merged.volume_error_unit, command.report.volume_error_unit);
-    merged.size_error_unit =
-        std::max(merged.size_error_unit, command.report.size_error_unit);
+  std::vector<EpochReport> reports;
+  reports.reserve(workers_.size());
+  for (Command& command : run_on_all(Command(Command::Op::Rotate))) {
+    reports.push_back(std::move(command.report));
   }
+  EpochReport merged = flowtable::fold_reports(reports);
   // Subscribers run on the rotating (control-plane) thread while ingest
   // continues on the workers; module work never stalls the packet path.
   for (const auto& subscriber : subscribers_) subscriber(merged);
@@ -484,9 +497,7 @@ PipelineMonitor::EpochReport PipelineMonitor::rotate() {
 PipelineMonitor::PressureStats PipelineMonitor::pressure() {
   const util::MutexLock lock(control_mutex_);
   PressureStats aggregate;
-  for (unsigned w = 0; w < workers_.size(); ++w) {
-    Command command(Command::Op::Pressure);
-    run_on_worker(w, command);
+  for (const Command& command : run_on_all(Command(Command::Op::Pressure))) {
     aggregate += command.pressure;
   }
   return aggregate;
@@ -495,9 +506,7 @@ PipelineMonitor::PressureStats PipelineMonitor::pressure() {
 PipelineMonitor::Totals PipelineMonitor::totals() {
   const util::MutexLock lock(control_mutex_);
   Totals aggregate;
-  for (unsigned w = 0; w < workers_.size(); ++w) {
-    Command command(Command::Op::Totals);
-    run_on_worker(w, command);
+  for (const Command& command : run_on_all(Command(Command::Op::Totals))) {
     aggregate.bytes += command.totals.bytes;
     aggregate.packets += command.totals.packets;
     aggregate.flows += command.totals.flows;
@@ -516,11 +525,10 @@ std::optional<PipelineMonitor::FlowEstimate> PipelineMonitor::query(
 
 std::vector<PipelineMonitor::FlowEstimate> PipelineMonitor::top_k(std::size_t k) {
   const util::MutexLock lock(control_mutex_);
+  Command request(Command::Op::TopK);
+  request.k = k;
   std::vector<FlowEstimate> all;
-  for (unsigned w = 0; w < workers_.size(); ++w) {
-    Command command(Command::Op::TopK);
-    command.k = k;
-    run_on_worker(w, command);
+  for (const Command& command : run_on_all(request)) {
     all.insert(all.end(), command.flows.begin(), command.flows.end());
   }
   const std::size_t take = std::min(k, all.size());
@@ -535,9 +543,7 @@ std::vector<PipelineMonitor::FlowEstimate> PipelineMonitor::top_k(std::size_t k)
 PipelineMonitor::MemoryReport PipelineMonitor::memory() {
   const util::MutexLock lock(control_mutex_);
   MemoryReport aggregate;
-  for (unsigned w = 0; w < workers_.size(); ++w) {
-    Command command(Command::Op::Memory);
-    run_on_worker(w, command);
+  for (const Command& command : run_on_all(Command(Command::Op::Memory))) {
     aggregate.volume_counter_bits += command.memory.volume_counter_bits;
     aggregate.size_counter_bits += command.memory.size_counter_bits;
     aggregate.flow_table_bits += command.memory.flow_table_bits;
@@ -548,9 +554,7 @@ PipelineMonitor::MemoryReport PipelineMonitor::memory() {
 std::uint64_t PipelineMonitor::packets_seen() {
   const util::MutexLock lock(control_mutex_);
   std::uint64_t total = 0;
-  for (unsigned w = 0; w < workers_.size(); ++w) {
-    Command command(Command::Op::PacketsSeen);
-    run_on_worker(w, command);
+  for (const Command& command : run_on_all(Command(Command::Op::PacketsSeen))) {
     total += command.count;
   }
   return total;
@@ -559,12 +563,11 @@ std::uint64_t PipelineMonitor::packets_seen() {
 std::vector<PipelineMonitor::FlowEstimate> PipelineMonitor::evict_idle(
     std::uint64_t now_ns, std::uint64_t idle_timeout_ns) {
   const util::MutexLock lock(control_mutex_);
+  Command request(Command::Op::EvictIdle);
+  request.now_ns = now_ns;
+  request.idle_timeout_ns = idle_timeout_ns;
   std::vector<FlowEstimate> merged;
-  for (unsigned w = 0; w < workers_.size(); ++w) {
-    Command command(Command::Op::EvictIdle);
-    command.now_ns = now_ns;
-    command.idle_timeout_ns = idle_timeout_ns;
-    run_on_worker(w, command);
+  for (const Command& command : run_on_all(request)) {
     merged.insert(merged.end(), command.flows.begin(), command.flows.end());
   }
   return merged;
@@ -572,20 +575,14 @@ std::vector<PipelineMonitor::FlowEstimate> PipelineMonitor::evict_idle(
 
 void PipelineMonitor::drain() {
   const util::MutexLock lock(control_mutex_);
-  for (unsigned w = 0; w < workers_.size(); ++w) {
-    Command command(Command::Op::Drain);
-    run_on_worker(w, command);
-  }
+  run_on_all(Command(Command::Op::Drain));
 }
 
 void PipelineMonitor::stop() {
   const util::MutexLock lock(control_mutex_);
   if (!running_) return;
   accepting_.store(false, std::memory_order_release);
-  for (unsigned w = 0; w < workers_.size(); ++w) {
-    Command command(Command::Op::Stop);
-    run_on_worker(w, command);
-  }
+  run_on_all(Command(Command::Op::Stop));
   for (std::thread& thread : threads_) thread.join();
   threads_.clear();
   running_ = false;

@@ -20,9 +20,11 @@
 //     each (rx-queue, core) pair its own descriptor ring.
 //   * Control-plane operations (rotate, totals, query, top-k, drain, stop,
 //     ...) travel as in-band command messages through a dedicated per-worker
-//     command ring and execute ON the worker thread, between batches.
-//     Rotation and top-k therefore never stop ingest and never touch a
-//     shard from outside -- the shard has exactly one thread, ever.
+//     command ring and execute ON the worker thread, between batches, so
+//     they never touch a shard from outside -- the shard has exactly one
+//     thread, ever.  A command pauses only its own worker while it runs;
+//     calls that visit every worker post to all of them before waiting,
+//     so the shards serve them (a rotate included) concurrently.
 //   * Backpressure is explicit: a full ring either drops the packet
 //     (`Backpressure::Drop`, counted) or spins the producer until space
 //     frees (`Backpressure::Block`) -- the two policies of a real NIC queue.
@@ -125,17 +127,22 @@ class PipelineMonitor {
   std::size_t ingest_batch(unsigned producer, const PacketEvent* packets,
                            std::size_t n);
 
-  // --- control plane (thread-safe; in-band, never stops ingest) -------------
+  // --- control plane (thread-safe; in-band, between a worker's batches) ----
   // All control-plane entry points serialise on control_mutex_ internally
   // (DISCO_EXCLUDES documents they are not reentrant from a context already
   // holding it -- e.g. from inside another control call on the same thread).
 
-  /// Ends the epoch on every shard and merges the reports.  Shards rotate
-  /// one after another on their own threads; concurrent packets land in the
-  /// old or new epoch of their shard.  Registered epoch subscribers observe
-  /// the MERGED report exactly once per rotate, on the CALLING thread (not a
-  /// worker), while control_mutex_ is held -- so module state needs no
-  /// locking as long as exports happen on the control-plane thread too.
+  /// Ends the epoch on every shard and merges the reports.  The Rotate
+  /// command goes to every worker before the caller waits on any, so the
+  /// shards rotate concurrently, each on its own worker thread; the reports
+  /// are then merged in worker order (flowtable::fold_reports).  Concurrent
+  /// packets land in the old or new epoch of their shard.  A rotate pauses
+  /// each worker for time proportional to the flows its shard saw this
+  /// epoch, not its provisioned capacity.  Registered epoch subscribers
+  /// observe the MERGED report exactly once per rotate, on the CALLING
+  /// thread (not a worker), while control_mutex_ is held -- so module state
+  /// needs no locking as long as exports happen on the control-plane thread
+  /// too.
   EpochReport rotate() DISCO_EXCLUDES(control_mutex_);
 
   /// Subscribes a streaming consumer to merged epoch reports (see
@@ -222,9 +229,18 @@ class PipelineMonitor {
   void worker_loop(Worker& worker);
   void process_batch(Worker& worker, const Message* batch, std::size_t n);
   void handle_command(Worker& worker, Command& command);
+  /// Pushes `command` onto worker `w`'s command ring without waiting.
+  void post(unsigned w, Command& command) DISCO_REQUIRES(control_mutex_);
   /// Sends `command` to worker `w`'s command ring and waits for completion;
   /// runs it inline when the workers are stopped.
   void run_on_worker(unsigned w, Command& command) DISCO_REQUIRES(control_mutex_);
+  /// Sends a copy of `request` to every worker before waiting on any, then
+  /// waits for all of them, so the workers run it concurrently.  Returns
+  /// the completed commands in worker order; when the workers are stopped,
+  /// runs them inline in that order.  Every control call that visits all
+  /// workers goes through here.
+  std::vector<Command> run_on_all(const Command& request)
+      DISCO_REQUIRES(control_mutex_);
 
   Config config_;
   unsigned producers_ = 1;

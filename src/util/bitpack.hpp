@@ -7,6 +7,7 @@
 // being silently widened.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <stdexcept>
@@ -80,7 +81,16 @@ class BitPackedArray {
     return true;
   }
 
-  void fill_zero() noexcept { words_.assign(words_.size(), 0); }
+  void fill_zero() noexcept { fill_zero(size_); }
+
+  /// Zeroes slots [0, count) by rewriting only the words that hold them.
+  /// Other slots sharing the last of those words are zeroed too, so callers
+  /// use it where every slot past `count` is already zero.
+  void fill_zero(std::size_t count) noexcept {
+    const std::size_t bits =
+        std::min(count, size_) * static_cast<std::size_t>(width_);
+    std::fill_n(words_.begin(), (bits + 63) / 64, std::uint64_t{0});
+  }
 
   /// Pulls the word(s) holding slot i toward the cache -- the batched
   /// ingest path prefetches counter words between probing and updating.

@@ -115,18 +115,6 @@ class DfsController final : public Controller {
 // Per-execution state.
 // ---------------------------------------------------------------------------
 
-const char* order_name(std::memory_order order) {
-  switch (order) {
-    case std::memory_order_relaxed: return "relaxed";
-    case std::memory_order_consume: return "consume";
-    case std::memory_order_acquire: return "acquire";
-    case std::memory_order_release: return "release";
-    case std::memory_order_acq_rel: return "acq_rel";
-    case std::memory_order_seq_cst: return "seq_cst";
-  }
-  return "?";
-}
-
 bool has_acquire(std::memory_order order) {
   return order == std::memory_order_acquire ||
          order == std::memory_order_consume ||
@@ -203,6 +191,10 @@ struct ThreadCtx {
   VectorClock fence_release;  ///< clock at the last release fence
   VectorClock acq_pending;    ///< release clocks seen by relaxed loads since
                               ///< the last acquire fence
+  /// writes_ + 1 as of this thread's last spin_yield (0 = never yielded):
+  /// while it still equals writes_ + 1, nobody has written since, and the
+  /// thread is parked -- rerunning it would only re-poll the same stores.
+  std::uint64_t parked_at = 0;
 };
 
 constexpr std::size_t kTraceEvents = 96;
@@ -268,7 +260,7 @@ class Execution {
 
   void schedule(SchedKind kind);
   void switch_to(unsigned next, bool exiting);
-  unsigned pick_runnable(bool exclude_self);
+  unsigned pick_runnable(bool exclude_self, bool skip_parked = false);
   void thread_finished();
   void declare_deadlock();
 
@@ -307,6 +299,7 @@ class Execution {
 
   std::uint64_t steps_ = 0;
   std::uint64_t events_ = 0;
+  std::uint64_t writes_ = 0;  ///< atomic stores, plain writes and unlocks
   unsigned preemptions_ = 0;
   bool failed_ = false;
   bool pruned_ = false;
@@ -333,13 +326,14 @@ Execution* current_execution() noexcept { return Execution::tls_exec; }
 // Scheduling.
 // ---------------------------------------------------------------------------
 
-unsigned Execution::pick_runnable(bool exclude_self) {
+unsigned Execution::pick_runnable(bool exclude_self, bool skip_parked) {
   // Deterministic candidate order (by id) so DFS replays are stable.
   unsigned candidates[kMaxThreads];
   unsigned n = 0;
   for (unsigned t = 1; t < nthreads_; ++t) {
     if (threads_[t].state != ThreadCtx::State::kReady) continue;
     if (exclude_self && t == tls_tid) continue;
+    if (skip_parked && threads_[t].parked_at == writes_ + 1) continue;
     candidates[n++] = t;
   }
   if (n == 0) return kMaxThreads;  // nobody runnable
@@ -396,8 +390,16 @@ void Execution::schedule(SchedKind kind) {
 
   if (kind == SchedKind::kYield) {
     // Voluntary: switching is free and preferred, staying is not explored
-    // (the caller told us it cannot make progress right now).
-    unsigned next = pick_runnable(/*exclude_self=*/true);
+    // (the caller told us it cannot make progress right now).  Nor is
+    // switching to a thread that yielded since the last write, unless no
+    // other thread is runnable: it would only re-poll the same stores.
+    // Without this rule two pollers could pass the token back and forth
+    // forever while a third thread waits to write what both need, making a
+    // three-thread driver's tree infinite.  With two threads it changes
+    // nothing: the one candidate is taken either way.
+    me.parked_at = writes_ + 1;
+    unsigned next = pick_runnable(/*exclude_self=*/true, /*skip_parked=*/true);
+    if (next == kMaxThreads) next = pick_runnable(/*exclude_self=*/true);
     if (next != kMaxThreads) switch_to(next, /*exiting=*/false);
     return;
   }
@@ -575,6 +577,7 @@ StoreRecord& Execution::append_store(Location& loc,
   if (merge_release != nullptr) rec.release.merge(*merge_release);
 
   loc.stores.push_back(std::move(rec));
+  ++writes_;
   cell->store(value, std::memory_order_relaxed);  // mirror newest value
   while (loc.stores.size() > opts_.store_history) {
     loc.stores.pop_front();
@@ -794,6 +797,7 @@ void Execution::plain_write(const void* addr) {
   // This write is ordered after every recorded read (just checked), so by
   // transitivity future accesses only need to be checked against the write.
   loc.read_stamps.fill(0);
+  ++writes_;
   record(&loc, "write", 0, false);
 }
 
@@ -826,6 +830,7 @@ void Execution::mutex_unlock(const void* addr) {
   Location& loc = location(addr, Location::Kind::kMutex);
   ThreadCtx& me = self();
   loc.locked = false;
+  ++writes_;
   loc.handoff.merge(me.clock);
   me.clock.tick(tls_tid);
   for (unsigned t = 1; t < nthreads_; ++t) {

@@ -63,6 +63,14 @@ TEST(DecisionTable, ExhaustiveParityWithDoublePath) {
             << " p_d " << got.p_d << " vs " << expected.p_d;
       }
     }
+    // estimate() reads f(c) from the table up to its sentinel entry and
+    // falls back to expm1 past it; both must match the detached path.
+    ASSERT_EQ(plain.decision_table(), nullptr);
+    for (std::uint64_t c = 0; c <= c_max + 64; ++c) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(fast.estimate(c)),
+                std::bit_cast<std::uint64_t>(plain.estimate(c)))
+          << "bits=" << config.bits << " c=" << c;
+    }
   }
 }
 
@@ -125,6 +133,10 @@ TEST(DecisionTable, SmallTableFallsBackBitIdentically) {
                 std::bit_cast<std::uint64_t>(expected.p_d))
           << "c=" << c << " l=" << l;
     }
+    // Estimates below 18 come from the table, the rest from expm1.
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(fast.estimate(c)),
+              std::bit_cast<std::uint64_t>(plain.estimate(c)))
+        << "c=" << c;
   }
 }
 

@@ -196,6 +196,30 @@ TEST(DiscoArray, MaxValueAndStorageAccounting) {
   EXPECT_EQ(array.max_value(), array.value(7));
 }
 
+TEST(DiscoArray, UsedPrefixResetZeroesEveryCounterAfterRescale) {
+  // reset(used) rewrites only the words holding slots [0, used), relying on
+  // every counter past `used` still being zero -- which a RescaleB remap
+  // must preserve.  5-bit counters straddle word boundaries.
+  DiscoArray array(40, 5, DiscoParams::for_budget(1000, 5));
+  array.enable_rescale(2.0, 8);
+  util::Rng rng(41);
+  constexpr std::size_t kUsed = 13;
+  for (int rep = 0; rep < 50; ++rep) {
+    for (std::size_t i = 0; i < kUsed; ++i) array.add(i, 200 * (i + 1), rng);
+  }
+  ASSERT_GE(array.rescale_count(), 1u);
+  ASSERT_GT(array.max_value(), 0u);
+  for (std::size_t i = kUsed; i < array.size(); ++i) {
+    ASSERT_EQ(array.value(i), 0u) << "slot " << i << " written before reset";
+  }
+  array.reset(kUsed);
+  for (std::size_t i = 0; i < array.size(); ++i) {
+    EXPECT_EQ(array.value(i), 0u) << "slot " << i;
+  }
+  EXPECT_EQ(array.overflow_count(), 0u);
+  EXPECT_GE(array.rescale_count(), 1u);  // the rescaled b outlives the epoch
+}
+
 TEST(DiscoParams, MergeSaturatesInsteadOfOverflowingAtExtremeCounters) {
   // Regression: f(646) with b = 3 is ~8.4e307, so merging two such
   // counters makes target = f(c1) + f(c2) finite but target * (b - 1)

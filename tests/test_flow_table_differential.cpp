@@ -33,15 +33,12 @@ FiveTuple make_tuple(std::uint32_t i) {
                    static_cast<std::uint16_t>(1024 + (i & 0x3fff)), 443, 17};
 }
 
-/// Asserts every observable of the two tables matches: counters, sizes, and
+/// Asserts the two tables hold the same flows in the same slots: sizes and
 /// the full (slot, key) relation from for_each.
 template <typename A, typename B>
-void expect_tables_identical(const A& simd, const B& scalar) {
+void expect_same_flows(const A& simd, const B& scalar) {
   ASSERT_EQ(simd.size(), scalar.size());
   ASSERT_EQ(simd.bucket_count(), scalar.bucket_count());
-  EXPECT_EQ(simd.rejected_flows(), scalar.rejected_flows());
-  EXPECT_EQ(simd.total_probes(), scalar.total_probes());
-  EXPECT_EQ(simd.total_lookups(), scalar.total_lookups());
   std::vector<std::pair<std::uint32_t, FiveTuple>> a, b;
   simd.for_each([&](std::uint32_t slot, const FiveTuple& key) {
     a.emplace_back(slot, key);
@@ -54,6 +51,16 @@ void expect_tables_identical(const A& simd, const B& scalar) {
     EXPECT_EQ(a[i].first, b[i].first);
     EXPECT_EQ(a[i].second, b[i].second);
   }
+}
+
+/// Asserts every observable of the two tables matches: counters, sizes, and
+/// the full (slot, key) relation from for_each.
+template <typename A, typename B>
+void expect_tables_identical(const A& simd, const B& scalar) {
+  EXPECT_EQ(simd.rejected_flows(), scalar.rejected_flows());
+  EXPECT_EQ(simd.total_probes(), scalar.total_probes());
+  EXPECT_EQ(simd.total_lookups(), scalar.total_lookups());
+  expect_same_flows(simd, scalar);
 }
 
 // The core fuzz: randomized insert/find/erase interleavings over a key pool
@@ -193,14 +200,37 @@ TEST(FlowTableDifferential, BackwardShiftDeletionUnderWrapAround) {
   }
 }
 
+/// One operation of a mixed insert/find/erase sequence, applied to `table`;
+/// returns the slot the operation reported.
+template <typename Table>
+std::optional<std::uint32_t> apply_op(Table& table, double what,
+                                      const FiveTuple& key) {
+  if (what < 0.5) return table.insert_or_get(key);
+  if (what < 0.75) return table.find(key);
+  return table.erase(key);
+}
+
 // clear() must restore both engines to an identical pristine state (tags,
-// mirror region, slot lists) while preserving the probe statistics.
+// mirror region, slot lists) while preserving the probe statistics.  It
+// resets only the tags, so erase churn first scrambles the bucket array it
+// leaves behind; afterwards each engine must answer a mixed sequence op for
+// op exactly like a freshly built table of its own engine.
 TEST(FlowTableDifferential, ClearResetsBothEnginesIdentically) {
   SimdTable simd(64);
   ScalarTable scalar(64);
   for (std::uint32_t i = 0; i < 64; ++i) {
     ASSERT_EQ(simd.insert_or_get(make_tuple(i)),
               scalar.insert_or_get(make_tuple(i)));
+  }
+  util::Rng churn(0xc1ea);
+  for (int op = 0; op < 400; ++op) {
+    const FiveTuple key =
+        make_tuple(static_cast<std::uint32_t>(churn.uniform_u64(0, 95)));
+    if (churn.bernoulli(0.5)) {
+      ASSERT_EQ(simd.erase(key), scalar.erase(key));
+    } else {
+      ASSERT_EQ(simd.insert_or_get(key), scalar.insert_or_get(key));
+    }
   }
   simd.clear();
   scalar.clear();
@@ -212,6 +242,32 @@ TEST(FlowTableDifferential, ClearResetsBothEnginesIdentically) {
     ASSERT_TRUE(a.has_value());
   }
   expect_tables_identical(simd, scalar);
+
+  simd.clear();
+  scalar.clear();
+  SimdTable fresh_simd(64);
+  ScalarTable fresh_scalar(64);
+  const std::uint64_t probes_before = simd.total_probes();
+  const std::uint64_t lookups_before = simd.total_lookups();
+  const std::uint64_t rejected_before = simd.rejected_flows();
+  util::Rng mixed(0x5eed);
+  for (int op = 0; op < 4000; ++op) {
+    const FiveTuple key =
+        make_tuple(static_cast<std::uint32_t>(mixed.uniform_u64(0, 95)));
+    const double what = mixed.next_double();
+    const auto a = apply_op(simd, what, key);
+    ASSERT_EQ(a, apply_op(fresh_simd, what, key)) << "op " << op;
+    const auto b = apply_op(scalar, what, key);
+    ASSERT_EQ(b, apply_op(fresh_scalar, what, key)) << "op " << op;
+    ASSERT_EQ(a, b) << "op " << op;
+  }
+  expect_same_flows(simd, fresh_simd);
+  expect_same_flows(scalar, fresh_scalar);
+  expect_tables_identical(simd, scalar);
+  EXPECT_EQ(simd.total_probes() - probes_before, fresh_simd.total_probes());
+  EXPECT_EQ(simd.total_lookups() - lookups_before, fresh_simd.total_lookups());
+  EXPECT_EQ(simd.rejected_flows() - rejected_before,
+            fresh_simd.rejected_flows());
 }
 
 // The caller-supplied-hash overloads (the batched-prefetch ingest path)

@@ -145,3 +145,79 @@ TEST(ModelCheckCommand, CompletionHandshakeRelaxedDoneIsFlagged) {
   EXPECT_NE(r.report.find("DATA RACE"), std::string::npos) << r.report;
   EXPECT_NE(r.report.find("cmd.result"), std::string::npos) << r.report;
 }
+
+namespace {
+
+/// PipelineMonitor::run_on_all reduced to its memory protocol: one control
+/// thread and two workers, each worker with its own command ring and its
+/// own completion handshake.  The control thread posts both commands before
+/// waiting on either -- so the workers run them concurrently -- and reads
+/// each result only after that command's `done`.  The buggy twin waits on
+/// worker 0 alone and then reads worker 1's result anyway.
+///
+/// Same preemption bound and execution cap as the two-thread drivers.  A
+/// third thread multiplies every stale-read choice, so a load may return a
+/// stale store at most once in a row here (stale_read_bound 1, not the
+/// default 2): that keeps the whole tree (~470k executions) under the cap.
+template <bool kBuggy>
+verify::Result explore_fan_out() {
+  verify::Options opts;
+  opts.exhaustive = true;
+  opts.preemption_bound = 2;
+  opts.max_executions = 500000;
+  opts.stale_read_bound = 1;
+  return verify::explore(opts, [] {
+    SpscRing<Command*> ring0(2);
+    SpscRing<Command*> ring1(2);
+    Command cmd0;
+    Command cmd1;
+    verify::label(&cmd0.done, "cmd0.done");
+    verify::label(&cmd0.result, "cmd0.result");
+    verify::label(&cmd1.done, "cmd1.done");
+    verify::label(&cmd1.result, "cmd1.result");
+    std::uint64_t answer0 = 0;
+    std::uint64_t answer1 = 0;
+    const auto worker = [](SpscRing<Command*>& ring) {
+      Command* c = nullptr;
+      while (ring.pop_batch(&c, 1) == 0) verify::spin_yield();
+      c->result = static_cast<std::uint64_t>(c->arg) * 2;
+      c->done.store(1, std::memory_order_release);
+    };
+    const auto wait = [](Command& c) {
+      while (c.done.load(std::memory_order_acquire) == 0) verify::spin_yield();
+    };
+    verify::run_threads({
+        [&] {  // control: post to every worker, then wait
+          cmd0.arg = 7;
+          cmd1.arg = 11;
+          while (!ring0.try_push(&cmd0)) verify::spin_yield();
+          while (!ring1.try_push(&cmd1)) verify::spin_yield();
+          wait(cmd0);
+          if (!kBuggy) wait(cmd1);
+          answer0 = cmd0.result;
+          answer1 = cmd1.result;
+        },
+        [&] { worker(ring0); },
+        [&] { worker(ring1); },
+    });
+    verify::mc_check(answer0 == 14, "control must read worker 0's result");
+    verify::mc_check(answer1 == 22, "control must read worker 1's result");
+  });
+}
+
+}  // namespace
+
+TEST(ModelCheckCommand, FanOutPostsAllBeforeWaitingExhaustive) {
+  verify::Result r = explore_fan_out<false>();
+  EXPECT_FALSE(r.failed) << r.report;
+  EXPECT_TRUE(r.exhausted);
+  EXPECT_EQ(r.pruned, 0u);
+}
+
+TEST(ModelCheckCommand, FanOutUnwaitedWorkerIsFlagged) {
+  verify::Result r = explore_fan_out<true>();
+  ASSERT_TRUE(r.failed)
+      << "reading a result without waiting on its done must be a race";
+  EXPECT_NE(r.report.find("DATA RACE"), std::string::npos) << r.report;
+  EXPECT_NE(r.report.find("cmd1.result"), std::string::npos) << r.report;
+}

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <thread>
@@ -317,6 +318,46 @@ TEST(PipelineMonitor, EstimateParityWithFlowMonitor) {
       EXPECT_DOUBLE_EQ(expected->bytes, actual->bytes) << "flow " << f;
       EXPECT_DOUBLE_EQ(expected->packets, actual->packets) << "flow " << f;
     }
+  }
+
+  // Two epochs, the trace replayed between them: each merged report is the
+  // reference shards' rotate() reports concatenated in worker order, bit
+  // for bit, with totals summed in that order -- although the shards now
+  // rotate concurrently.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::uint64_t epoch = 0; epoch < 2; ++epoch) {
+    if (epoch == 1) {
+      for (const auto& [flow, len] : trace) {
+        ASSERT_TRUE(reference[PipelineMonitor::worker_of(flow, config.workers)]
+                        .ingest(flow, len));
+        ASSERT_TRUE(pipeline.ingest(0, flow, len));
+      }
+      pipeline.drain();
+    }
+    const FlowMonitor::EpochReport merged = pipeline.rotate();
+    std::vector<FlowMonitor::FlowEstimate> flows;
+    FlowMonitor::Totals totals;
+    for (auto& shard : reference) {
+      const FlowMonitor::EpochReport report = shard.rotate();
+      flows.insert(flows.end(), report.flows.begin(), report.flows.end());
+      totals.bytes += report.totals.bytes;
+      totals.packets += report.totals.packets;
+      totals.flows += report.totals.flows;
+    }
+    EXPECT_EQ(merged.epoch, epoch);
+    ASSERT_EQ(merged.flows.size(), flows.size()) << "epoch " << epoch;
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      ASSERT_EQ(merged.flows[i].flow, flows[i].flow) << "record " << i;
+      ASSERT_EQ(bits(merged.flows[i].bytes), bits(flows[i].bytes))
+          << "record " << i;
+      ASSERT_EQ(bits(merged.flows[i].packets), bits(flows[i].packets))
+          << "record " << i;
+    }
+    EXPECT_EQ(bits(merged.totals.bytes), bits(totals.bytes))
+        << "epoch " << epoch;
+    EXPECT_EQ(bits(merged.totals.packets), bits(totals.packets))
+        << "epoch " << epoch;
+    EXPECT_EQ(merged.totals.flows, totals.flows) << "epoch " << epoch;
   }
 }
 
