@@ -3,8 +3,8 @@
 // engineering view of the per-packet cost each scheme pays on a host CPU.
 //
 // Pass --telemetry to enable runtime telemetry and print the metric
-// registry as JSON after the run (the monitor-path benches below populate
-// ingest/eviction/shard counters and the probe-length histogram).  Without
+// registry as JSON after the run (the monitor-path bench below populates
+// ingest/eviction counters and the probe-length histogram).  Without
 // the flag telemetry stays runtime-disabled, so the counter micro-loops
 // measure the same hot path as a build without instrumentation.
 #include <benchmark/benchmark.h>
@@ -23,7 +23,6 @@
 #include "counters/sd.hpp"
 #include "flowtable/flow_table.hpp"
 #include "flowtable/monitor.hpp"
-#include "flowtable/sharded_monitor.hpp"
 #include "pipeline/packet_ring.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/log_table.hpp"
@@ -358,23 +357,6 @@ void BM_MonitorIngest(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(i));
 }
 
-void BM_ShardedMonitorIngest(benchmark::State& state) {
-  disco::flowtable::ShardedFlowMonitor monitor(
-      {.base = {.max_flows = 8192, .counter_bits = kBits, .max_flow_bytes = kMaxFlow},
-       .shards = 8});
-  const auto lens = packet_lengths();
-  const auto tuples = sample_tuples(4096);
-  std::uint64_t now_ns = 0;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    now_ns += 1000;
-    benchmark::DoNotOptimize(monitor.ingest(tuples[i & 4095], lens[i & 4095], now_ns));
-    ++i;
-  }
-  monitor.evict_idle(now_ns + 1'000'000, 0);
-  state.SetItemsProcessed(static_cast<std::int64_t>(i));
-}
-
 BENCHMARK(BM_DiscoDouble);
 BENCHMARK(BM_DiscoTable);
 BENCHMARK(BM_DiscoArrayBatch);
@@ -393,7 +375,6 @@ BENCHMARK(BM_SpscRingAB<disco::pipeline::SpscRing<std::uint64_t>>)
     ->Name("BM_SpscRingShim");
 BENCHMARK(BM_SpscRingAB<RawSpscRing>)->Name("BM_SpscRingRaw");
 BENCHMARK(BM_MonitorIngest);
-BENCHMARK(BM_ShardedMonitorIngest);
 
 }  // namespace
 

@@ -1,20 +1,14 @@
-// Ingest throughput of the lock-free pipeline versus the mutex-per-shard
-// sharded monitor -- the software version of the paper's Section VI claim
-// that ring-fed run-to-completion MicroEngines with burst pre-aggregation
-// reach line rate (Table V: 11.1 Gbps per ME, ~2.5x of it from aggregation
-// alone).
+// Ingest throughput of the lock-free pipeline -- the software version of the
+// paper's Section VI claim that ring-fed run-to-completion MicroEngines with
+// burst pre-aggregation reach line rate (Table V: 11.1 Gbps per ME, ~2.5x
+// of it from aggregation alone).
 //
-// Both systems ingest the SAME bursty workload (back-to-back same-flow runs,
-// the traffic shape Section VI exploits) from N producer threads:
-//
-//   * ShardedFlowMonitor: each producer does the full DISCO update inline
-//     under its shard's mutex (64 shards, so contention is mild; the cost is
-//     the update itself plus the lock).
-//   * PipelineMonitor: producers only hash and push into SPSC rings; N
-//     dedicated workers pop in batches, coalesce bursts, and apply updates
-//     to their exclusive shards.  Throughput comes from three places: no
-//     locks, batched ring drains, and ~burst-length-fold fewer discounted
-//     updates.
+// N producer threads ingest a bursty workload (back-to-back same-flow runs,
+// the traffic shape Section VI exploits): producers only hash and push into
+// SPSC rings; N dedicated workers pop in batches, coalesce bursts, and apply
+// updates to their exclusive shards.  Throughput comes from three places: no
+// locks, batched ring drains, and ~burst-length-fold fewer discounted
+// updates.  The 1/2/4/8-producer sweep is the host-scaling view.
 //
 // Reported Mpps is end-to-end: producers start to last packet applied
 // (drain), so ring residue is paid for, not hidden.
@@ -28,7 +22,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "flowtable/sharded_monitor.hpp"
 #include "modules/host.hpp"
 #include "pipeline/pipeline.hpp"
 #include "util/rng.hpp"
@@ -88,46 +81,12 @@ struct RunResult {
   std::uint64_t coalesced = 0;
 };
 
-RunResult run_sharded(unsigned producers, std::uint64_t packets_per_producer) {
-  using namespace disco;
-  flowtable::ShardedFlowMonitor::Config config;
-  config.base = base_config();
-  config.shards = 64;
-  flowtable::ShardedFlowMonitor monitor(config);
-
-  disco::util::atomic<std::uint64_t> total_bytes{0};
-  std::vector<std::thread> threads;
-  const auto start = Clock::now();
-  for (unsigned p = 0; p < producers; ++p) {
-    threads.emplace_back([&, p] {
-      BurstSource source(p);
-      std::uint64_t bytes = 0;
-      for (std::uint64_t i = 0; i < packets_per_producer; ++i) {
-        const auto pkt = source.next();
-        (void)monitor.ingest(pkt.flow, pkt.length);
-        bytes += pkt.length;
-      }
-      total_bytes.fetch_add(bytes, std::memory_order_relaxed);
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double elapsed =
-      std::chrono::duration<double>(Clock::now() - start).count();
-
-  RunResult r;
-  r.mpps = static_cast<double>(producers) *
-           static_cast<double>(packets_per_producer) / elapsed / 1e6;
-  r.gbps = static_cast<double>(total_bytes.load(std::memory_order_relaxed)) * 8.0 / elapsed / 1e9;
-  return r;
-}
-
 /// Pipeline knobs the A/B sections vary; defaults match the headline run.
 struct PipelineOptions {
   unsigned coalescer_slots = 64;   ///< 0 disables burst coalescing
   bool decision_table = true;      ///< attach the DISCO update fast path
   bool batched_ingest = true;      ///< producers use ingest_batch (rx-burst)
   std::size_t prefetch_depth = 8;  ///< monitor two-phase lookahead; 0 = off
-  bool hugepages = false;          ///< advise THP for table/counter arrays
   disco::flowtable::EstimatorKind estimator =
       disco::flowtable::EstimatorKind::Disco;
 };
@@ -143,7 +102,6 @@ RunResult run_pipeline(unsigned producers, std::uint64_t packets_per_producer,
   config.base = base_config();
   config.base.decision_table = options.decision_table;
   config.base.prefetch_depth = options.prefetch_depth;
-  config.base.hugepages = options.hugepages;
   config.base.estimator = options.estimator;
   config.workers = producers;  // one shard-owning worker per producer
   config.producers = producers;
@@ -299,7 +257,6 @@ std::string parse_json_flag(int* argc, char** argv) {
 
 struct MainRow {
   unsigned producers;
-  RunResult sharded;
   RunResult pipe;
   double coalesce_ratio;
 };
@@ -330,7 +287,7 @@ int main(int argc, char** argv) {
   const bool telemetry = bench::parse_telemetry_flag(&argc, argv);
   const std::string json_path = parse_json_flag(&argc, argv);
   bench::print_title(
-      "lock-free pipeline vs mutex-sharded monitor",
+      "lock-free pipeline ingest throughput",
       "Section VI / Table V: ring-fed MEs with burst pre-aggregation");
 
   const auto packets_per_producer =
@@ -340,8 +297,8 @@ int main(int argc, char** argv) {
             << " (pipeline adds one worker thread per producer)\n\n";
 
   std::vector<MainRow> main_rows;
-  stats::TextTable table({"producers", "sharded Mpps", "pipeline Mpps",
-                          "speedup", "pipeline Gbps", "coalesce ratio"});
+  stats::TextTable table(
+      {"producers", "pipeline Mpps", "pipeline Gbps", "coalesce ratio"});
   // Main rows are best-of-3 for the same reason the ingest ablation is
   // best-of-5: single runs at bench scale are milliseconds, and on a
   // shared box the scheduler/frequency spread exceeds PR-sized effects.
@@ -349,7 +306,6 @@ int main(int argc, char** argv) {
   // or unlucky draw must not move them.
   constexpr int kMainRepeats = 3;
   for (unsigned producers : {1u, 2u, 4u, 8u}) {
-    const RunResult sharded = run_sharded(producers, packets_per_producer);
     const RunResult pipe = run_pipeline_best(producers, packets_per_producer,
                                              PipelineOptions{}, kMainRepeats);
     const double total_packets = static_cast<double>(producers) *
@@ -358,22 +314,20 @@ int main(int argc, char** argv) {
     // update covered ~2.5 packets, the paper's aggregation factor.
     const double coalesce_ratio =
         static_cast<double>(pipe.coalesced) / total_packets;
-    main_rows.push_back({producers, sharded, pipe, coalesce_ratio});
-    table.add_row({std::to_string(producers), stats::fmt(sharded.mpps, 2),
-                   stats::fmt(pipe.mpps, 2),
-                   stats::fmt(pipe.mpps / sharded.mpps, 2) + "x",
+    main_rows.push_back({producers, pipe, coalesce_ratio});
+    table.add_row({std::to_string(producers), stats::fmt(pipe.mpps, 2),
                    stats::fmt(pipe.gbps, 2), stats::fmt(coalesce_ratio, 2)});
   }
   table.print(std::cout);
-  std::cout << "\nthe pipeline wins on three fronts: producers never take a\n"
-               "lock (SPSC rings), workers drain rings in batches, and burst\n"
-               "coalescing applies one discounted update per ~run of\n"
+  std::cout << "\nthroughput comes from three places: producers never take\n"
+               "a lock (SPSC rings), workers drain rings in batches, and\n"
+               "burst coalescing applies one discounted update per ~run of\n"
                "same-flow packets (Section VI's ~2.5x aggregation factor).\n";
   if (hw < 4) {
     std::cout << "(only " << hw
               << " hardware thread(s) here: producer+worker pairs are\n"
-                 "oversubscribed, so the speedup shown is mostly the\n"
-                 "coalescing and lock-elision win, not parallel scaling.)\n";
+                 "oversubscribed, so the rows above do not show parallel\n"
+                 "scaling.)\n";
   }
 
   // --- decision-table A/B ---------------------------------------------------
@@ -403,11 +357,11 @@ int main(int argc, char** argv) {
   // The throughput frontier, one lever at a time, starting from the
   // per-packet/no-prefetch arrangement earlier BENCH_*.json files measured:
   // batched producer ingest (hash + bucket + span commit), the monitor's
-  // two-phase prefetch walk, hugepage-backed arrays, and the estimator
-  // family.  The tag-probe engine itself is compile-time (simd_isa below;
-  // see bench_micro_update for the SIMD-vs-scalar probe A/B).  One
-  // producer/worker pair: the lever effects are per-core, and adding pairs
-  // on an oversubscribed host only adds scheduler noise.
+  // two-phase prefetch walk, and the estimator family.  The tag-probe
+  // engine itself is compile-time (simd_isa below; see bench_micro_update
+  // for the SIMD-vs-scalar probe A/B).  One producer/worker pair: the
+  // lever effects are per-core, and adding pairs on an oversubscribed host
+  // only adds scheduler noise.
   constexpr int kAblationRepeats = 5;
   std::cout << "\ningest ablation (1 producer, best of " << kAblationRepeats
             << " runs, probe engine: " << flowtable::tagprobe::isa_name()
@@ -420,13 +374,8 @@ int main(int argc, char** argv) {
        {.batched_ingest = true, .prefetch_depth = 0}, {}},
       {"+ prefetch depth 8",
        {.batched_ingest = true, .prefetch_depth = 8}, {}},
-      {"+ hugepages",
-       {.batched_ingest = true, .prefetch_depth = 8, .hugepages = true}, {}},
-      {"additive estimator (no hugepages)",
+      {"additive estimator",
        {.batched_ingest = true, .prefetch_depth = 8,
-        .estimator = EstimatorKind::AdditiveError}, {}},
-      {"additive estimator + hugepages",
-       {.batched_ingest = true, .prefetch_depth = 8, .hugepages = true,
         .estimator = EstimatorKind::AdditiveError}, {}},
   };
   stats::TextTable abl({"configuration", "Mpps", "Gbps", "vs per-packet"});
@@ -485,9 +434,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < main_rows.size(); ++i) {
       const MainRow& r = main_rows[i];
       out << "    {\"producers\": " << r.producers
-          << ", \"sharded_mpps\": " << r.sharded.mpps
           << ", \"pipeline_mpps\": " << r.pipe.mpps
-          << ", \"speedup\": " << r.pipe.mpps / r.sharded.mpps
           << ", \"pipeline_gbps\": " << r.pipe.gbps
           << ", \"coalesce_ratio\": " << r.coalesce_ratio << "}"
           << (i + 1 < main_rows.size() ? "," : "") << "\n";
@@ -508,7 +455,6 @@ int main(int argc, char** argv) {
           << ", \"batched_ingest\": "
           << (r.options.batched_ingest ? "true" : "false")
           << ", \"prefetch_depth\": " << r.options.prefetch_depth
-          << ", \"hugepages\": " << (r.options.hugepages ? "true" : "false")
           << ", \"estimator\": \""
           << (r.options.estimator == EstimatorKind::AdditiveError ? "additive"
                                                                   : "disco")

@@ -1,9 +1,9 @@
 // The aggregation tier: one collector, N monitor processes, one answer.
 //
-// Each monitoring site (a FlowMonitor / ShardedFlowMonitor / PipelineMonitor
-// in its own process) rotates epochs and ships DRPT reports
-// (flowtable/report_io.hpp) over a spool file or a socket
-// (collect/transport.hpp).  The Collector folds them into one global view:
+// Each monitoring site (a FlowMonitor or PipelineMonitor in its own process)
+// rotates epochs and ships DRPT reports (flowtable/report_io.hpp) over a
+// spool file or a socket (collect/transport.hpp).  The Collector folds them
+// into one global view:
 //
 //   * unbiased cross-site merge at the estimate level
 //     (core/estimate_merge.hpp) -- sites may run different counter widths,

@@ -140,9 +140,6 @@ class AdditiveErrorArray {
   /// Pulls slot i's word toward the cache (batched-ingest prefetch path).
   void prefetch(std::size_t i) const noexcept { store_.prefetch(i); }
 
-  /// Advisory transparent-hugepage backing for the counter words.
-  void advise_hugepages() noexcept { store_.advise_hugepages(); }
-
  private:
   /// Halves every counter with randomized rounding and bumps the scale:
   /// E[new * 2^(s+1)] = old * 2^s, so estimates stay unbiased.

@@ -58,8 +58,8 @@ class DecisionTable {
   DecisionTable(const util::GeometricScale& scale, std::uint64_t c_max);
 
   /// Process-wide cache keyed by (b, c_max): shard-per-worker deployments
-  /// (ShardedFlowMonitor, PipelineMonitor) build dozens of monitors with
-  /// identical provisioning, and all of them share one physical table.
+  /// (PipelineMonitor) build dozens of monitors with identical
+  /// provisioning, and all of them share one physical table.
   [[nodiscard]] static std::shared_ptr<const DecisionTable> shared(
       const util::GeometricScale& scale, std::uint64_t c_max);
 

@@ -312,9 +312,6 @@ class DiscoArray {
   /// Pulls slot i's word toward the cache (batched-ingest prefetch path).
   void prefetch(std::size_t i) const noexcept { store_.prefetch(i); }
 
-  /// Advisory transparent-hugepage backing for the counter words.
-  void advise_hugepages() noexcept { store_.advise_hugepages(); }
-
  private:
   /// Cold overflow path (disco.cpp): applies the saturation policy when the
   /// update at slot `i` realised a counter `next` that exceeds the width.

@@ -145,14 +145,6 @@ class CounterBank {
     if (is_disco()) disco_->restore_scale(b, rescales);
   }
 
-  void advise_hugepages() noexcept {
-    if (is_disco()) {
-      disco_->advise_hugepages();
-    } else {
-      additive_->advise_hugepages();
-    }
-  }
-
  private:
   EstimatorKind kind_;
   std::optional<core::DiscoArray> disco_;

@@ -40,7 +40,6 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/registry.hpp"
 #include "util/fault.hpp"
-#include "util/hugepage.hpp"
 #include "util/prefetch.hpp"
 
 namespace disco::flowtable {
@@ -216,14 +215,6 @@ class BasicFlowTable {
   /// SRAM footprint of the table structure itself (keys + slot ids + tags).
   [[nodiscard]] std::size_t storage_bits() const noexcept {
     return (buckets_.size() * (sizeof(Key) + 4) + tags_.size()) * 8;
-  }
-
-  /// Asks the kernel to back the bucket and tag arrays with transparent
-  /// huge pages (util/hugepage.hpp; advisory, Linux-only).  Call once after
-  /// construction; at millions of flows this trims probe-path TLB misses.
-  void advise_hugepages() noexcept {
-    util::advise_hugepages(buckets_.data(), buckets_.size() * sizeof(Bucket));
-    util::advise_hugepages(tags_.data(), tags_.size());
   }
 
   /// Removes all flows (start of a new measurement epoch).  Capacity and

@@ -76,13 +76,6 @@ FlowMonitor::FlowMonitor(const Config& config)
     volume_.attach_decision_table();
     size_.attach_decision_table();
   }
-  if (config.hugepages) {
-    // Advisory only: the arrays are already allocated, and khugepaged
-    // collapses the ranges in the background where THP is enabled.
-    table_.advise_hugepages();
-    volume_.advise_hugepages();
-    size_.advise_hugepages();
-  }
   if (config_.pressure.saturation == SaturationPolicy::RescaleB) {
     volume_.enable_rescale(config_.pressure.rescale_growth,
                            config_.pressure.max_rescales);

@@ -48,8 +48,8 @@ class FlowMonitor {
     /// persisted by snapshot()/restore().
     bool decision_table = true;
     /// Registry prefix for this monitor's metrics (docs/telemetry.md).
-    /// Instances sharing a prefix share counters; ShardedFlowMonitor gives
-    /// each shard its own.  Not persisted by snapshot()/restore().
+    /// Instances sharing a prefix share counters; PipelineMonitor gives
+    /// each worker's shard its own.  Not persisted by snapshot()/restore().
     std::string telemetry_prefix = "flow_monitor";
     /// What to do when the flow table fills or a counter would overflow
     /// (flowtable/pressure.hpp, docs/robustness.md).  The default -- reject
@@ -76,10 +76,6 @@ class FlowMonitor {
     /// bit-identical either way (the two-phase walk needs admission ==
     /// Drop; other policies always take the single-pass loop).
     std::size_t prefetch_depth = 8;
-    /// Advisory transparent-hugepage backing (util/hugepage.hpp) for the
-    /// flow-table bucket/tag arrays and both counter stores -- trims TLB
-    /// misses at millions of flows.  No-op off Linux or without THP.
-    bool hugepages = false;
   };
 
   explicit FlowMonitor(const Config& config);
@@ -171,8 +167,9 @@ class FlowMonitor {
     /// consumers attach Theorem 2 confidence intervals to the estimates via
     /// core::DiscoParams(b).interval_for_estimate(...) -- the modules layer
     /// (src/modules, docs/modules.md) does exactly this.  Merged reports
-    /// (sharded / pipeline rotate) carry the max across shards, so derived
-    /// intervals are conservative for every member flow.
+    /// (fold_reports, as PipelineMonitor::rotate uses it) carry the max
+    /// across shards, so derived intervals are conservative for every
+    /// member flow.
     double volume_b = 0.0;
     double size_b = 0.0;
     /// Additive-error mode only (Config.estimator == AdditiveError): the

@@ -72,8 +72,8 @@ struct PressureConfig {
   unsigned max_rescales = 16;
 };
 
-/// Cumulative degradation counters since monitor construction.  Sharded and
-/// pipeline monitors aggregate by summing shards; epoch reports embed a
+/// Cumulative degradation counters since monitor construction.
+/// PipelineMonitor aggregates by summing shards; epoch reports embed a
 /// snapshot (taken at rotate time) so collectors can see HOW a report was
 /// degraded, not just what it contains.
 struct PressureStats {

@@ -195,10 +195,4 @@ FlowMonitor::EpochReport fold_reports(
   return merged;
 }
 
-FlowMonitor::EpochReport combine_reports(const FlowMonitor::EpochReport& a,
-                                         const FlowMonitor::EpochReport& b) {
-  FlowMonitor::EpochReport parts[] = {a, b};
-  return fold_reports(parts);
-}
-
 }  // namespace disco::flowtable

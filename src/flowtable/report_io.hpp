@@ -90,16 +90,10 @@ void write_report_csv(std::ostream& out, const FlowMonitor::EpochReport& report)
 /// sums are bit-identical to adding the parts' totals in that order; the
 /// effective bases and error units take the max across parts, keeping any
 /// interval derived from the merged report conservative for every record.
-/// The epoch id is the first part's.  ShardedFlowMonitor::rotate and
-/// PipelineMonitor::rotate fold their shard reports through it.
+/// The epoch id is the first part's.  PipelineMonitor::rotate folds its
+/// shard reports through it.  Same-key flows from different parts stay
+/// separate records; key-level fusion is collect::Collector's job.
 [[nodiscard]] FlowMonitor::EpochReport fold_reports(
     std::span<FlowMonitor::EpochReport> parts);
-
-/// Collector-side aggregation: fold_reports of copies of `a` and `b`
-/// (same-key flows from different appliances appear as separate records;
-/// key-level fusion is the collector's policy choice -- collect::Collector
-/// implements it with per-key accumulators).
-[[nodiscard]] FlowMonitor::EpochReport combine_reports(
-    const FlowMonitor::EpochReport& a, const FlowMonitor::EpochReport& b);
 
 }  // namespace disco::flowtable

@@ -58,7 +58,7 @@ class ModuleHost {
   void reset();
 
   /// Registers this host's on_epoch with a monitor's epoch subscription.
-  /// Works for FlowMonitor, ShardedFlowMonitor, and PipelineMonitor -- any
+  /// Works for FlowMonitor, PipelineMonitor, and collect::Collector -- any
   /// type with subscribe(EpochSubscriber).  The host must outlive `monitor`.
   template <typename Monitor>
   void subscribe_to(Monitor& monitor) {

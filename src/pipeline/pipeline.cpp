@@ -131,8 +131,9 @@ inline void backoff(unsigned& spins) noexcept {
 flowtable::FlowMonitor::Config PipelineMonitor::shard_config(
     const Config& config, unsigned worker) {
   flowtable::FlowMonitor::Config shard = config.base;
-  // Same capacity split as ShardedFlowMonitor: per-shard share plus 25%
-  // headroom, because hashing is not perfectly balanced.
+  // Per-shard share plus 25% headroom: hashing is not perfectly balanced,
+  // and a shard rejecting flows while its siblings have room would be a
+  // silent capacity loss.
   shard.max_flows = std::max<std::size_t>(
       16, (config.base.max_flows / config.workers) * 5 / 4);
   shard.seed = config.base.seed + 0x9e3779b97f4a7c15ULL * (worker + 1);

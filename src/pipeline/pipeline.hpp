@@ -13,8 +13,9 @@
 //   worker's ring                        apply DISCO updates to the shard
 //
 //   * Routing uses the hash's HIGH bits (the flow table probes with the low
-//     bits), exactly like ShardedFlowMonitor, so a flow's estimates are
-//     identical to a single FlowMonitor fed that shard's packet sequence.
+//     bits), so shard choice and in-table placement stay decorrelated, and
+//     a flow's estimates are identical to a single FlowMonitor fed that
+//     shard's packet sequence.
 //   * Rings are per (producer, worker) pair, so every ring has one writer
 //     and one reader -- the SPSC invariant -- the same way NIC RSS gives
 //     each (rx-queue, core) pair its own descriptor ring.
@@ -29,10 +30,13 @@
 //     (`Backpressure::Drop`, counted) or spins the producer until space
 //     frees (`Backpressure::Block`) -- the two policies of a real NIC queue.
 //
-// Epoch semantics match ShardedFlowMonitor: a rotate is applied per shard
-// between batches, so packets in flight land in either the old or the new
-// epoch of their shard -- the standard epoch-boundary trade of distributed
-// monitors.  Every *accepted* packet is counted in exactly one epoch.
+// Epoch semantics: a rotate is applied per shard between batches, so packets
+// in flight land in either the old or the new epoch of their shard -- the
+// standard epoch-boundary trade of distributed monitors.  Every *accepted*
+// packet is counted in exactly one epoch.  A caller that needs an exact cut
+// (an offline replay, say) quiesces its producers and calls drain() before
+// rotate(): with one producer and no coalescing, the merged reports are
+// then deterministic.
 //
 // Telemetry (docs/telemetry.md): per-worker ring occupancy gauges and
 // pop-batch histograms, coalesce/command counters, and producer-side
@@ -195,14 +199,16 @@ class PipelineMonitor {
   [[nodiscard]] std::uint64_t coalesced() const noexcept;
 
   /// The worker/shard that owns `flow`: top 32 hash bits modulo `workers`
-  /// (the flow table consumes the low bits), as in ShardedFlowMonitor.
+  /// (the flow table consumes the low bits).
   [[nodiscard]] static unsigned worker_of(const FiveTuple& flow,
                                           unsigned workers) noexcept {
     return static_cast<unsigned>((hash_tuple(flow) >> 32) % workers);
   }
 
-  /// The exact FlowMonitor configuration worker `worker` runs -- exposed so
-  /// tests can build a reference monitor and assert estimate parity.
+  /// The exact FlowMonitor configuration worker `worker` runs: the
+  /// deployment's capacity split per shard, a per-shard seed, and the
+  /// `<telemetry_prefix>.worker_<w>` metric prefix.  Exposed so tests can
+  /// build a reference monitor and assert estimate parity.
   [[nodiscard]] static flowtable::FlowMonitor::Config shard_config(
       const Config& config, unsigned worker);
 

@@ -9,7 +9,7 @@
 //
 // Naming convention: dotted paths, `<subsystem>.<metric>[_total]`, e.g.
 //   flow_monitor.ingest_total            (Counter)
-//   sharded_monitor.shard_3.ingest_total (Counter, per-shard family member)
+//   pipeline.worker_3.ingest_total       (Counter, per-shard family member)
 //   flow_table.probe_length              (LatencyHistogram)
 // The catalogue of metrics emitted by this repo lives in docs/telemetry.md.
 //

@@ -13,7 +13,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "util/hugepage.hpp"
 #include "util/prefetch.hpp"
 
 namespace disco::util {
@@ -96,13 +95,6 @@ class BitPackedArray {
   /// ingest path prefetches counter words between probing and updating.
   void prefetch(std::size_t i) const noexcept {
     prefetch_read(words_.data() + (i * static_cast<std::size_t>(width_)) / 64);
-  }
-
-  /// Advisory transparent-hugepage backing for the packed words
-  /// (util/hugepage.hpp; no-op off Linux).
-  void advise_hugepages() noexcept {
-    util::advise_hugepages(words_.data(),
-                           words_.size() * sizeof(std::uint64_t));
   }
 
  private:

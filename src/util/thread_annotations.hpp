@@ -2,9 +2,9 @@
 //
 // The concurrency invariants of this repo -- "Registry's maps are only
 // touched under mutex_", "run_on_worker is only called while control_mutex_
-// serialises the control plane", "a Shard's monitor is only reached through
-// its mutex" -- were previously enforced by convention, TSan runs, and code
-// review.  These macros make them part of the type system: building with
+// serialises the control plane" -- were previously enforced by convention,
+// TSan runs, and code review.  These macros make them part of the type
+// system: building with
 //
 //     cmake -B build-analyze -S . -DDISCO_ANALYZE=ON -DCMAKE_CXX_COMPILER=clang++
 //
@@ -94,19 +94,6 @@ class DISCO_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mutex) DISCO_ACQUIRE(mutex) : mutex_(mutex) {
     mutex_.lock();
-  }
-
-  /// Contention-visible acquire: tries first and reports whether the lock
-  /// was already held (ShardedFlowMonitor's try-lock-then-lock idiom, which
-  /// counts cross-thread contention without slowing the uncontended path).
-  MutexLock(Mutex& mutex, bool& contended) DISCO_ACQUIRE(mutex)
-      : mutex_(mutex) {
-    if (mutex_.try_lock()) {
-      contended = false;
-    } else {
-      contended = true;
-      mutex_.lock();
-    }
   }
 
   ~MutexLock() DISCO_RELEASE() { mutex_.unlock(); }

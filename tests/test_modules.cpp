@@ -1,5 +1,5 @@
-// Unit coverage for the analysis-module layer: epoch subscriptions on all
-// three monitors, every built-in module against hand-built epoch reports,
+// Unit coverage for the analysis-module layer: epoch subscriptions on both
+// monitors, every built-in module against hand-built epoch reports,
 // the ModuleHost lifecycle, and the name-based factory.  Statistical
 // validation against ground truth on seeded Zipf traces lives in
 // test_modules_statistical.cpp.
@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "flowtable/monitor.hpp"
-#include "flowtable/sharded_monitor.hpp"
 #include "modules/active_flows.hpp"
 #include "modules/anomaly_ewma.hpp"
 #include "modules/application.hpp"
@@ -79,23 +78,6 @@ TEST(EpochSubscription, NullSubscriberIsIgnored) {
   (void)monitor.rotate();  // must not crash
 }
 
-TEST(EpochSubscription, ShardedMonitorNotifiesOnceWithMergedReport) {
-  flowtable::ShardedFlowMonitor monitor(
-      {.base = {.max_flows = 256, .counter_bits = 10}, .shards = 4});
-  std::vector<EpochReport> seen;
-  monitor.subscribe([&](const EpochReport& r) { seen.push_back(r); });
-
-  for (std::uint32_t i = 0; i < 40; ++i) {
-    monitor.ingest(tuple(i, 1000 + i, 80), 700);
-  }
-  const auto merged = monitor.rotate();
-
-  ASSERT_EQ(seen.size(), 1u);  // merged report, not one per shard
-  EXPECT_EQ(seen[0].flows.size(), 40u);
-  EXPECT_EQ(seen[0].flows.size(), merged.flows.size());
-  EXPECT_GT(seen[0].volume_b, 1.0);  // max over shards survived the merge
-}
-
 TEST(EpochSubscription, PipelineMonitorNotifiesWithMergedReport) {
   pipeline::PipelineMonitor::Config config;
   config.base = {.max_flows = 256, .counter_bits = 10};
@@ -113,9 +95,10 @@ TEST(EpochSubscription, PipelineMonitorNotifiesWithMergedReport) {
   const auto merged = monitor.rotate();
   monitor.stop();
 
-  ASSERT_EQ(seen.size(), 1u);
+  ASSERT_EQ(seen.size(), 1u);  // merged report, not one per shard
   EXPECT_EQ(seen[0].flows.size(), merged.flows.size());
   EXPECT_EQ(seen[0].flows.size(), 40u);
+  EXPECT_GT(seen[0].volume_b, 1.0);  // max over shards survived the merge
 }
 
 // --- confidence accumulator -------------------------------------------------

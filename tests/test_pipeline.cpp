@@ -10,6 +10,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -563,6 +564,35 @@ TEST(PipelineMonitor, QueriesRunConcurrentlyWithIngest) {
   EXPECT_EQ(pipeline.totals().flows, 32u);
   const auto top = pipeline.top_k(3);
   EXPECT_EQ(top.size(), 3u);
+}
+
+TEST(PipelineMonitor, TopKMergesAcrossWorkers) {
+  auto config = pipeline_config(4, 1);
+  config.coalescer.slots = 0;  // one update per packet: deterministic estimates
+  PipelineMonitor pipeline(config);
+  // Volumes grow quadratically across 8 flows owned by several workers, so
+  // the global top-k has to be merged from more than one shard.
+  std::set<unsigned> owners;
+  for (std::uint32_t f = 0; f < 8; ++f) {
+    owners.insert(PipelineMonitor::worker_of(tuple(f), config.workers));
+    for (std::uint32_t i = 0; i < (f + 1) * (f + 1) * 20; ++i) {
+      ASSERT_TRUE(pipeline.ingest(0, tuple(f), 500));
+    }
+  }
+  ASSERT_GT(owners.size(), 1u);
+  pipeline.drain();
+  const auto top = pipeline.top_k(3);
+  ASSERT_EQ(top.size(), 3u);
+  EXPECT_EQ(top[0].flow, tuple(7));
+  EXPECT_GE(top[0].bytes, top[1].bytes);
+  EXPECT_GE(top[1].bytes, top[2].bytes);
+}
+
+TEST(PipelineMonitor, MemoryAggregatesAcrossWorkers) {
+  PipelineMonitor pipeline(pipeline_config(8, 1));
+  const auto m = pipeline.memory();
+  EXPECT_GT(m.volume_counter_bits, 0u);
+  EXPECT_EQ(m.volume_counter_bits, m.size_counter_bits);
 }
 
 TEST(PipelineMonitor, StopIsIdempotentAndAllowsPostMortemQueries) {

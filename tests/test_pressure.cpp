@@ -1,11 +1,11 @@
 // Policy-matrix tests for the bounded-memory robustness layer
 // (flowtable/pressure.hpp, docs/robustness.md): every admission x saturation
-// combination across FlowMonitor, ShardedFlowMonitor, and PipelineMonitor
-// must (a) never exceed the flow budget, (b) reconcile its PressureStats
-// with ground truth, and (c) keep heavy-flow estimates accurate under
-// eviction churn.  The DISCO_FAULTS sections additionally drive the same
-// paths through injected allocation failures, ring-full backpressure, and
-// clock skew (src/util/fault.hpp).
+// combination across FlowMonitor and PipelineMonitor must (a) never exceed
+// the flow budget, (b) reconcile its PressureStats with ground truth, and
+// (c) keep heavy-flow estimates accurate under eviction churn.  The
+// DISCO_FAULTS sections additionally drive the same paths through injected
+// allocation failures, ring-full backpressure, and clock skew
+// (src/util/fault.hpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "flowtable/monitor.hpp"
-#include "flowtable/sharded_monitor.hpp"
 #include "pipeline/pipeline.hpp"
 #include "util/fault.hpp"
 
@@ -87,27 +86,6 @@ TEST(PressureMatrix, FlowMonitorBudgetNeverExceeded) {
       EXPECT_EQ(monitor.pressure().flows_evicted,
                 kOffered - monitor.config().max_flows);
     }
-  }
-}
-
-TEST(PressureMatrix, ShardedBudgetAndReconciliation) {
-  for (const PolicyCase& pc : kMatrix) {
-    ShardedFlowMonitor::Config config;
-    config.base = policy_config(pc.admission, pc.saturation);
-    config.base.max_flows = 256;
-    config.shards = 4;
-    ShardedFlowMonitor monitor(config);
-    // Per-shard budget replicates the constructor's split (25% headroom).
-    const std::size_t per_shard =
-        std::max<std::size_t>(16, (config.base.max_flows / config.shards) * 5 / 4);
-    constexpr std::uint32_t kOffered = 2048;
-    std::uint64_t accepted = 0;
-    for (std::uint32_t i = 0; i < kOffered; ++i) {
-      if (monitor.ingest(tuple(i), 300)) ++accepted;
-    }
-    EXPECT_LE(monitor.totals().flows, per_shard * config.shards);
-    check_reconciliation(monitor.totals().flows, kOffered, accepted,
-                         monitor.pressure());
   }
 }
 

@@ -1,11 +1,12 @@
-// Tests for epoch-report serialisation and collector-side combination, plus
-// the sharded monitor's rotate/evict passthrough.
+// Tests for epoch-report serialisation and report folding, plus the
+// pipeline monitor's merged rotate/evict passthrough across its workers.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 
 #include "flowtable/report_io.hpp"
-#include "flowtable/sharded_monitor.hpp"
+#include "pipeline/pipeline.hpp"
 #include "util/fault.hpp"
 
 namespace disco::flowtable {
@@ -87,7 +88,8 @@ TEST(ReportIo, CsvHasHeaderAndRows) {
 TEST(ReportIo, CombineSumsTotals) {
   const auto a = sample_report();
   const auto b = sample_report();
-  const auto merged = combine_reports(a, b);
+  FlowMonitor::EpochReport parts[] = {a, b};
+  const auto merged = fold_reports(parts);
   EXPECT_EQ(merged.flows.size(), a.flows.size() + b.flows.size());
   EXPECT_DOUBLE_EQ(merged.totals.bytes, a.totals.bytes + b.totals.bytes);
   EXPECT_EQ(merged.totals.flows, a.totals.flows + b.totals.flows);
@@ -108,7 +110,8 @@ TEST(ReportIo, PressureStatsRoundTripAndCombine) {
 
   auto b = sample_report();
   b.pressure = PressureStats{1, 2, 3, 4};
-  const auto merged = combine_reports(a, b);
+  FlowMonitor::EpochReport parts[] = {a, b};
+  const auto merged = fold_reports(parts);
   EXPECT_EQ(merged.pressure.flows_rejected, 12u);
   EXPECT_EQ(merged.pressure.rescale_events, 6u);
 }
@@ -191,39 +194,58 @@ TEST(ReportIo, InjectedShortWriteThrowsAndRecovers) {
 }
 #endif  // DISCO_FAULTS
 
-// --- sharded monitor lifecycle passthrough ----------------------------------
+// --- pipeline monitor lifecycle passthrough ---------------------------------
 
-ShardedFlowMonitor::Config sharded_config() {
-  ShardedFlowMonitor::Config c;
+using pipeline::PipelineMonitor;
+
+PipelineMonitor::Config pipeline_config() {
+  PipelineMonitor::Config c;
   c.base.max_flows = 256;
   c.base.counter_bits = 12;
   c.base.max_flow_bytes = 1 << 24;
   c.base.max_flow_packets = 1 << 14;
   c.base.seed = 11;
-  c.shards = 4;
+  c.workers = 4;
+  c.producers = 1;
   return c;
 }
 
-TEST(ShardedLifecycle, RotateMergesShardsAndClears) {
-  ShardedFlowMonitor monitor(sharded_config());
-  for (std::uint32_t i = 0; i < 20; ++i) {
-    for (int p = 0; p < 50; ++p) (void)monitor.ingest(tuple(i), 500);
+/// Distinct workers owning the flows tuple(first) .. tuple(first + n - 1).
+std::size_t workers_spanned(std::uint32_t first, std::uint32_t n,
+                            unsigned workers) {
+  std::set<unsigned> owners;
+  for (std::uint32_t i = first; i < first + n; ++i) {
+    owners.insert(PipelineMonitor::worker_of(tuple(i), workers));
   }
+  return owners.size();
+}
+
+TEST(PipelineLifecycle, RotateMergesShardsAndClears) {
+  const auto config = pipeline_config();
+  PipelineMonitor monitor(config);
+  ASSERT_GT(workers_spanned(0, 20, config.workers), 1u);
+  for (std::uint32_t i = 0; i < 20; ++i) {
+    for (int p = 0; p < 50; ++p) (void)monitor.ingest(0, tuple(i), 500);
+  }
+  monitor.drain();
   const auto report = monitor.rotate();
   EXPECT_EQ(report.flows.size(), 20u);
   EXPECT_NEAR(report.totals.bytes, 20.0 * 50 * 500, 20.0 * 50 * 500 * 0.2);
-  EXPECT_EQ(monitor.totals().flows, 0u);
+  EXPECT_EQ(monitor.totals().flows, 0u);  // every shard cleared
   // The merged report serialises like any single-monitor report.
   std::stringstream buf;
   write_report(buf, report);
   EXPECT_EQ(read_report(buf).flows.size(), 20u);
 }
 
-TEST(ShardedLifecycle, EvictIdleSpansShards) {
-  ShardedFlowMonitor monitor(sharded_config());
+TEST(PipelineLifecycle, EvictIdleSpansWorkers) {
+  const auto config = pipeline_config();
+  PipelineMonitor monitor(config);
+  ASSERT_GT(workers_spanned(0, 8, config.workers), 1u);
   for (std::uint32_t i = 0; i < 16; ++i) {
-    (void)monitor.ingest(tuple(i), 400, i < 8 ? 0 : 5'000'000'000ull);
+    (void)monitor.ingest(0, tuple(i), 400, i < 8 ? 0 : 5'000'000'000ull);
   }
+  monitor.drain();
   const auto evicted = monitor.evict_idle(6'000'000'000ull, 2'000'000'000ull);
   EXPECT_EQ(evicted.size(), 8u);
   EXPECT_EQ(monitor.totals().flows, 8u);

@@ -8,7 +8,7 @@
 #include <thread>
 #include <vector>
 
-#include "flowtable/sharded_monitor.hpp"
+#include "pipeline/pipeline.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/registry.hpp"
@@ -246,55 +246,56 @@ flowtable::FiveTuple random_tuple(util::Rng& rng) {
   return t;
 }
 
-TEST_F(TelemetryTest, ShardedMonitorPerShardCountersSumToTotal) {
-  flowtable::ShardedFlowMonitor monitor(
-      {.base = {.max_flows = 4096, .counter_bits = 10}, .shards = 8});
+TEST_F(TelemetryTest, PipelineMonitorPerWorkerCountersSumToTotal) {
+  pipeline::PipelineMonitor::Config config;
+  config.base = {.max_flows = 4096, .counter_bits = 10};
+  config.workers = 8;
+  config.producers = 2;
+  pipeline::PipelineMonitor monitor(config);
   // Draw packets from a flow pool well under capacity so no shard rejects
   // and every ingest must be accounted somewhere.
   util::Rng pool_rng(555);
   std::vector<flowtable::FiveTuple> pool;
   for (int i = 0; i < 2000; ++i) pool.push_back(random_tuple(pool_rng));
-  constexpr int kThreads = 4;
-  constexpr std::uint64_t kPacketsPerThread = 5000;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&monitor, &pool, t] {
-      util::Rng rng(900 + t);
-      for (std::uint64_t i = 0; i < kPacketsPerThread; ++i) {
+  constexpr unsigned kProducers = 2;
+  constexpr std::uint64_t kPacketsPerProducer = 10000;
+  std::vector<std::thread> producers;
+  for (unsigned p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&monitor, &pool, p] {
+      util::Rng rng(900 + p);
+      for (std::uint64_t i = 0; i < kPacketsPerProducer; ++i) {
         const auto& tuple = pool[rng.uniform_u64(0, pool.size() - 1)];
-        ASSERT_TRUE(monitor.ingest(tuple, 100, i));
+        ASSERT_TRUE(monitor.ingest(p, tuple, 100, i));  // Block: lossless
       }
     });
   }
-  for (auto& w : workers) w.join();
+  for (auto& t : producers) t.join();
+  monitor.drain();
 
   const std::uint64_t total = monitor.packets_seen();
-  EXPECT_EQ(total, kThreads * kPacketsPerThread);
-  std::uint64_t shard_sum = 0;
-  for (unsigned s = 0; s < monitor.shard_count(); ++s) {
-    shard_sum += monitor.shard_ingests(s);
+  EXPECT_EQ(total, kProducers * kPacketsPerProducer);
+  std::uint64_t worker_sum = 0;
+  for (unsigned w = 0; w < monitor.worker_count(); ++w) {
+    worker_sum += Registry::global()
+                      .counter("pipeline.worker_" + std::to_string(w) +
+                               ".ingest_total")
+                      .value();
   }
-  EXPECT_EQ(shard_sum, total);
-
-  // The registry view agrees with the accessor view.
-  std::uint64_t registry_sum = 0;
-  for (unsigned s = 0; s < monitor.shard_count(); ++s) {
-    registry_sum += Registry::global()
-                        .counter("sharded_monitor.shard_" + std::to_string(s) +
-                                 ".ingest_total")
-                        .value();
-  }
-  EXPECT_EQ(registry_sum, total);
+  EXPECT_EQ(worker_sum, total);
 }
 
 TEST_F(TelemetryTest, MonitorStackPopulatesGlobalSnapshot) {
-  flowtable::ShardedFlowMonitor monitor(
-      {.base = {.max_flows = 1024, .counter_bits = 10}, .shards = 2});
+  pipeline::PipelineMonitor::Config config;
+  config.base = {.max_flows = 1024, .counter_bits = 10};
+  config.workers = 2;
+  pipeline::PipelineMonitor monitor(config);
   util::Rng rng(77);
   for (int i = 0; i < 2000; ++i) {
-    monitor.ingest(random_tuple(rng), 64, static_cast<std::uint64_t>(i));
+    (void)monitor.ingest(0, random_tuple(rng), 64,
+                         static_cast<std::uint64_t>(i));
   }
-  monitor.evict_idle(10'000'000, 0);
+  monitor.drain();
+  (void)monitor.evict_idle(10'000'000, 0);
 
   const Snapshot snap = Registry::global().snapshot();
   auto value_of = [&](const std::string& name) -> std::int64_t {
@@ -304,11 +305,11 @@ TEST_F(TelemetryTest, MonitorStackPopulatesGlobalSnapshot) {
     ADD_FAILURE() << "metric not found: " << name;
     return -1;
   };
-  EXPECT_GT(value_of("sharded_monitor.shard_0.ingest_total") +
-                value_of("sharded_monitor.shard_1.ingest_total"),
+  EXPECT_GT(value_of("pipeline.worker_0.ingest_total") +
+                value_of("pipeline.worker_1.ingest_total"),
             0);
-  EXPECT_GT(value_of("sharded_monitor.shard_0.evictions_total") +
-                value_of("sharded_monitor.shard_1.evictions_total"),
+  EXPECT_GT(value_of("pipeline.worker_0.evictions_total") +
+                value_of("pipeline.worker_1.evictions_total"),
             0);
   // The flow-table probe histogram fills as a side effect of ingest.
   bool found_probe_hist = false;

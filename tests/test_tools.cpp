@@ -80,6 +80,37 @@ TEST(Tools, AnalyzeFailsOnMissingFile) {
   EXPECT_NE(run(tool("disco_analyze") + " /nonexistent.dtrc >/dev/null 2>&1"), 0);
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+TEST(Tools, AnalyzeModulesReplayIsDeterministic) {
+  // The --modules replay drives a threaded PipelineMonitor (four workers)
+  // and drains before every rotate, so the module reports must not depend
+  // on thread timing: two runs on one trace print the same bytes.
+  const std::string trace_path = ::testing::TempDir() + "/tools_replay.dtrc";
+  ASSERT_EQ(run(tool("disco_tracegen") + " real 200 " + trace_path +
+                " >/dev/null"),
+            0);
+  std::string outputs[2];
+  for (int i = 0; i < 2; ++i) {
+    const std::string out_path =
+        ::testing::TempDir() + "/tools_replay_" + std::to_string(i) + ".json";
+    ASSERT_EQ(run(tool("disco_analyze") + " " + trace_path +
+                  " --bits 10 --methods DISCO --modules all --epochs 4"
+                  " --modules-json > " + out_path),
+              0);
+    outputs[i] = read_file(out_path);
+    std::remove(out_path.c_str());
+  }
+  EXPECT_NE(outputs[0].find("\"modules\""), std::string::npos);
+  EXPECT_EQ(outputs[0], outputs[1]);
+  std::remove(trace_path.c_str());
+}
+
 TEST(Tools, AnalyzeMetricsEmitsParsableTelemetrySnapshot) {
   const std::string trace_path = ::testing::TempDir() + "/tools_metrics.dtrc";
   const std::string out_path = ::testing::TempDir() + "/tools_metrics.out";
@@ -96,13 +127,13 @@ TEST(Tools, AnalyzeMetricsEmitsParsableTelemetrySnapshot) {
   const auto snapshot = disco::telemetry::snapshot_from_json(
       output.substr(marker + std::string("telemetry snapshot:\n").size()));
 #if DISCO_TELEMETRY
-  // The replay must surface the operational signals: per-shard ingests,
+  // The replay must surface the operational signals: per-worker ingests,
   // evictions, and the probe-length histogram.
   std::uint64_t ingests = 0;
   std::uint64_t evictions = 0;
   bool probe_hist = false;
   for (const auto& m : snapshot.metrics) {
-    if (m.name.starts_with("sharded_monitor.shard_") &&
+    if (m.name.find(".worker_") != std::string::npos &&
         m.name.ends_with(".ingest_total")) {
       ingests += static_cast<std::uint64_t>(m.value);
     }

@@ -165,8 +165,9 @@ def detect_simd_isa() -> str:
 def detect_hugepages() -> str:
     """Transparent-hugepage mode ('always'/'madvise'/'never'/'unavailable').
 
-    'madvise' or 'always' means the monitors' hugepages=true knob can take
-    effect; recorded so hugepage ablation rows are interpretable later.
+    Host context, like the CPU count: with 'always' the kernel may back the
+    flow-table and counter arrays with huge pages on its own, which moves
+    memory-bound rows; recorded so they stay interpretable across hosts.
     """
     path = "/sys/kernel/mm/transparent_hugepage/enabled"
     try:

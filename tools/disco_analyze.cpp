@@ -12,9 +12,9 @@
 //   --ci               print 95% confidence intervals for the top flows'
 //                      DISCO estimates (Theorem 2 normal approximation)
 //   --metrics          enable runtime telemetry, additionally replay the
-//                      trace through a ShardedFlowMonitor, and print the
+//                      trace through a PipelineMonitor, and print the
 //                      metric registry as JSON (see docs/telemetry.md)
-//   --modules a,b,...  replay the trace through a ShardedFlowMonitor with
+//   --modules a,b,...  replay the trace through a PipelineMonitor with
 //                      the named analysis modules subscribed to rotate()
 //                      ("all" selects every built-in; docs/modules.md) and
 //                      print each module's report
@@ -36,8 +36,8 @@
 #include <vector>
 
 #include "core/disco.hpp"
-#include "flowtable/sharded_monitor.hpp"
 #include "modules/host.hpp"
+#include "pipeline/pipeline.hpp"
 #include "stats/experiment.hpp"
 #include "stats/table.hpp"
 #include "telemetry/export.hpp"
@@ -83,6 +83,22 @@ std::vector<std::string> split_csv(const std::string& csv) {
     if (!item.empty()) out.push_back(item);
   }
   return out;
+}
+
+/// The online monitor both replays drive: four shard-owning workers fed by
+/// one producer, coalescing off so every packet is its own DISCO update.
+/// Callers drain() before each rotate() and evict_idle(), so each cut falls
+/// exactly where the replay puts it and the output is deterministic.
+disco::pipeline::PipelineMonitor::Config replay_config(
+    const disco::flowtable::FlowMonitor::Config& base,
+    const std::string& telemetry_prefix) {
+  disco::pipeline::PipelineMonitor::Config config;
+  config.base = base;
+  config.workers = 4;
+  config.producers = 1;
+  config.coalescer.slots = 0;
+  config.telemetry_prefix = telemetry_prefix;
+  return config;
 }
 
 }  // namespace
@@ -215,24 +231,27 @@ int main(int argc, char** argv) {
       for (auto& module : modules::make_modules(modules_selection)) {
         host.attach(std::move(module));
       }
-      flowtable::ShardedFlowMonitor monitor(
-          {.base = {.max_flows = static_cast<std::size_t>(max_flow_id) + 1,
-                    .counter_bits = bits,
-                    .seed = seed,
-                    .telemetry_prefix = "analyze_modules"},
-           .shards = 4});
+      pipeline::PipelineMonitor monitor(replay_config(
+          {.max_flows = static_cast<std::size_t>(max_flow_id) + 1,
+           .counter_bits = bits,
+           .seed = seed},
+          "analyze_modules"));
       host.subscribe_to(monitor);
+      auto close_epoch = [&monitor] {
+        monitor.drain();
+        (void)monitor.rotate();
+      };
       const std::size_t per_epoch =
           std::max<std::size_t>(1, packets.size() / module_epochs);
       std::size_t in_epoch = 0;
       for (const auto& p : packets) {
-        monitor.ingest(tuple_for_flow(p.flow_id), p.length);
+        (void)monitor.ingest(0, tuple_for_flow(p.flow_id), p.length);
         if (++in_epoch >= per_epoch && host.epochs_dispatched() + 1 < module_epochs) {
-          (void)monitor.rotate();
+          close_epoch();
           in_epoch = 0;
         }
       }
-      (void)monitor.rotate();  // final interval
+      close_epoch();  // final interval
       host.flush();
       if (modules_json) {
         std::cout << "\n" << host.export_json() << "\n";
@@ -245,19 +264,20 @@ int main(int argc, char** argv) {
 
     if (with_metrics) {
       // Replay the trace through the online monitor stack so the snapshot
-      // carries the operational signals too (per-shard ingest, occupancy,
+      // carries the operational signals too (per-worker ingest, rings,
       // evictions, probe lengths), not just the offline error analysis.
-      flowtable::ShardedFlowMonitor monitor(
-          {.base = {.max_flows = static_cast<std::size_t>(max_flow_id) + 1,
-                    .counter_bits = bits},
-           .shards = 4});
+      pipeline::PipelineMonitor monitor(replay_config(
+          {.max_flows = static_cast<std::size_t>(max_flow_id) + 1,
+           .counter_bits = bits},
+          "pipeline"));
       std::uint64_t now_ns = 0;
       for (std::size_t i = 0; i < packets.size(); ++i) {
         const auto& p = packets[i];
         now_ns = p.timestamp_ns != 0 ? p.timestamp_ns
                                      : static_cast<std::uint64_t>(i + 1) * 1000;
-        monitor.ingest(tuple_for_flow(p.flow_id), p.length, now_ns);
+        (void)monitor.ingest(0, tuple_for_flow(p.flow_id), p.length, now_ns);
       }
+      monitor.drain();
       monitor.evict_idle(now_ns + 1, 0);  // export everything as evictions
       std::cout << "\ntelemetry snapshot:\n"
                 << telemetry::to_json(telemetry::Registry::global().snapshot())
