@@ -74,7 +74,7 @@ void BM_DiscoTable(benchmark::State& state) {
 }
 
 void BM_DiscoArrayBatch(benchmark::State& state) {
-  // The ingest-shaped workload: one add_batch over 512 counters per
+  // The ingest-shaped workload: one add per counter over 512 counters per
   // iteration, table attached -- what FlowMonitor::ingest_batch pays per
   // counter once flow-table lookup is excluded.
   constexpr std::size_t kBatch = 512;
@@ -82,16 +82,12 @@ void BM_DiscoArrayBatch(benchmark::State& state) {
   disco::core::DiscoArray array(
       kBatch, kBits, disco::core::DiscoParams::for_budget(kMaxFlow, kBits));
   array.attach_decision_table();
-  std::vector<std::size_t> slots(kBatch);
-  std::vector<std::uint64_t> batch_lens(kBatch);
-  for (std::size_t s = 0; s < kBatch; ++s) {
-    slots[s] = s;
-    batch_lens[s] = lens[s & 4095];
-  }
   disco::util::Rng rng(1);
   std::size_t items = 0;
   for (auto _ : state) {
-    array.add_batch(slots, batch_lens, rng);
+    for (std::size_t s = 0; s < kBatch; ++s) {
+      array.add(s, lens[s & 4095], rng);
+    }
     items += kBatch;
     benchmark::DoNotOptimize(array);
   }
@@ -188,8 +184,8 @@ std::vector<disco::flowtable::FiveTuple> sample_tuples(std::size_t n) {
 // designed for; bench_pipeline's short windows show the other regime).
 
 void BM_AdditiveArrayBatch(benchmark::State& state) {
-  // Mirror of BM_DiscoArrayBatch: one add_batch-shaped pass over 512
-  // counters per iteration, so the two numbers are directly comparable.
+  // Mirror of BM_DiscoArrayBatch: one add per counter over 512 counters
+  // per iteration, so the two numbers are directly comparable.
   constexpr std::size_t kBatch = 512;
   const auto lens = packet_lengths();
   disco::core::AdditiveErrorArray array(kBatch, kBits);

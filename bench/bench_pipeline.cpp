@@ -81,12 +81,9 @@ struct RunResult {
   std::uint64_t coalesced = 0;
 };
 
-/// Pipeline knobs the A/B sections vary; defaults match the headline run.
+/// Pipeline settings the ablation varies; defaults match the headline run.
 struct PipelineOptions {
-  unsigned coalescer_slots = 64;   ///< 0 disables burst coalescing
-  bool decision_table = true;      ///< attach the DISCO update fast path
-  bool batched_ingest = true;      ///< producers use ingest_batch (rx-burst)
-  std::size_t prefetch_depth = 8;  ///< monitor two-phase lookahead; 0 = off
+  bool batched_ingest = true;  ///< producers use ingest_batch (rx-burst)
   disco::flowtable::EstimatorKind estimator =
       disco::flowtable::EstimatorKind::Disco;
 };
@@ -100,14 +97,12 @@ RunResult run_pipeline(unsigned producers, std::uint64_t packets_per_producer,
   using namespace disco;
   pipeline::PipelineMonitor::Config config;
   config.base = base_config();
-  config.base.decision_table = options.decision_table;
-  config.base.prefetch_depth = options.prefetch_depth;
   config.base.estimator = options.estimator;
   config.workers = producers;  // one shard-owning worker per producer
   config.producers = producers;
   config.ring_capacity = 1u << 14;
   config.backpressure = pipeline::Backpressure::Block;
-  config.coalescer.slots = options.coalescer_slots;
+  config.coalescer.slots = 64;
   pipeline::PipelineMonitor monitor(config);
 
   disco::util::atomic<std::uint64_t> total_bytes{0};
@@ -261,12 +256,6 @@ struct MainRow {
   double coalesce_ratio;
 };
 
-struct AbRow {
-  unsigned producers;
-  RunResult table_off;
-  RunResult table_on;
-};
-
 struct ModuleRow {
   unsigned producers;
   unsigned rotations;
@@ -330,53 +319,24 @@ int main(int argc, char** argv) {
                  "scaling.)\n";
   }
 
-  // --- decision-table A/B ---------------------------------------------------
-  // Coalescing disabled so every packet is one discounted update: the purest
-  // end-to-end view of what the DecisionTable fast path buys the hot loop.
-  std::cout << "\ndecision-table A/B (coalescing disabled, one update per "
-               "packet):\n";
-  std::vector<AbRow> ab_rows;
-  stats::TextTable ab({"producers", "double-path Mpps", "table-path Mpps",
-                       "speedup"});
-  const PipelineOptions off{.coalescer_slots = 0, .decision_table = false};
-  const PipelineOptions on{.coalescer_slots = 0, .decision_table = true};
-  for (unsigned producers : {1u, 2u}) {
-    const RunResult table_off =
-        run_pipeline(producers, packets_per_producer, off);
-    const RunResult table_on = run_pipeline(producers, packets_per_producer, on);
-    ab_rows.push_back({producers, table_off, table_on});
-    ab.add_row({std::to_string(producers), stats::fmt(table_off.mpps, 2),
-                stats::fmt(table_on.mpps, 2),
-                stats::fmt(table_on.mpps / table_off.mpps, 2) + "x"});
-  }
-  ab.print(std::cout);
-  std::cout << "(both rows produce bit-identical estimates; the table only\n"
-               "removes the log/exp/pow calls from each update decision.)\n";
-
   // --- ingest ablation -------------------------------------------------------
-  // The throughput frontier, one lever at a time, starting from the
-  // per-packet/no-prefetch arrangement earlier BENCH_*.json files measured:
-  // batched producer ingest (hash + bucket + span commit), the monitor's
-  // two-phase prefetch walk, and the estimator family.  The tag-probe
-  // engine itself is compile-time (simd_isa below; see bench_micro_update
-  // for the SIMD-vs-scalar probe A/B).  One producer/worker pair: the
-  // lever effects are per-core, and adding pairs on an oversubscribed host
-  // only adds scheduler noise.
+  // The throughput frontier, one lever at a time: per-packet vs batched
+  // producer ingest (hash + bucket + span commit), then the estimator
+  // family.  The worker side is the same in every row: the monitor's
+  // prefetching batch walk.  The tag-probe engine itself is compile-time
+  // (simd_isa below; see bench_micro_update for the SIMD-vs-scalar probe
+  // A/B).  One producer/worker pair: the lever effects are per-core, and
+  // adding pairs on an oversubscribed host only adds scheduler noise.
   constexpr int kAblationRepeats = 5;
   std::cout << "\ningest ablation (1 producer, best of " << kAblationRepeats
             << " runs, probe engine: " << flowtable::tagprobe::isa_name()
             << "):\n";
   using disco::flowtable::EstimatorKind;
   std::vector<AblationRow> ablation_rows = {
-      {"per-packet ingest, no prefetch",
-       {.batched_ingest = false, .prefetch_depth = 0}, {}},
-      {"+ batched ingest",
-       {.batched_ingest = true, .prefetch_depth = 0}, {}},
-      {"+ prefetch depth 8",
-       {.batched_ingest = true, .prefetch_depth = 8}, {}},
+      {"per-packet producer ingest", {.batched_ingest = false}, {}},
+      {"+ batched producer ingest", {.batched_ingest = true}, {}},
       {"additive estimator",
-       {.batched_ingest = true, .prefetch_depth = 8,
-        .estimator = EstimatorKind::AdditiveError}, {}},
+       {.batched_ingest = true, .estimator = EstimatorKind::AdditiveError}, {}},
   };
   stats::TextTable abl({"configuration", "Mpps", "Gbps", "vs per-packet"});
   for (AblationRow& row : ablation_rows) {
@@ -389,8 +349,7 @@ int main(int argc, char** argv) {
   }
   abl.print(std::cout);
   std::cout << "(batched ingest amortises the ring's release store and the\n"
-               "routing hash over an rx-burst; prefetch hides the tag-group\n"
-               "and counter-slot misses.  The additive estimator's per-update\n"
+               "routing hash over an rx-burst.  The additive estimator's per-update\n"
                "cost is lower than DISCO's, but its halve-all rescale walks\n"
                "are amortised over the epoch: short measurement windows like\n"
                "this one pay the O(slots) scale ramp up front, long ones --\n"
@@ -439,22 +398,12 @@ int main(int argc, char** argv) {
           << ", \"coalesce_ratio\": " << r.coalesce_ratio << "}"
           << (i + 1 < main_rows.size() ? "," : "") << "\n";
     }
-    out << "  ],\n  \"decision_table_ab\": [\n";
-    for (std::size_t i = 0; i < ab_rows.size(); ++i) {
-      const AbRow& r = ab_rows[i];
-      out << "    {\"producers\": " << r.producers
-          << ", \"table_off_mpps\": " << r.table_off.mpps
-          << ", \"table_on_mpps\": " << r.table_on.mpps
-          << ", \"speedup\": " << r.table_on.mpps / r.table_off.mpps << "}"
-          << (i + 1 < ab_rows.size() ? "," : "") << "\n";
-    }
     out << "  ],\n  \"ingest_ablation\": [\n";
     for (std::size_t i = 0; i < ablation_rows.size(); ++i) {
       const AblationRow& r = ablation_rows[i];
       out << "    {\"label\": \"" << r.label << "\""
           << ", \"batched_ingest\": "
           << (r.options.batched_ingest ? "true" : "false")
-          << ", \"prefetch_depth\": " << r.options.prefetch_depth
           << ", \"estimator\": \""
           << (r.options.estimator == EstimatorKind::AdditiveError ? "additive"
                                                                   : "disco")

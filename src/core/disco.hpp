@@ -31,10 +31,8 @@
 //                        as one discounted update.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/decision_table.hpp"
@@ -143,20 +141,6 @@ class DiscoParams {
     return c + d.delta + (rng.bernoulli(d.p_d) ? 1 : 0);
   }
 
-  /// Applies Algorithm 1 to each (counter, length) pair in order, in place.
-  /// Consumes the RNG stream exactly as the equivalent sequence of update()
-  /// calls would, so batched and one-at-a-time ingestion are
-  /// interchangeable; the point of the batch is keeping the attached
-  /// decision table hot in cache across it.  Spans must be equally sized.
-  void update_batch(std::span<std::uint64_t> counters,
-                    std::span<const std::uint64_t> lengths,
-                    util::Rng& rng) const noexcept {
-    assert(counters.size() == lengths.size());
-    for (std::size_t i = 0; i < counters.size(); ++i) {
-      counters[i] = update(counters[i], lengths[i], rng);
-    }
-  }
-
  private:
   /// Routes a decision to the attached table when it can resolve it, with
   /// the scalar path as the (bit-identical) fallback for detached params,
@@ -261,18 +245,6 @@ class DiscoArray {
       return;
     }
     saturate_or_rescale(i, next, rng);
-  }
-
-  /// Applies add(slots[i], lengths[i]) for each i in order; RNG consumption
-  /// is identical to the equivalent sequence of add() calls.  Spans must be
-  /// equally sized.
-  void add_batch(std::span<const std::size_t> slots,
-                 std::span<const std::uint64_t> lengths,
-                 util::Rng& rng) noexcept {
-    assert(slots.size() == lengths.size());
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      add(slots[i], lengths[i], rng);
-    }
   }
 
   [[nodiscard]] std::uint64_t value(std::size_t i) const noexcept { return store_.get(i); }

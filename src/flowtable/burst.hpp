@@ -1,10 +1,10 @@
 // A pre-aggregated run of same-flow packets -- the unit of batched ingest.
 //
 // Produced by the pipeline's BurstCoalescer (src/pipeline/burst_coalescer.hpp
-// aliases this as BurstUpdate) and consumed by FlowMonitor::ingest_burst /
-// ingest_batch as ONE discounted volume update and ONE discounted size
-// update.  Lives in flowtable so the monitor's batch API does not depend on
-// the pipeline layer above it.
+// aliases this as BurstUpdate) and consumed by FlowMonitor::ingest_batch as
+// ONE discounted volume update and ONE discounted size update.  Lives in
+// flowtable so the monitor's batch API does not depend on the pipeline
+// layer above it.
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,7 @@
 //
 //   * EstimatorKind::Disco (default): core::DiscoArray, the paper's
 //     logarithmic counters -- multiplicative error bounded by Theorem 2,
-//     snapshot/restore, RescaleB, decision-table fast path.
+//     snapshot/restore, RescaleB, and always the decision-table fast path.
 //   * EstimatorKind::AdditiveError: core::AdditiveErrorArray -- cheaper
 //     shift-and-round updates with an additive error envelope
 //     (core/additive.hpp), for workloads that tolerate a noise floor on
@@ -13,8 +13,8 @@
 // The bank is a tagged union with branch dispatch: the kind is fixed at
 // construction, so the branch in add() is perfectly predicted and costs
 // nothing next to the counter update itself.  Methods that only exist for
-// one family (decision tables, RescaleB, scale restore) are documented
-// no-ops for the other, which keeps FlowMonitor free of kind checks.
+// one family (RescaleB, scale restore) are documented no-ops for the other,
+// which keeps FlowMonitor free of kind checks.
 #pragma once
 
 #include <cstdint>
@@ -36,12 +36,15 @@ class CounterBank {
  public:
   /// Builds `size` counters of `bits` bits each.  `max_flow` provisions the
   /// DISCO base b (EstimatorKind::Disco only; the additive family's range
-  /// is managed dynamically by scale-ups).
+  /// is managed dynamically by scale-ups).  DISCO counters get their
+  /// core::DecisionTable here: transcendental-free updates with
+  /// bit-identical decisions, from a process-wide cache shared by shards.
   CounterBank(EstimatorKind kind, std::size_t size, int bits,
               std::uint64_t max_flow)
       : kind_(kind) {
     if (kind_ == EstimatorKind::Disco) {
       disco_.emplace(size, bits, core::DiscoParams::for_budget(max_flow, bits));
+      disco_->attach_decision_table();
     } else {
       additive_.emplace(size, bits);
     }
@@ -127,11 +130,6 @@ class CounterBank {
     } else {
       additive_->reset(used);
     }
-  }
-
-  /// Disco only (the additive update needs no table); no-op otherwise.
-  void attach_decision_table() {
-    if (is_disco()) disco_->attach_decision_table();
   }
 
   /// Disco only: SaturationPolicy::RescaleB.  The additive family already

@@ -24,6 +24,9 @@ constexpr std::uint32_t kSnapshotVersionV2 = 2;
 // SplitMix64 uses): one user seed yields two decorrelated streams.
 constexpr std::uint64_t kPressureSeedSalt = 0x9e3779b97f4a7c15ULL;
 
+// Bursts ingest_batch hashes and prefetches ahead of the one it probes.
+constexpr std::size_t kPrefetchDepth = 8;
+
 template <typename T>
 void put(std::ostream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(value));
@@ -69,13 +72,6 @@ FlowMonitor::FlowMonitor(const Config& config)
       last_seen_ns_(config.max_flows, 0),
       rng_(config.seed),
       pressure_rng_(config.seed ^ kPressureSeedSalt) {
-  if (config.decision_table) {
-    // Transcendental-free update fast path; decisions stay bit-identical,
-    // and the process-wide table cache de-duplicates across shards.
-    // (CounterBank makes this a no-op for the additive estimator.)
-    volume_.attach_decision_table();
-    size_.attach_decision_table();
-  }
   if (config_.pressure.saturation == SaturationPolicy::RescaleB) {
     volume_.enable_rescale(config_.pressure.rescale_growth,
                            config_.pressure.max_rescales);
@@ -97,64 +93,11 @@ FlowMonitor::FlowMonitor(const Config& config)
 
 bool FlowMonitor::ingest(const FiveTuple& flow, std::uint32_t length,
                          std::uint64_t now_ns) {
-  return ingest_burst(flow, length, 1, now_ns);
-}
-
-bool FlowMonitor::ingest_burst(const FiveTuple& flow, std::uint64_t bytes,
-                               std::uint64_t packets, std::uint64_t now_ns) {
-  const FlowBurst burst{flow, bytes, packets, now_ns};
+  const FlowBurst burst{flow, length, 1, now_ns};
   return ingest_batch({&burst, 1}) == 1;
 }
 
 std::size_t FlowMonitor::ingest_batch(std::span<const FlowBurst> bursts) {
-  // The two-phase prefetch walk is only taken under plain Drop admission:
-  // the other policies evict and inherit counters between lookups, so
-  // reordering probes ahead of updates would change what they observe.
-  // Drop's inserts consume no randomness and never touch counters, which
-  // is what makes the phases bit-identical to the single-pass loop.
-  if (config_.prefetch_depth > 0 && bursts.size() > 1 &&
-      config_.pressure.admission == AdmissionPolicy::Drop) {
-    return ingest_batch_prefetch(bursts);
-  }
-  std::size_t accepted = 0;
-  std::uint64_t accepted_packets = 0;
-  std::uint64_t rejected_packets = 0;
-  std::uint64_t rejected_bursts = 0;
-  for (const FlowBurst& burst : bursts) {
-    auto slot = table_.insert_or_get(burst.flow);
-    if (!slot && config_.pressure.admission != AdmissionPolicy::Drop) {
-      // Policy decisions run entirely off the counter-update path: the
-      // transcendental-free hot loop below is untouched, and only the
-      // dedicated pressure RNG is consumed.
-      slot = admit_under_pressure(burst);
-    }
-    if (!slot) {
-      rejected_packets += burst.packets;
-      ++rejected_bursts;
-      continue;
-    }
-    // Volume before size, always: a burst of one packet consumes the RNG
-    // stream exactly as the per-packet path did, keeping the batch,
-    // per-burst, and per-packet paths (and snapshots taken across them)
-    // interchangeable.
-    volume_.add(*slot, burst.bytes, rng_);
-    size_.add(*slot, burst.packets, rng_);
-    last_seen_ns_[*slot] = burst.last_ns;
-    accepted_packets += burst.packets;
-    ++accepted;
-  }
-  packets_seen_ += accepted_packets;
-  pressure_.flows_rejected += rejected_bursts;
-  metrics_.rejects->inc(rejected_packets);
-  metrics_.flows_rejected->inc(rejected_bursts);
-  metrics_.ingests->inc(accepted_packets);
-  metrics_.occupancy->set(static_cast<std::int64_t>(table_.size()));
-  sync_pressure_counters();
-  return accepted;
-}
-
-std::size_t FlowMonitor::ingest_batch_prefetch(
-    std::span<const FlowBurst> bursts) {
   // Window-at-a-time so the scratch arrays live on the stack regardless of
   // the caller's batch size (the pipeline pops <= 256 messages per visit).
   constexpr std::size_t kWindow = 256;
@@ -169,11 +112,32 @@ std::size_t FlowMonitor::ingest_batch_prefetch(
   for (std::size_t base = 0; base < bursts.size(); base += kWindow) {
     const std::size_t n = std::min(kWindow, bursts.size() - base);
     const std::span<const FlowBurst> window = bursts.subspan(base, n);
-    const std::size_t depth = std::min(config_.prefetch_depth, n);
+    const std::size_t depth = std::min(kPrefetchDepth, n);
 
-    // Phase 1: probe the window, keeping `depth` tag-group prefetches in
-    // flight ahead of the probes, and pull each accepted slot's counter
-    // words toward the cache for phase 2.
+    // Counter updates for the probed bursts [applied, end), in burst order
+    // and volume before size per burst, so the RNG stream matches
+    // one-burst-at-a-time ingest.
+    std::size_t applied = 0;
+    auto apply_until = [&](std::size_t end) {
+      for (; applied < end; ++applied) {
+        const FlowBurst& burst = window[applied];
+        const std::uint32_t slot = slots[applied];
+        if (slot == kNoSlot) {
+          rejected_packets += burst.packets;
+          ++rejected_bursts;
+          continue;
+        }
+        volume_.add(slot, burst.bytes, rng_);
+        size_.add(slot, burst.packets, rng_);
+        last_seen_ns_[slot] = burst.last_ns;
+        accepted_packets += burst.packets;
+        ++accepted;
+      }
+    };
+
+    // Probe the window, keeping `depth` tag-group prefetches in flight
+    // ahead of the probes, and pull each accepted slot's counter words
+    // toward the cache for the updates.
     for (std::size_t j = 0; j < depth; ++j) {
       hashes[j] = FlowTable::hash_of(window[j].flow);
       table_.prefetch(hashes[j]);
@@ -183,7 +147,15 @@ std::size_t FlowMonitor::ingest_batch_prefetch(
         hashes[j + depth] = FlowTable::hash_of(window[j + depth].flow);
         table_.prefetch(hashes[j + depth]);
       }
-      const auto slot = table_.insert_or_get(window[j].flow, hashes[j]);
+      auto slot = table_.insert_or_get(window[j].flow, hashes[j]);
+      if (!slot && config_.pressure.admission != AdmissionPolicy::Drop) {
+        // Admission reads and resets counters, so every earlier burst's
+        // update lands first; probing then resumes at j + 1.  Probes draw
+        // no randomness and touch no counter, so table operations, counter
+        // updates and both RNG streams keep one-burst-at-a-time order.
+        apply_until(j);
+        slot = admit_under_pressure(window[j]);
+      }
       if (slot) {
         slots[j] = *slot;
         volume_.prefetch(*slot);
@@ -192,23 +164,7 @@ std::size_t FlowMonitor::ingest_batch_prefetch(
         slots[j] = kNoSlot;
       }
     }
-
-    // Phase 2: counter updates in burst order -- the same volume-then-size
-    // sequence per burst as the single-pass loop, so the RNG stream is
-    // identical burst for burst.
-    for (std::size_t j = 0; j < n; ++j) {
-      const FlowBurst& burst = window[j];
-      if (slots[j] == kNoSlot) {
-        rejected_packets += burst.packets;
-        ++rejected_bursts;
-        continue;
-      }
-      volume_.add(slots[j], burst.bytes, rng_);
-      size_.add(slots[j], burst.packets, rng_);
-      last_seen_ns_[slots[j]] = burst.last_ns;
-      accepted_packets += burst.packets;
-      ++accepted;
-    }
+    apply_until(n);
   }
   packets_seen_ += accepted_packets;
   pressure_.flows_rejected += rejected_bursts;

@@ -41,12 +41,6 @@ class FlowMonitor {
     std::uint64_t max_flow_bytes = std::uint64_t{1} << 32;
     std::uint64_t max_flow_packets = std::uint64_t{1} << 24;
     std::uint64_t seed = 0x5eed;
-    /// Attach core::DecisionTable fast paths to the volume and size
-    /// counters (transcendental-free updates, bit-identical decisions --
-    /// see src/core/decision_table.hpp).  Purely a performance knob: the
-    /// estimate and RNG streams are unchanged either way, so it is not
-    /// persisted by snapshot()/restore().
-    bool decision_table = true;
     /// Registry prefix for this monitor's metrics (docs/telemetry.md).
     /// Instances sharing a prefix share counters; PipelineMonitor gives
     /// each worker's shard its own.  Not persisted by snapshot()/restore().
@@ -69,42 +63,29 @@ class FlowMonitor {
     /// counters rescale natively by halving; events surface through the
     /// usual rescale telemetry).
     EstimatorKind estimator = EstimatorKind::Disco;
-    /// Batched-ingest lookahead (ingest_batch): hash and prefetch this many
-    /// bursts ahead of the probe, then run the counter updates as a second
-    /// pass over cache-warm slots.  0 restores the single-pass loop.  Only
-    /// a memory-latency knob: estimates, RNG stream, and rejections are
-    /// bit-identical either way (the two-phase walk needs admission ==
-    /// Drop; other policies always take the single-pass loop).
-    std::size_t prefetch_depth = 8;
   };
 
   explicit FlowMonitor(const Config& config);
 
-  /// Counts one packet.  Returns false if the packet's flow was rejected
-  /// because the flow table is full (the packet is then unaccounted, and the
-  /// rejection is visible in table().rejected_flows()).  `now_ns` stamps the
-  /// flow's last activity for idle eviction; pass 0 when not using timers.
+  /// Counts one packet: a one-element ingest_batch.  Returns false if the
+  /// packet's flow was rejected because the flow table is full (the packet
+  /// is then unaccounted, and the rejection is visible in
+  /// table().rejected_flows()).  `now_ns` stamps the flow's last activity
+  /// for idle eviction; pass 0 when not using timers.
   bool ingest(const FiveTuple& flow, std::uint32_t length,
               std::uint64_t now_ns = 0);
 
-  /// Counts a pre-aggregated burst of `packets` same-flow packets totalling
-  /// `bytes` as ONE discounted volume update and ONE discounted size update
+  /// Counts a batch of pre-aggregated bursts in order -- the one ingest
+  /// implementation.  Each burst of `packets` same-flow packets totalling
+  /// `bytes` is ONE discounted volume update and ONE discounted size update
   /// (the paper's Section VI burst aggregation; src/pipeline feeds this).
   /// Unbiasedness is per-update (Theorem 1), so estimates stay unbiased for
   /// any grouping -- with lower variance than per-packet updates, since one
-  /// large update replaces several small ones (Theorem 2).
-  /// `ingest_burst(f, l, 1, t)` consumes the same randomness as
-  /// `ingest(f, l, t)`, so burst and per-packet paths are interchangeable
-  /// packet for packet.
-  bool ingest_burst(const FiveTuple& flow, std::uint64_t bytes,
-                    std::uint64_t packets, std::uint64_t now_ns = 0);
-
-  /// Counts a batch of pre-aggregated bursts in order.  Exactly equivalent
-  /// to calling ingest_burst once per element (same RNG stream, same
-  /// estimates, same rejection behaviour); the batch form amortises
-  /// telemetry updates and keeps the attached decision tables hot across
-  /// the whole batch -- the pipeline's pop-batch loop feeds it directly.
-  /// Returns the number of bursts accepted into the flow table.
+  /// large update replaces several small ones (Theorem 2).  A batch gives
+  /// the same estimates, RNG streams and rejections as the same bursts fed
+  /// one per call, under every admission and saturation policy; a burst of
+  /// one packet consumes the same randomness as ingest().  Returns the
+  /// number of bursts accepted into the flow table.
   std::size_t ingest_batch(std::span<const FlowBurst> bursts);
 
   /// Per-flow on-line estimates.
@@ -250,13 +231,6 @@ class FlowMonitor {
   /// Folds the counter arrays' overflow/rescale tallies into pressure_ and
   /// the telemetry registry (delta since the last sync).
   void sync_pressure_counters();
-
-  /// The two-phase batched walk behind ingest_batch when prefetch_depth > 0
-  /// and admission == Drop: hash + prefetch a few bursts ahead, probe the
-  /// whole window recording slots, then apply the counter updates in burst
-  /// order over cache-warm words.  Bit-identical to the single-pass loop
-  /// (inserts draw no randomness; the adds run in the same order).
-  std::size_t ingest_batch_prefetch(std::span<const FlowBurst> bursts);
 
   Config config_;
   FlowTable table_;

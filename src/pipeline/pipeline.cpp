@@ -94,12 +94,23 @@ struct PipelineMonitor::Worker {
     }
   }
 
+  /// Coalescer sink that appends each emitted burst to `bursts`.
+  auto buffer() {
+    return [this](const BurstUpdate& burst) { bursts.push_back(burst); };
+  }
+
+  /// Closes every open burst and applies them with one ingest_batch call.
+  void flush_coalescer() {
+    bursts.clear();
+    coalescer.flush(buffer());
+    (void)monitor.ingest_batch(bursts);
+  }
+
   flowtable::FlowMonitor monitor;
   BurstCoalescer coalescer;
-  /// Scratch buffer: bursts emitted by the coalescer for one popped batch,
-  /// applied in one monitor.ingest_batch() call so the DISCO decision
-  /// tables stay hot across the whole batch.  Emission order is preserved,
-  /// so the RNG stream is identical to per-burst ingest.
+  /// Scratch buffer: the bursts the coalescer emits for one popped batch or
+  /// one flush.  Every burst this worker applies goes through one
+  /// monitor.ingest_batch() call over this buffer, in emission order.
   std::vector<flowtable::FlowBurst> bursts;
   std::vector<std::unique_ptr<SpscRing<Message>>> rings;
   bool stop_requested = false;         ///< worker-thread-local exit flag
@@ -164,8 +175,10 @@ PipelineMonitor::PipelineMonitor(const Config& config)
                                                 producers_, config.ring_capacity));
     Worker& worker = *workers_.back();
     // One coalescer add() emits at most two bursts (collision close + cap
-    // close), so this bound makes the steady-state batch loop allocation-free.
-    worker.bursts.reserve(config.pop_batch * 2);
+    // close), and a flush at most one per slot (slots round up to under
+    // twice the configured count), so the worker never reallocates.
+    worker.bursts.reserve(std::max<std::size_t>(
+        config.pop_batch * 2, 2 * std::size_t{config.coalescer.slots}));
     const std::string& prefix = shard.telemetry_prefix;
     worker.occupancy = &registry.gauge(prefix + ".ring_occupancy");
     worker.pop_batch = &registry.histogram(prefix + ".pop_batch");
@@ -187,41 +200,8 @@ PipelineMonitor::~PipelineMonitor() { stop(); }
 
 bool PipelineMonitor::ingest(unsigned producer, const FiveTuple& flow,
                              std::uint32_t length, std::uint64_t now_ns) {
-  if (producer >= producers_) {
-    throw std::invalid_argument("PipelineMonitor::ingest: bad producer id");
-  }
-  if (!accepting_.load(std::memory_order_acquire)) return false;
-  // One hash serves routing (high bits, as worker_of), the worker's
-  // coalescer slot, and the flow-table probe (low bits) -- it rides in the
-  // message so no downstream stage rehashes.
-  const std::uint64_t hash = hash_tuple(flow);
-  Worker& worker = *workers_[(hash >> 32) % workers_.size()];
-  SpscRing<Message>& ring = *worker.rings[producer];
-  // Fault points (compile to nothing without DISCO_FAULTS): kClockSkew
-  // perturbs the timestamp feeding burst-boundary decisions downstream;
-  // kRingFull fails the FIRST push attempt as if the worker had fallen
-  // behind, exercising the real Drop/Block backpressure paths.  The Block
-  // retry loop is deliberately un-faulted, or an always-firing plan would
-  // spin the producer forever.
-  Message msg{flow, length, util::fault::skew_clock(now_ns), {}};
-  msg.hash = hash;
-  if (!util::fault::fires(util::fault::Point::kRingFull) &&
-      ring.try_push(msg)) [[likely]] {
-    return true;
-  }
-
-  if (config_.backpressure == Backpressure::Drop) {
-    producer_stats_[producer]->dropped.fetch_add(1, std::memory_order_relaxed);
-    dropped_metric_->inc();
-    return false;
-  }
-  blocked_metric_->inc();
-  unsigned spins = 0;
-  while (!ring.try_push(msg)) {
-    if (!accepting_.load(std::memory_order_acquire)) return false;
-    backoff(spins);
-  }
-  return true;
+  const PacketEvent packet{flow, length, now_ns};
+  return ingest_batch(producer, &packet, 1) == 1;
 }
 
 std::size_t PipelineMonitor::ingest_batch(unsigned producer,
@@ -236,7 +216,9 @@ std::size_t PipelineMonitor::ingest_batch(unsigned producer,
   const unsigned workers = static_cast<unsigned>(workers_.size());
 
   // Phase 1 -- hash the whole batch up front and bucket by owning worker
-  // (same routing as ingest(): high hash bits).  With one worker the bucket
+  // (high hash bits, as worker_of).  One hash serves routing, the worker's
+  // coalescer slot and the flow-table probe (low bits): it rides in the
+  // message so no downstream stage rehashes.  With one worker the bucket
   // step is skipped and messages are built straight into the ring span.
   if (stats.buckets.size() != workers) stats.buckets.resize(workers);
   if (workers > 1) {
@@ -252,6 +234,12 @@ std::size_t PipelineMonitor::ingest_batch(unsigned producer,
 
   // Phase 2 -- per worker, reserve a contiguous span of ring slots, write
   // the bucket into it, and publish the whole span with one release store.
+  // Fault points (compile to nothing without DISCO_FAULTS): kClockSkew
+  // perturbs the timestamps feeding burst-boundary decisions downstream;
+  // kRingFull fails a span's reservation as if the worker had fallen
+  // behind, exercising the real Drop/Block backpressure paths.  The Block
+  // retry loop is deliberately un-faulted, or an always-firing plan would
+  // spin the producer forever.
   std::size_t accepted = 0;
   for (unsigned w = 0; w < workers; ++w) {
     const Message* bucket = nullptr;
@@ -309,14 +297,9 @@ std::size_t PipelineMonitor::ingest_batch(unsigned producer,
 void PipelineMonitor::process_batch(Worker& worker, const Message* batch,
                                     std::size_t n) {
   // Collect the coalescer's emissions for the whole popped batch, then apply
-  // them as one batched ingest.  Same bursts in the same order as calling
-  // ingest_burst per emission, so estimates and the RNG stream are
-  // bit-identical -- the batch form only amortises per-call overhead and
-  // keeps the decision tables resident in cache.
+  // them with one ingest_batch call, in emission order.
   worker.bursts.clear();
-  auto buffer = [&worker](const BurstUpdate& burst) {
-    worker.bursts.push_back(burst);
-  };
+  auto buffer = worker.buffer();
   for (std::size_t i = 0; i < n; ++i) {
     // Packet-ring messages carry the producer's hash (see Message): the
     // coalescer reuses it instead of rehashing the tuple per packet.
@@ -334,10 +317,6 @@ void PipelineMonitor::process_batch(Worker& worker, const Message* batch,
 
 void PipelineMonitor::handle_command(Worker& worker, Command& command) {
   worker.commands->inc();
-  auto apply = [&worker](const BurstUpdate& burst) {
-    (void)worker.monitor.ingest_burst(burst.flow, burst.bytes, burst.packets,
-                                      burst.last_ns);
-  };
   // Drain and Stop first absorb everything already queued; every other op
   // only needs the buffered bursts applied so reports see recent packets.
   if (command.op == Command::Op::Drain || command.op == Command::Op::Stop) {
@@ -355,7 +334,7 @@ void PipelineMonitor::handle_command(Worker& worker, Command& command) {
       }
     }
   }
-  worker.coalescer.flush(apply);
+  worker.flush_coalescer();
 
   switch (command.op) {
     case Command::Op::Rotate:
@@ -395,10 +374,6 @@ void PipelineMonitor::handle_command(Worker& worker, Command& command) {
 void PipelineMonitor::worker_loop(Worker& worker) {
   std::vector<Message> batch(config_.pop_batch);
   SpscRing<Message>& command_ring = *worker.rings[producers_];
-  auto apply = [&worker](const BurstUpdate& burst) {
-    (void)worker.monitor.ingest_burst(burst.flow, burst.bytes, burst.packets,
-                                      burst.last_ns);
-  };
   unsigned idle = 0;
   for (;;) {
     // Commands first: they are rare and latency-sensitive (a rotate must not
@@ -434,7 +409,7 @@ void PipelineMonitor::worker_loop(Worker& worker) {
     // flush unconditionally, so queries are never stale.
     worker.occupancy->set(0);
     ++idle;
-    if (idle == 64) worker.coalescer.flush(apply);
+    if (idle == 64) worker.flush_coalescer();
     if (idle >= 16) std::this_thread::yield();
   }
 }

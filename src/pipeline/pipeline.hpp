@@ -99,12 +99,13 @@ class PipelineMonitor {
 
   // --- data plane ------------------------------------------------------------
 
-  /// Enqueues one packet from producer `producer` (each producer id must be
-  /// used by AT MOST one thread at a time -- it names an SPSC ring row).
-  /// Returns true when the packet was accepted into its worker's ring;
-  /// false when it was dropped (Drop backpressure on a full ring, or the
-  /// pipeline is stopping).  Flow-table-full rejections happen later, on
-  /// the worker, and are visible in `pipeline.worker_<w>.ingest_rejected_total`.
+  /// Enqueues one packet from producer `producer`: a one-element
+  /// ingest_batch (each producer id must be used by AT MOST one thread at a
+  /// time -- it names an SPSC ring row).  Returns true when the packet was
+  /// accepted into its worker's ring; false when it was dropped (Drop
+  /// backpressure on a full ring, or the pipeline is stopping).
+  /// Flow-table-full rejections happen later, on the worker, and are
+  /// visible in `pipeline.worker_<w>.ingest_rejected_total`.
   bool ingest(unsigned producer, const FiveTuple& flow, std::uint32_t length,
               std::uint64_t now_ns = 0);
 
@@ -115,19 +116,19 @@ class PipelineMonitor {
     std::uint64_t now_ns = 0;
   };
 
-  /// Batched form of ingest(): enqueues `n` packets and returns how many
+  /// Enqueues `n` packets from producer `producer` and returns how many
   /// were accepted (all of them under Block backpressure unless the
   /// pipeline is stopping; possibly fewer under Drop, each miss counted in
-  /// dropped()).  Same per-packet semantics and worker routing as ingest(),
-  /// but the per-packet costs -- the accepting check, worker lookup, and
-  /// above all the ring's release store -- are paid once per batch of
-  /// same-worker packets: the producer hashes the whole batch up front,
-  /// buckets it by owning worker, and writes each bucket straight into a
-  /// reserved span of ring slots (SpscRing::push_prepare/push_commit).  The
-  /// precomputed hash travels in the message, so the worker's coalescer and
-  /// flow table never rehash the tuple.  This is the producer half of the
-  /// batched-prefetch ingest design (docs/architecture.md); a few hundred
-  /// packets per call amortises best, e.g. one NIC rx-burst.
+  /// dropped()) -- the one producer-side ingest implementation.  The
+  /// per-packet costs -- the accepting check, worker lookup, and above all
+  /// the ring's release store -- are paid once per batch of same-worker
+  /// packets: the producer hashes the whole batch up front, buckets it by
+  /// owning worker, and writes each bucket straight into a reserved span of
+  /// ring slots (SpscRing::push_prepare/push_commit).  The precomputed hash
+  /// travels in the message, so the worker's coalescer and flow table never
+  /// rehash the tuple.  This is the producer half of the batched-prefetch
+  /// ingest design (docs/architecture.md); a few hundred packets per call
+  /// amortises best, e.g. one NIC rx-burst.
   std::size_t ingest_batch(unsigned producer, const PacketEvent* packets,
                            std::size_t n);
 

@@ -33,7 +33,7 @@ namespace disco::util::fault {
 /// The library's injection sites.  Keep in sync with docs/robustness.md.
 enum class Point : unsigned {
   kAllocFailure = 0,  ///< flow-table slot allocation (BasicFlowTable::insert_or_get)
-  kRingFull,          ///< pipeline ring accept (PipelineMonitor::ingest)
+  kRingFull,          ///< pipeline ring accept (PipelineMonitor::ingest_batch)
   kClockSkew,         ///< packet timestamps at burst boundaries (pipeline ingest)
   kShortWrite,        ///< report byte sink (write_report)
   kCount,

@@ -259,7 +259,8 @@ TEST(AdditiveMonitor, ExactEstimatesBeforeFirstRescale) {
   constexpr int kBurstsPerFlow = 20;
   for (int r = 0; r < kBurstsPerFlow; ++r) {
     for (std::uint32_t i = 0; i < kFlows; ++i) {
-      ASSERT_TRUE(monitor.ingest_burst(tuple_of(i), 1400, 3));
+      const flowtable::FlowBurst burst{tuple_of(i), 1400, 3, 0};
+      ASSERT_EQ(monitor.ingest_batch({&burst, 1}), 1u);
     }
   }
   for (std::uint32_t i = 0; i < kFlows; ++i) {
@@ -283,7 +284,7 @@ TEST(AdditiveMonitor, RotateReportsErrorUnitInsteadOfBase) {
   flowtable::FlowMonitor monitor(config);
 
   for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(monitor.ingest_burst(tuple_of(0), 1400, 1));
+    ASSERT_TRUE(monitor.ingest(tuple_of(0), 1400));
   }
   auto report = monitor.rotate();
   // Additive mode: no DISCO base -- b == 1.0 marks the estimates exact-in-
@@ -303,7 +304,7 @@ TEST(AdditiveMonitor, RotateReportsErrorUnitInsteadOfBase) {
   EXPECT_GT(monitor.pressure().rescale_events, 0u);
 
   // Next epoch starts exact again (reset() re-exacts the scale).
-  ASSERT_TRUE(monitor.ingest_burst(tuple_of(1), 100, 1));
+  ASSERT_TRUE(monitor.ingest(tuple_of(1), 100));
   const auto report2 = monitor.rotate();
   EXPECT_DOUBLE_EQ(report2.volume_error_unit, 1.0);
   ASSERT_EQ(report2.flows.size(), 1u);
@@ -319,48 +320,6 @@ TEST(AdditiveMonitor, SnapshotThrows) {
   ASSERT_TRUE(monitor.ingest(tuple_of(0), 100));
   std::ostringstream out;
   EXPECT_THROW(monitor.snapshot(out), std::runtime_error);
-}
-
-TEST(AdditiveMonitor, BatchedPrefetchPathIsBitIdentical) {
-  // The two-phase prefetch walk must preserve the RNG stream for additive
-  // counters too (their add() draws once per update, like DISCO's): same
-  // bursts, prefetch_depth 0 vs 8, bit-identical estimates and reports.
-  flowtable::FlowMonitor::Config base;
-  base.max_flows = 512;
-  base.counter_bits = 12;
-  base.estimator = flowtable::EstimatorKind::AdditiveError;
-  base.seed = 0xfe7c;
-  auto single = base;
-  single.prefetch_depth = 0;
-  single.telemetry_prefix = "additive_single";
-  auto batched = base;
-  batched.prefetch_depth = 8;
-  batched.telemetry_prefix = "additive_batched";
-  flowtable::FlowMonitor mono(single);
-  flowtable::FlowMonitor duo(batched);
-
-  std::vector<flowtable::FlowBurst> bursts;
-  util::Rng rng(0xbeef);
-  for (int i = 0; i < 5000; ++i) {
-    bursts.push_back(flowtable::FlowBurst{
-        tuple_of(static_cast<std::uint32_t>(rng.uniform_u64(0, 700))),
-        rng.uniform_u64(64, 9000), rng.uniform_u64(1, 6), 0});
-  }
-  ASSERT_EQ(mono.ingest_batch(bursts), duo.ingest_batch(bursts));
-  for (std::uint32_t i = 0; i <= 700; ++i) {
-    const auto a = mono.query(tuple_of(i));
-    const auto b = duo.query(tuple_of(i));
-    ASSERT_EQ(a.has_value(), b.has_value());
-    if (a) {
-      EXPECT_DOUBLE_EQ(a->bytes, b->bytes);
-      EXPECT_DOUBLE_EQ(a->packets, b->packets);
-    }
-  }
-  const auto ra = mono.rotate();
-  const auto rb = duo.rotate();
-  EXPECT_DOUBLE_EQ(ra.totals.bytes, rb.totals.bytes);
-  EXPECT_DOUBLE_EQ(ra.totals.packets, rb.totals.packets);
-  EXPECT_DOUBLE_EQ(ra.volume_error_unit, rb.volume_error_unit);
 }
 
 }  // namespace

@@ -187,47 +187,27 @@ TEST(DecisionTable, AttachRejectsMismatchedBase) {
   EXPECT_NO_THROW(params.attach_table(nullptr));  // detach via null is fine
 }
 
-TEST(DecisionTable, UpdateBatchMatchesSequentialUpdates) {
-  DiscoParams params = DiscoParams::for_budget(1 << 30, 12);
-  params.attach_table((std::uint64_t{1} << 12) - 1);
-
-  util::Rng lens(5);
-  std::vector<std::uint64_t> counters_batch(257, 0), counters_seq(257, 0);
-  std::vector<std::uint64_t> lengths(257);
-  for (auto& l : lengths) l = lens.uniform_u64(40, 1500);
-
-  util::Rng rng_batch(9), rng_seq(9);
-  params.update_batch(counters_batch, lengths, rng_batch);
-  for (std::size_t i = 0; i < counters_seq.size(); ++i) {
-    counters_seq[i] = params.update(counters_seq[i], lengths[i], rng_seq);
-  }
-  EXPECT_EQ(counters_batch, counters_seq);
-  EXPECT_EQ(rng_batch.next(), rng_seq.next());
-}
-
-TEST(DecisionTable, ArrayAddBatchMatchesSequentialAdds) {
+TEST(DecisionTable, AttachedArrayMatchesDetachedArray) {
+  // End to end through DiscoArray::add: the same slot/length stream into an
+  // array with the table attached (as every monitor's counters run) and
+  // one without must leave identical counters and RNG positions.
   const auto params = DiscoParams::for_budget(1 << 30, 12);
-  DiscoArray batched(64, 12, params);
-  DiscoArray sequential(64, 12, params);
-  batched.attach_decision_table();  // only one side uses the fast path
+  DiscoArray attached(64, 12, params);
+  DiscoArray detached(64, 12, params);
+  attached.attach_decision_table();
 
   util::Rng source(21);
-  std::vector<std::size_t> slots(500);
-  std::vector<std::uint64_t> lengths(500);
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    slots[i] = source.uniform_u64(0, 63);
-    lengths[i] = source.uniform_u64(40, 9000);
+  util::Rng rng_attached(33), rng_detached(33);
+  for (int i = 0; i < 500; ++i) {
+    const std::size_t slot = source.uniform_u64(0, 63);
+    const std::uint64_t length = source.uniform_u64(40, 9000);
+    attached.add(slot, length, rng_attached);
+    detached.add(slot, length, rng_detached);
   }
-
-  util::Rng rng_batch(33), rng_seq(33);
-  batched.add_batch(slots, lengths, rng_batch);
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    sequential.add(slots[i], lengths[i], rng_seq);
+  for (std::size_t i = 0; i < attached.size(); ++i) {
+    ASSERT_EQ(attached.value(i), detached.value(i)) << "slot " << i;
   }
-  for (std::size_t i = 0; i < batched.size(); ++i) {
-    ASSERT_EQ(batched.value(i), sequential.value(i)) << "slot " << i;
-  }
-  EXPECT_EQ(rng_batch.next(), rng_seq.next());
+  EXPECT_EQ(rng_attached.next(), rng_detached.next());
 }
 
 TEST(DecisionTable, EstimatesStayUnbiasedAndWithinTheorem2Cv) {

@@ -248,8 +248,8 @@ TEST(PressureRegression, RapZipfHeavyHittersWithinTwiceUnboundedError) {
     const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
     const auto flow = static_cast<std::uint32_t>(it - cdf.begin());
     truth[flow] += static_cast<double>(kBurstBytes);
-    (void)bounded.ingest_burst(make_tuple(flow), kBurstBytes, 1);
-    (void)unbounded.ingest_burst(make_tuple(flow), kBurstBytes, 1);
+    (void)bounded.ingest(make_tuple(flow), kBurstBytes);
+    (void)unbounded.ingest(make_tuple(flow), kBurstBytes);
   }
 
   // Weighted relative error over the top-100 true heavy hitters: absolute

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "trace/synthetic.hpp"
 #include "util/math.hpp"
 
@@ -110,34 +114,50 @@ TEST(FlowMonitor, DeterministicUnderSeed) {
   EXPECT_NE(run(1), run(2));
 }
 
-TEST(FlowMonitor, IngestBatchMatchesSequentialBursts) {
-  // The batch API's contract is exact equivalence: same accepted count,
-  // same counters, same RNG stream position as per-element ingest_burst.
+// The batch API's contract is exact equivalence with the same bursts fed
+// one per call -- accepted count, counters, pressure tallies and both RNG
+// streams -- under every admission x saturation x estimator combination.
+// More distinct flows than max_flows make the admission path run, and a
+// max_flow_bytes / max_flow_packets well under the heaviest flow makes the
+// saturation path run, so no cell passes without exercising its policy.
+using IngestCase = std::tuple<AdmissionPolicy, SaturationPolicy, EstimatorKind>;
+
+class IngestBatch : public ::testing::TestWithParam<IngestCase> {};
+
+TEST_P(IngestBatch, MatchesSequentialBursts) {
+  const auto [admission, saturation, estimator] = GetParam();
+  auto config = small_config();
+  config.max_flow_bytes = 1 << 16;
+  config.max_flow_packets = 1 << 6;
+  config.pressure.admission = admission;
+  config.pressure.saturation = saturation;
+  config.estimator = estimator;
+  constexpr std::uint32_t kFlows = 800;  // > max_flows = 512
+
   std::vector<FlowBurst> bursts;
   util::Rng source(7);
   for (int i = 0; i < 3000; ++i) {
-    bursts.push_back(FlowBurst{tuple(static_cast<std::uint32_t>(i % 600)),
-                               source.uniform_u64(64, 90'000),
-                               source.uniform_u64(1, 60),
-                               static_cast<std::uint64_t>(i) * 1000});
+    bursts.push_back(FlowBurst{
+        tuple(static_cast<std::uint32_t>(source.uniform_u64(0, kFlows - 1))),
+        source.uniform_u64(64, 90'000), source.uniform_u64(1, 60),
+        static_cast<std::uint64_t>(i) * 1000});
   }
 
-  FlowMonitor batched(small_config());
-  FlowMonitor sequential(small_config());
-  std::size_t accepted_batched = batched.ingest_batch(bursts);
+  FlowMonitor batched(config);
+  FlowMonitor sequential(config);
+  const std::size_t accepted_batched = batched.ingest_batch(bursts);
   std::size_t accepted_seq = 0;
-  for (const FlowBurst& b : bursts) {
-    accepted_seq += sequential.ingest_burst(b.flow, b.bytes, b.packets,
-                                            b.last_ns)
-                        ? 1
-                        : 0;
-  }
-  // max_flows = 512 < 600 distinct flows: both paths must reject the same
-  // tail bursts.
+  for (const FlowBurst& b : bursts) accepted_seq += sequential.ingest_batch({&b, 1});
+
   EXPECT_EQ(accepted_batched, accepted_seq);
-  EXPECT_LT(accepted_batched, bursts.size());
   EXPECT_EQ(batched.packets_seen(), sequential.packets_seen());
-  for (std::uint32_t i = 0; i < 600; ++i) {
+  const PressureStats& pb = batched.pressure();
+  const PressureStats& ps = sequential.pressure();
+  EXPECT_EQ(pb.flows_rejected, ps.flows_rejected);
+  EXPECT_EQ(pb.flows_evicted, ps.flows_evicted);
+  EXPECT_EQ(pb.counters_saturated, ps.counters_saturated);
+  EXPECT_EQ(pb.rescale_events, ps.rescale_events);
+  for (std::uint32_t i = 0; i < kFlows; ++i) {
     const auto eb = batched.query(tuple(i));
     const auto es = sequential.query(tuple(i));
     ASSERT_EQ(eb.has_value(), es.has_value()) << "flow " << i;
@@ -146,37 +166,54 @@ TEST(FlowMonitor, IngestBatchMatchesSequentialBursts) {
       ASSERT_EQ(eb->packets, es->packets) << "flow " << i;
     }
   }
-  // RNG streams still in lockstep: one more identical ingest on each side
-  // must stay bit-identical.
-  ASSERT_TRUE(batched.ingest(tuple(3), 999));
-  ASSERT_TRUE(sequential.ingest(tuple(3), 999));
-  EXPECT_EQ(batched.query(tuple(3))->bytes, sequential.query(tuple(3))->bytes);
+
+  // Each cell must have run its policies, or equality proves nothing.
+  if (admission == AdmissionPolicy::Drop) {
+    EXPECT_GT(pb.flows_rejected, 0u);
+    EXPECT_EQ(pb.flows_evicted, 0u);
+  } else {
+    EXPECT_GT(pb.flows_evicted, 0u);
+  }
+  // Additive counters always rescale (by halving) instead of saturating.
+  if (saturation == SaturationPolicy::RescaleB ||
+      estimator == EstimatorKind::AdditiveError) {
+    EXPECT_GT(pb.rescale_events, 0u);
+  } else {
+    EXPECT_GT(pb.counters_saturated, 0u);
+  }
+
+  // Both RNG streams still in lockstep: one more identical ingest on each
+  // side must stay bit-identical.
+  EXPECT_EQ(batched.ingest(tuple(3), 999), sequential.ingest(tuple(3), 999));
+  const auto eb = batched.query(tuple(3));
+  const auto es = sequential.query(tuple(3));
+  ASSERT_EQ(eb.has_value(), es.has_value());
+  if (eb) {
+    EXPECT_EQ(eb->bytes, es->bytes);
+  }
+  EXPECT_EQ(batched.pressure().flows_evicted, sequential.pressure().flows_evicted);
 }
 
-TEST(FlowMonitor, DecisionTableDoesNotChangeEstimates) {
-  // The config knob toggles only the fast path; every estimate must be
-  // bit-identical either way (the DecisionTable parity guarantee, observed
-  // end to end through the monitor).
-  auto config_on = small_config();
-  auto config_off = small_config();
-  config_off.decision_table = false;
-  FlowMonitor with_table(config_on);
-  FlowMonitor without(config_off);
-  for (int i = 0; i < 20'000; ++i) {
-    const auto t = tuple(static_cast<std::uint32_t>(i % 101));
-    const auto len = 64 + static_cast<std::uint32_t>((i * 37) % 9000);
-    ASSERT_TRUE(with_table.ingest(t, len));
-    ASSERT_TRUE(without.ingest(t, len));
-  }
-  for (std::uint32_t i = 0; i < 101; ++i) {
-    const auto a = with_table.query(tuple(i));
-    const auto b = without.query(tuple(i));
-    ASSERT_TRUE(a.has_value() && b.has_value());
-    ASSERT_EQ(a->bytes, b->bytes) << "flow " << i;
-    ASSERT_EQ(a->packets, b->packets) << "flow " << i;
-  }
-  EXPECT_EQ(with_table.totals().bytes, without.totals().bytes);
+std::string ingest_case_name(const ::testing::TestParamInfo<IngestCase>& info) {
+  static const char* const kAdmission[] = {"Drop", "RandomizedAdmission",
+                                           "EvictSmallest"};
+  static const char* const kSaturation[] = {"Saturate", "RescaleB"};
+  const auto [admission, saturation, estimator] = info.param;
+  return std::string(kAdmission[static_cast<int>(admission)]) + "_" +
+         kSaturation[static_cast<int>(saturation)] + "_" +
+         (estimator == EstimatorKind::Disco ? "Disco" : "AdditiveError");
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    FlowMonitor, IngestBatch,
+    ::testing::Combine(::testing::Values(AdmissionPolicy::Drop,
+                                         AdmissionPolicy::RandomizedAdmission,
+                                         AdmissionPolicy::EvictSmallest),
+                       ::testing::Values(SaturationPolicy::Saturate,
+                                         SaturationPolicy::RescaleB),
+                       ::testing::Values(EstimatorKind::Disco,
+                                         EstimatorKind::AdditiveError)),
+    ingest_case_name);
 
 }  // namespace
 }  // namespace disco::flowtable

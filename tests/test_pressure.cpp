@@ -37,6 +37,13 @@ FlowMonitor::Config policy_config(AdmissionPolicy admission,
   return c;
 }
 
+/// One two-packet burst of `bytes` for `flow`, as a one-element batch.
+std::size_t ingest_pair(FlowMonitor& monitor, const FiveTuple& flow,
+                        std::uint64_t bytes) {
+  const FlowBurst burst{flow, bytes, 2, 0};
+  return monitor.ingest_batch({&burst, 1});
+}
+
 struct PolicyCase {
   AdmissionPolicy admission;
   SaturationPolicy saturation;
@@ -145,7 +152,7 @@ FlowMonitor::Config tiny_budget_config(SaturationPolicy saturation) {
 TEST(SaturationPolicy, SaturateClampsAndCounts) {
   FlowMonitor monitor(tiny_budget_config(SaturationPolicy::Saturate));
   // ...then driven 16x past the budget: the volume counter must clamp.
-  for (int i = 0; i < 1024; ++i) (void)monitor.ingest_burst(tuple(1), 1024, 1);
+  for (int i = 0; i < 1024; ++i) (void)monitor.ingest(tuple(1), 1024);
   EXPECT_GT(monitor.pressure().counters_saturated, 0u);
   EXPECT_EQ(monitor.pressure().rescale_events, 0u);
   const auto est = monitor.query(tuple(1));
@@ -157,7 +164,7 @@ TEST(SaturationPolicy, SaturateClampsAndCounts) {
 TEST(SaturationPolicy, RescaleBExtendsRangeUnbiasedly) {
   FlowMonitor monitor(tiny_budget_config(SaturationPolicy::RescaleB));
   constexpr double kTrue = 1024.0 * 1024.0;  // 16x the provisioned budget
-  for (int i = 0; i < 1024; ++i) (void)monitor.ingest_burst(tuple(1), 1024, 1);
+  for (int i = 0; i < 1024; ++i) (void)monitor.ingest(tuple(1), 1024);
   EXPECT_GT(monitor.pressure().rescale_events, 0u);
   const auto est = monitor.query(tuple(1));
   ASSERT_TRUE(est.has_value());
@@ -170,7 +177,7 @@ TEST(SaturationPolicy, RescaleBExtendsRangeUnbiasedly) {
 
 TEST(SaturationPolicy, RescaledScaleSurvivesSnapshotRestore) {
   FlowMonitor monitor(tiny_budget_config(SaturationPolicy::RescaleB));
-  for (int i = 0; i < 1024; ++i) (void)monitor.ingest_burst(tuple(1), 1024, 1);
+  for (int i = 0; i < 1024; ++i) (void)monitor.ingest(tuple(1), 1024);
   ASSERT_GT(monitor.pressure().rescale_events, 0u);
 
   std::stringstream buffer;
@@ -191,13 +198,13 @@ TEST(SaturationPolicy, RescaledScaleSurvivesSnapshotRestore) {
 
 TEST(SaturationPolicy, RescaledScalePersistsAcrossRotate) {
   FlowMonitor monitor(tiny_budget_config(SaturationPolicy::RescaleB));
-  for (int i = 0; i < 1024; ++i) (void)monitor.ingest_burst(tuple(1), 1024, 1);
+  for (int i = 0; i < 1024; ++i) (void)monitor.ingest(tuple(1), 1024);
   const std::uint64_t rescales = monitor.pressure().rescale_events;
   ASSERT_GT(rescales, 0u);
   (void)monitor.rotate();
   // The grown b is a deployment property: the same over-budget flow in the
   // next epoch must NOT trigger a fresh cascade of rescales.
-  for (int i = 0; i < 1024; ++i) (void)monitor.ingest_burst(tuple(2), 1024, 1);
+  for (int i = 0; i < 1024; ++i) (void)monitor.ingest(tuple(2), 1024);
   EXPECT_EQ(monitor.pressure().rescale_events, rescales);
 }
 
@@ -218,10 +225,10 @@ TEST(PressureAccuracy, HeavyFlowsSurviveChurnWithinCvBound) {
   std::uint32_t mouse = 1000;
   for (int round = 0; round < kRounds; ++round) {
     for (std::uint32_t h = 0; h < kHeavy; ++h) {
-      (void)monitor.ingest_burst(tuple(h), kHeavyBurst, 2);
+      (void)ingest_pair(monitor, tuple(h), kHeavyBurst);
     }
     for (int m = 0; m < 8; ++m) {
-      (void)monitor.ingest_burst(tuple(mouse++), 120, 1);
+      (void)monitor.ingest(tuple(mouse++), 120);
     }
   }
 
@@ -252,9 +259,9 @@ TEST(PressureAccuracy, EvictSmallestKeepsTopFlows) {
   std::uint32_t mouse = 1000;
   for (int round = 0; round < 100; ++round) {
     for (std::uint32_t h = 0; h < kHeavy; ++h) {
-      (void)monitor.ingest_burst(tuple(h), 4000, 2);
+      (void)ingest_pair(monitor, tuple(h), 4000);
     }
-    for (int m = 0; m < 4; ++m) (void)monitor.ingest_burst(tuple(mouse++), 80, 1);
+    for (int m = 0; m < 4; ++m) (void)monitor.ingest(tuple(mouse++), 80);
   }
   const auto top = monitor.top_k(kHeavy);
   int heavy_in_top = 0;
