@@ -217,32 +217,30 @@ void Collector::try_finalize() {
 void Collector::finalize_epoch(std::uint64_t epoch) {
   auto it = pending_.find(epoch);
   if (it != pending_.end() && !it->second.empty()) {
-    EpochReport merged;
-    merged.epoch = epoch;
-    std::unordered_map<FiveTuple, std::size_t> fused;
-    for (const auto& [site_id, report] : it->second) {
+    // The epoch's reports in site order, folded into one report.
+    std::vector<EpochReport> reports;
+    reports.reserve(it->second.size());
+    for (auto& [site_id, report] : it->second) {
       (void)site_id;
-      merged.totals.bytes += report.totals.bytes;
-      merged.totals.packets += report.totals.packets;
-      merged.pressure += report.pressure;
-      merged.volume_b = std::max(merged.volume_b, report.volume_b);
-      merged.size_b = std::max(merged.size_b, report.size_b);
-      merged.volume_error_unit =
-          std::max(merged.volume_error_unit, report.volume_error_unit);
-      merged.size_error_unit =
-          std::max(merged.size_error_unit, report.size_error_unit);
-      for (const FlowEstimate& flow : report.flows) {
-        auto [pos, inserted] = fused.try_emplace(flow.flow,
-                                                 merged.flows.size());
-        if (inserted) {
-          merged.flows.push_back(flow);
-        } else {
-          merged.flows[pos->second].bytes += flow.bytes;
-          merged.flows[pos->second].packets += flow.packets;
-        }
+      reports.push_back(std::move(report));
+    }
+    EpochReport merged = flowtable::fold_reports(reports);
+    // Then fuse same-key records in place: each key keeps its first
+    // record's position and sums the later ones in site order.
+    std::unordered_map<FiveTuple, std::size_t> fused;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < merged.flows.size(); ++i) {
+      const FlowEstimate flow = merged.flows[i];
+      auto [pos, inserted] = fused.try_emplace(flow.flow, kept);
+      if (inserted) {
+        merged.flows[kept++] = flow;
+      } else {
+        merged.flows[pos->second].bytes += flow.bytes;
+        merged.flows[pos->second].packets += flow.packets;
       }
     }
-    merged.totals.flows = merged.flows.size();
+    merged.flows.resize(kept);
+    merged.totals.flows = kept;
     for (const auto& subscriber : subscribers_) subscriber(merged);
   }
   for (auto& [id, site] : sites_) {

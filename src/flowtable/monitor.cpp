@@ -1,9 +1,11 @@
 #include "flowtable/monitor.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "telemetry/registry.hpp"
@@ -422,7 +424,17 @@ FlowMonitor FlowMonitor::restore(std::istream& in) {
   config.max_flow_packets = get<std::uint64_t>(in);
   config.seed = get<std::uint64_t>(in);
 
-  FlowMonitor monitor(config);
+  // The constructor owns the counter rules (width in [1, 62], a positive
+  // budget that b <= 4 can cover); a snapshot header it rejects is corrupt.
+  FlowMonitor monitor = [&] {
+    try {
+      return FlowMonitor(config);
+    } catch (const std::invalid_argument& e) {
+      throw std::runtime_error(
+          std::string("FlowMonitor::restore: implausible counter config: ") +
+          e.what());
+    }
+  }();
   monitor.epoch_ = get<std::uint64_t>(in);
   monitor.packets_seen_ = get<std::uint64_t>(in);
   monitor.rng_.set_state(get<util::Rng::State>(in));
@@ -437,7 +449,8 @@ FlowMonitor FlowMonitor::restore(std::istream& in) {
     const auto volume_rescales = get<std::uint64_t>(in);
     const auto size_b = get<double>(in);
     const auto size_rescales = get<std::uint64_t>(in);
-    if (!(volume_b > 1.0) || !(size_b > 1.0)) {
+    if (!(volume_b > 1.0) || !(size_b > 1.0) || !std::isfinite(volume_b) ||
+        !std::isfinite(size_b)) {
       throw std::runtime_error("FlowMonitor::restore: implausible base b");
     }
     monitor.volume_.restore_scale(volume_b, volume_rescales);
@@ -452,11 +465,17 @@ FlowMonitor FlowMonitor::restore(std::istream& in) {
   if (flow_count > config.max_flows) {
     throw std::runtime_error("FlowMonitor::restore: snapshot exceeds capacity");
   }
+  const std::uint64_t counter_max =
+      (std::uint64_t{1} << config.counter_bits) - 1;
   for (std::uint64_t i = 0; i < flow_count; ++i) {
     const auto key = get_tuple(in);
     const auto volume_value = get<std::uint64_t>(in);
     const auto size_value = get<std::uint64_t>(in);
     const auto last_seen = get<std::uint64_t>(in);
+    if (volume_value > counter_max || size_value > counter_max) {
+      throw std::runtime_error(
+          "FlowMonitor::restore: counter value exceeds counter width");
+    }
     const auto slot = monitor.table_.insert_or_get(key);
     if (!slot) {
       throw std::runtime_error("FlowMonitor::restore: corrupt key section");

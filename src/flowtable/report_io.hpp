@@ -91,8 +91,9 @@ void write_report_csv(std::ostream& out, const FlowMonitor::EpochReport& report)
 /// effective bases and error units take the max across parts, keeping any
 /// interval derived from the merged report conservative for every record.
 /// The epoch id is the first part's.  PipelineMonitor::rotate folds its
-/// shard reports through it.  Same-key flows from different parts stay
-/// separate records; key-level fusion is collect::Collector's job.
+/// shard reports through it, and collect::Collector its sites' reports.
+/// Same-key flows from different parts stay separate records; the
+/// collector fuses them afterwards.
 [[nodiscard]] FlowMonitor::EpochReport fold_reports(
     std::span<FlowMonitor::EpochReport> parts);
 

@@ -1,7 +1,9 @@
 #include "pipeline/pipeline.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "flowtable/report_io.hpp"
@@ -10,56 +12,22 @@
 
 namespace disco::pipeline {
 
-// A synchronous control-plane message.  The caller owns it, pushes a
-// pointer through the worker's command ring, and waits; the worker fills the
-// result fields and signals.  Control calls are serialised by
-// control_mutex_, so at most one command is in flight per worker.
+// A synchronous control-plane call: a closure the owning worker runs between
+// two of its batches.  The caller owns the command, pushes a pointer through
+// the worker's command ring, and waits; the worker runs `run` -- which
+// writes its answer into the caller's frame -- and signals.  Control calls
+// are serialised by control_mutex_, so at most one command is in flight per
+// worker.
 struct PipelineMonitor::Command {
-  enum class Op {
-    Rotate,
-    Totals,
-    Query,
-    TopK,
-    Memory,
-    PacketsSeen,
-    Pressure,
-    EvictIdle,
-    Drain,
-    Stop,
-  };
-
-  Command() = default;
-  explicit Command(Op operation) : op(operation) {}
-
-  /// Copies `request`'s op and inputs -- how run_on_all hands one request
-  /// to every worker.
-  void set_request(const Command& request) {
-    op = request.op;
-    flow = request.flow;
-    k = request.k;
-    now_ns = request.now_ns;
-    idle_timeout_ns = request.idle_timeout_ns;
-  }
-
-  Op op = Op::Drain;
-  // Inputs.
-  FiveTuple flow{};
-  std::size_t k = 0;
-  std::uint64_t now_ns = 0;
-  std::uint64_t idle_timeout_ns = 0;
-  // Outputs (which fields are filled depends on op).
-  EpochReport report;
-  Totals totals;
-  std::optional<FlowEstimate> estimate;
-  std::vector<FlowEstimate> flows;
-  MemoryReport memory;
-  std::uint64_t count = 0;
-  PressureStats pressure{};
+  std::function<void(Worker&)> run;
+  /// Absorb every packet already queued before running (drain, stop);
+  /// otherwise only the open bursts are applied first.
+  bool drain = false;
   // Completion handshake.  Deliberately a plain std::mutex, not the
   // annotated util::Mutex: the condition-variable wait needs the std type,
   // and Thread Safety Analysis cannot model a cv handshake anyway.  The pair
-  // lives for one run_on_worker / run_on_all call and is touched by exactly
-  // two threads (requester and worker), so the invariant is structural.
+  // lives for one control call and is touched by exactly two threads
+  // (requester and worker), so the invariant is structural.
   std::mutex mutex;
   std::condition_variable cv;
   bool done = false;
@@ -115,6 +83,8 @@ struct PipelineMonitor::Worker {
   std::vector<std::unique_ptr<SpscRing<Message>>> rings;
   bool stop_requested = false;         ///< worker-thread-local exit flag
   std::uint64_t merged_reported = 0;   ///< coalescer.merged() already exported
+  /// Scratch buffer for one ring pop (config.pop_batch messages).
+  std::vector<Message> batch;
 
   /// Race-free mirror of coalescer.merged() for cross-thread reads.
   /// Relaxed store/load: a monotonic statistic read by coalesced(); readers
@@ -179,6 +149,7 @@ PipelineMonitor::PipelineMonitor(const Config& config)
     // twice the configured count), so the worker never reallocates.
     worker.bursts.reserve(std::max<std::size_t>(
         config.pop_batch * 2, 2 * std::size_t{config.coalescer.slots}));
+    worker.batch.resize(config.pop_batch);
     const std::string& prefix = shard.telemetry_prefix;
     worker.occupancy = &registry.gauge(prefix + ".ring_occupancy");
     worker.pop_batch = &registry.histogram(prefix + ".pop_batch");
@@ -317,62 +288,36 @@ void PipelineMonitor::process_batch(Worker& worker, const Message* batch,
 
 void PipelineMonitor::handle_command(Worker& worker, Command& command) {
   worker.commands->inc();
-  // Drain and Stop first absorb everything already queued; every other op
-  // only needs the buffered bursts applied so reports see recent packets.
-  if (command.op == Command::Op::Drain || command.op == Command::Op::Stop) {
-    std::vector<Message> batch(config_.pop_batch);
-    bool again = true;
-    while (again) {
-      again = false;
-      for (unsigned p = 0; p < producers_; ++p) {
-        const std::size_t n =
-            worker.rings[p]->pop_batch(batch.data(), batch.size());
-        if (n > 0) {
-          process_batch(worker, batch.data(), n);
-          again = true;
-        }
-      }
+  // A draining command first absorbs everything already queued; every other
+  // call only needs the buffered bursts applied so answers see recent
+  // packets.
+  if (command.drain) {
+    while (poll_rings(worker)) {
     }
   }
   worker.flush_coalescer();
-
-  switch (command.op) {
-    case Command::Op::Rotate:
-      command.report = worker.monitor.rotate();
-      break;
-    case Command::Op::Totals:
-      command.totals = worker.monitor.totals();
-      break;
-    case Command::Op::Query:
-      command.estimate = worker.monitor.query(command.flow);
-      break;
-    case Command::Op::TopK:
-      command.flows = worker.monitor.top_k(command.k);
-      break;
-    case Command::Op::Memory:
-      command.memory = worker.monitor.memory();
-      break;
-    case Command::Op::PacketsSeen:
-      command.count = worker.monitor.packets_seen();
-      break;
-    case Command::Op::Pressure:
-      command.pressure = worker.monitor.pressure();
-      break;
-    case Command::Op::EvictIdle:
-      command.flows =
-          worker.monitor.evict_idle(command.now_ns, command.idle_timeout_ns);
-      break;
-    case Command::Op::Drain:
-      break;
-    case Command::Op::Stop:
-      worker.stop_requested = true;
-      break;
-  }
+  command.run(worker);
   command.signal();
 }
 
+bool PipelineMonitor::poll_rings(Worker& worker) {
+  bool any = false;
+  std::size_t backlog = 0;
+  for (unsigned p = 0; p < producers_; ++p) {
+    SpscRing<Message>& ring = *worker.rings[p];
+    const std::size_t n = ring.pop_batch(worker.batch.data(), worker.batch.size());
+    if (n > 0) {
+      any = true;
+      worker.pop_batch->record(n);
+      process_batch(worker, worker.batch.data(), n);
+      backlog += ring.size_approx();
+    }
+  }
+  worker.occupancy->set(static_cast<std::int64_t>(backlog));
+  return any;
+}
+
 void PipelineMonitor::worker_loop(Worker& worker) {
-  std::vector<Message> batch(config_.pop_batch);
   SpscRing<Message>& command_ring = *worker.rings[producers_];
   unsigned idle = 0;
   for (;;) {
@@ -383,21 +328,7 @@ void PipelineMonitor::worker_loop(Worker& worker) {
       handle_command(worker, *command_msg.command);
       if (worker.stop_requested) return;
     }
-
-    bool any = false;
-    std::size_t backlog = 0;
-    for (unsigned p = 0; p < producers_; ++p) {
-      SpscRing<Message>& ring = *worker.rings[p];
-      const std::size_t n = ring.pop_batch(batch.data(), batch.size());
-      if (n > 0) {
-        any = true;
-        worker.pop_batch->record(n);
-        process_batch(worker, batch.data(), n);
-        backlog += ring.size_approx();
-      }
-    }
-    if (any) {
-      worker.occupancy->set(static_cast<std::int64_t>(backlog));
+    if (poll_rings(worker)) {
       idle = 0;
       continue;
     }
@@ -407,7 +338,6 @@ void PipelineMonitor::worker_loop(Worker& worker) {
     // sweep would defeat coalescing whenever the worker outpaces its
     // producers (it would see each packet alone).  Control-plane commands
     // flush unconditionally, so queries are never stale.
-    worker.occupancy->set(0);
     ++idle;
     if (idle == 64) worker.flush_coalescer();
     if (idle >= 16) std::this_thread::yield();
@@ -415,38 +345,45 @@ void PipelineMonitor::worker_loop(Worker& worker) {
 }
 
 void PipelineMonitor::post(unsigned w, Command& command) {
-  SpscRing<Message>& ring = *workers_[w]->rings[producers_];
+  Worker& worker = *workers_[w];
+  if (!running_) {
+    // Workers joined (stop() happened-before): safe to run inline.
+    handle_command(worker, command);
+    return;
+  }
   Message msg;
   msg.command = &command;
   unsigned spins = 0;
-  while (!ring.try_push(msg)) backoff(spins);
+  while (!worker.rings[producers_]->try_push(msg)) backoff(spins);
 }
 
-void PipelineMonitor::run_on_worker(unsigned w, Command& command) {
-  if (!running_) {
-    // Workers joined (stop() happened-before): safe to run inline.
-    handle_command(*workers_[w], command);
-    return;
-  }
-  post(w, command);
-  command.wait();
-}
-
-std::vector<PipelineMonitor::Command> PipelineMonitor::run_on_all(
-    const Command& request) {
-  std::vector<Command> commands(workers_.size());
-  for (Command& command : commands) command.set_request(request);
-  if (!running_) {
-    for (unsigned w = 0; w < workers_.size(); ++w) {
-      handle_command(*workers_[w], commands[w]);
+template <typename Fn>
+auto PipelineMonitor::on_all(Fn fn, bool drain) {
+  // A call with no answer still fills one slot per worker, so every call
+  // takes the same path.  char, not bool: workers write their slots
+  // concurrently, and vector<bool> packs them into shared words.
+  auto call = [&fn](Worker& worker) {
+    if constexpr (std::is_void_v<std::invoke_result_t<Fn&, Worker&>>) {
+      fn(worker);
+      return char{};
+    } else {
+      return fn(worker);
     }
-    return commands;
+  };
+  std::vector<std::invoke_result_t<decltype(call)&, Worker&>> results(
+      workers_.size());
+  std::vector<Command> commands(workers_.size());
+  for (unsigned w = 0; w < workers_.size(); ++w) {
+    commands[w].run = [&call, &result = results[w]](Worker& worker) {
+      result = call(worker);
+    };
+    commands[w].drain = drain;
   }
-  // Post to every worker before waiting on any: the workers run the command
-  // concurrently, so a control call costs its slowest shard, not their sum.
+  // Post to every worker before waiting on any: the workers run the call
+  // concurrently, so it costs the slowest shard, not the sum of them.
   for (unsigned w = 0; w < workers_.size(); ++w) post(w, commands[w]);
-  for (Command& command : commands) command.wait();
-  return commands;
+  for (unsigned w = 0; w < workers_.size(); ++w) commands[w].wait();
+  return results;
 }
 
 void PipelineMonitor::subscribe(
@@ -458,11 +395,8 @@ void PipelineMonitor::subscribe(
 
 PipelineMonitor::EpochReport PipelineMonitor::rotate() {
   const util::MutexLock lock(control_mutex_);
-  std::vector<EpochReport> reports;
-  reports.reserve(workers_.size());
-  for (Command& command : run_on_all(Command(Command::Op::Rotate))) {
-    reports.push_back(std::move(command.report));
-  }
+  std::vector<EpochReport> reports =
+      on_all([](Worker& worker) { return worker.monitor.rotate(); });
   EpochReport merged = flowtable::fold_reports(reports);
   // Subscribers run on the rotating (control-plane) thread while ingest
   // continues on the workers; module work never stalls the packet path.
@@ -473,8 +407,9 @@ PipelineMonitor::EpochReport PipelineMonitor::rotate() {
 PipelineMonitor::PressureStats PipelineMonitor::pressure() {
   const util::MutexLock lock(control_mutex_);
   PressureStats aggregate;
-  for (const Command& command : run_on_all(Command(Command::Op::Pressure))) {
-    aggregate += command.pressure;
+  for (const PressureStats& part :
+       on_all([](Worker& worker) { return worker.monitor.pressure(); })) {
+    aggregate += part;
   }
   return aggregate;
 }
@@ -482,10 +417,11 @@ PipelineMonitor::PressureStats PipelineMonitor::pressure() {
 PipelineMonitor::Totals PipelineMonitor::totals() {
   const util::MutexLock lock(control_mutex_);
   Totals aggregate;
-  for (const Command& command : run_on_all(Command(Command::Op::Totals))) {
-    aggregate.bytes += command.totals.bytes;
-    aggregate.packets += command.totals.packets;
-    aggregate.flows += command.totals.flows;
+  for (const Totals& part :
+       on_all([](Worker& worker) { return worker.monitor.totals(); })) {
+    aggregate.bytes += part.bytes;
+    aggregate.packets += part.packets;
+    aggregate.flows += part.flows;
   }
   return aggregate;
 }
@@ -493,19 +429,20 @@ PipelineMonitor::Totals PipelineMonitor::totals() {
 std::optional<PipelineMonitor::FlowEstimate> PipelineMonitor::query(
     const FiveTuple& flow) {
   const util::MutexLock lock(control_mutex_);
-  Command command(Command::Op::Query);
-  command.flow = flow;
-  run_on_worker(worker_of(flow, static_cast<unsigned>(workers_.size())), command);
-  return command.estimate;
+  std::optional<FlowEstimate> estimate;
+  Command command;
+  command.run = [&](Worker& worker) { estimate = worker.monitor.query(flow); };
+  post(worker_of(flow, worker_count()), command);
+  command.wait();
+  return estimate;
 }
 
 std::vector<PipelineMonitor::FlowEstimate> PipelineMonitor::top_k(std::size_t k) {
   const util::MutexLock lock(control_mutex_);
-  Command request(Command::Op::TopK);
-  request.k = k;
   std::vector<FlowEstimate> all;
-  for (const Command& command : run_on_all(request)) {
-    all.insert(all.end(), command.flows.begin(), command.flows.end());
+  for (const auto& part :
+       on_all([k](Worker& worker) { return worker.monitor.top_k(k); })) {
+    all.insert(all.end(), part.begin(), part.end());
   }
   const std::size_t take = std::min(k, all.size());
   std::partial_sort(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(take),
@@ -519,10 +456,11 @@ std::vector<PipelineMonitor::FlowEstimate> PipelineMonitor::top_k(std::size_t k)
 PipelineMonitor::MemoryReport PipelineMonitor::memory() {
   const util::MutexLock lock(control_mutex_);
   MemoryReport aggregate;
-  for (const Command& command : run_on_all(Command(Command::Op::Memory))) {
-    aggregate.volume_counter_bits += command.memory.volume_counter_bits;
-    aggregate.size_counter_bits += command.memory.size_counter_bits;
-    aggregate.flow_table_bits += command.memory.flow_table_bits;
+  for (const MemoryReport& part :
+       on_all([](Worker& worker) { return worker.monitor.memory(); })) {
+    aggregate.volume_counter_bits += part.volume_counter_bits;
+    aggregate.size_counter_bits += part.size_counter_bits;
+    aggregate.flow_table_bits += part.flow_table_bits;
   }
   return aggregate;
 }
@@ -530,8 +468,9 @@ PipelineMonitor::MemoryReport PipelineMonitor::memory() {
 std::uint64_t PipelineMonitor::packets_seen() {
   const util::MutexLock lock(control_mutex_);
   std::uint64_t total = 0;
-  for (const Command& command : run_on_all(Command(Command::Op::PacketsSeen))) {
-    total += command.count;
+  for (const std::uint64_t part :
+       on_all([](Worker& worker) { return worker.monitor.packets_seen(); })) {
+    total += part;
   }
   return total;
 }
@@ -539,26 +478,25 @@ std::uint64_t PipelineMonitor::packets_seen() {
 std::vector<PipelineMonitor::FlowEstimate> PipelineMonitor::evict_idle(
     std::uint64_t now_ns, std::uint64_t idle_timeout_ns) {
   const util::MutexLock lock(control_mutex_);
-  Command request(Command::Op::EvictIdle);
-  request.now_ns = now_ns;
-  request.idle_timeout_ns = idle_timeout_ns;
   std::vector<FlowEstimate> merged;
-  for (const Command& command : run_on_all(request)) {
-    merged.insert(merged.end(), command.flows.begin(), command.flows.end());
+  for (const auto& part : on_all([now_ns, idle_timeout_ns](Worker& worker) {
+         return worker.monitor.evict_idle(now_ns, idle_timeout_ns);
+       })) {
+    merged.insert(merged.end(), part.begin(), part.end());
   }
   return merged;
 }
 
 void PipelineMonitor::drain() {
   const util::MutexLock lock(control_mutex_);
-  run_on_all(Command(Command::Op::Drain));
+  on_all([](Worker&) {}, /*drain=*/true);
 }
 
 void PipelineMonitor::stop() {
   const util::MutexLock lock(control_mutex_);
   if (!running_) return;
   accepting_.store(false, std::memory_order_release);
-  run_on_all(Command(Command::Op::Stop));
+  on_all([](Worker& worker) { worker.stop_requested = true; }, /*drain=*/true);
   for (std::thread& thread : threads_) thread.join();
   threads_.clear();
   running_ = false;

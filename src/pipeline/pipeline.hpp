@@ -20,12 +20,14 @@
 //     and one reader -- the SPSC invariant -- the same way NIC RSS gives
 //     each (rx-queue, core) pair its own descriptor ring.
 //   * Control-plane operations (rotate, totals, query, top-k, drain, stop,
-//     ...) travel as in-band command messages through a dedicated per-worker
-//     command ring and execute ON the worker thread, between batches, so
-//     they never touch a shard from outside -- the shard has exactly one
-//     thread, ever.  A command pauses only its own worker while it runs;
-//     calls that visit every worker post to all of them before waiting,
-//     so the shards serve them (a rotate included) concurrently.
+//     ...) are closures over the worker's shard.  Each travels as an
+//     in-band command message through a dedicated per-worker command ring
+//     and runs ON the worker thread, between batches, so it never touches a
+//     shard from outside -- the shard has exactly one thread, ever.  A
+//     command pauses only its own worker while it runs; calls that visit
+//     every worker post to all of them before waiting, so the shards serve
+//     them (a rotate included) concurrently, and fold the answers in worker
+//     order on the calling thread.
 //   * Backpressure is explicit: a full ring either drops the packet
 //     (`Backpressure::Drop`, counted) or spins the producer until space
 //     frees (`Backpressure::Block`) -- the two policies of a real NIC queue.
@@ -137,7 +139,7 @@ class PipelineMonitor {
   // (DISCO_EXCLUDES documents they are not reentrant from a context already
   // holding it -- e.g. from inside another control call on the same thread).
 
-  /// Ends the epoch on every shard and merges the reports.  The Rotate
+  /// Ends the epoch on every shard and merges the reports.  The rotate
   /// command goes to every worker before the caller waits on any, so the
   /// shards rotate concurrently, each on its own worker thread; the reports
   /// are then merged in worker order (flowtable::fold_reports).  Concurrent
@@ -215,7 +217,7 @@ class PipelineMonitor {
 
  private:
   /// One slot of every ring: a packet, or (command rings only) a borrowed
-  /// pointer to a synchronous command the worker fills and signals.  Which
+  /// pointer to a synchronous command the worker runs and signals.  Which
   /// union member is live is decided by the ring, not the message: packet
   /// rings carry `hash` (the producer already hashed the tuple to route it,
   /// and the worker's coalescer and flow table reuse it instead of
@@ -234,20 +236,23 @@ class PipelineMonitor {
   struct Worker;
 
   void worker_loop(Worker& worker);
+  /// Pops one batch from each of `worker`'s producer rings and applies it;
+  /// returns whether any ring had packets.  The worker loop's sweep, and
+  /// how a draining command absorbs the backlog.
+  bool poll_rings(Worker& worker);
   void process_batch(Worker& worker, const Message* batch, std::size_t n);
   void handle_command(Worker& worker, Command& command);
-  /// Pushes `command` onto worker `w`'s command ring without waiting.
+  /// Pushes `command` onto worker `w`'s command ring without waiting; once
+  /// the workers are stopped, runs it inline instead.  Either way the
+  /// caller then waits on the command.
   void post(unsigned w, Command& command) DISCO_REQUIRES(control_mutex_);
-  /// Sends `command` to worker `w`'s command ring and waits for completion;
-  /// runs it inline when the workers are stopped.
-  void run_on_worker(unsigned w, Command& command) DISCO_REQUIRES(control_mutex_);
-  /// Sends a copy of `request` to every worker before waiting on any, then
-  /// waits for all of them, so the workers run it concurrently.  Returns
-  /// the completed commands in worker order; when the workers are stopped,
-  /// runs them inline in that order.  Every control call that visits all
-  /// workers goes through here.
-  std::vector<Command> run_on_all(const Command& request)
-      DISCO_REQUIRES(control_mutex_);
+  /// Runs `fn(worker)` on every worker and returns the results in worker
+  /// order.  Posts to every worker before waiting on any, so the shards
+  /// serve the call concurrently.  `drain` first absorbs every packet
+  /// already queued.  Every control call that visits all workers goes
+  /// through here.
+  template <typename Fn>
+  auto on_all(Fn fn, bool drain = false) DISCO_REQUIRES(control_mutex_);
 
   Config config_;
   unsigned producers_ = 1;

@@ -1,10 +1,10 @@
 // Clang Thread Safety Analysis annotations, and mutex types that carry them.
 //
 // The concurrency invariants of this repo -- "Registry's maps are only
-// touched under mutex_", "run_on_worker is only called while control_mutex_
-// serialises the control plane" -- were previously enforced by convention,
-// TSan runs, and code review.  These macros make them part of the type
-// system: building with
+// touched under mutex_", "PipelineMonitor::post is only called while
+// control_mutex_ serialises the control plane" -- were previously enforced
+// by convention, TSan runs, and code review.  These macros make them part
+// of the type system: building with
 //
 //     cmake -B build-analyze -S . -DDISCO_ANALYZE=ON -DCMAKE_CXX_COMPILER=clang++
 //

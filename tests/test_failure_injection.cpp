@@ -4,7 +4,13 @@
 // neighbouring state.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/disco.hpp"
 #include "counters/counter_braids.hpp"
@@ -90,11 +96,41 @@ TEST(FailureInjection, SnapshotRestoreSurvivesBitFlips) {
     try {
       const auto restored = flowtable::FlowMonitor::restore(in);
       (void)restored;  // undetectable (counter-value) corruption: no crash
-    } catch (const std::exception&) {
-      // structural corruption: loud failure
+    } catch (const std::runtime_error&) {
+      // structural corruption: loud failure, of the documented type
     }
   }
-  SUCCEED();
+
+  // Header values the counter arrays would refuse: restore reports them as
+  // malformed input, not as a bad argument.  Offsets are the v3 layout:
+  // magic, version, max_flows, then the three counter-config fields; the
+  // volume array's base b follows the seed, epoch, packet count, both RNG
+  // states and the four pressure counters.
+  constexpr std::size_t kCounterBits = 16;
+  constexpr std::size_t kMaxFlowBytes = 20;
+  constexpr std::size_t kMaxFlowPackets = 28;
+  constexpr std::size_t kVolumeB = 156;
+  const auto patched = [](std::string bytes, std::size_t offset, auto value) {
+    return bytes.replace(offset, sizeof(value),
+                         reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  const std::vector<std::pair<const char*, std::string>> headers = {
+      {"counter_bits 0", patched(original, kCounterBits, std::int32_t{0})},
+      {"counter_bits 99", patched(original, kCounterBits, std::int32_t{99})},
+      {"max_flow_bytes 0", patched(original, kMaxFlowBytes, std::uint64_t{0})},
+      {"max_flow_packets 0",
+       patched(original, kMaxFlowPackets, std::uint64_t{0})},
+      {"counter_bits 1, max_flow_bytes 2^62",
+       patched(patched(original, kCounterBits, std::int32_t{1}), kMaxFlowBytes,
+               std::uint64_t{1} << 62)},
+      {"volume_b inf",
+       patched(original, kVolumeB, std::numeric_limits<double>::infinity())},
+  };
+  for (const auto& [name, corrupt] : headers) {
+    std::stringstream in(corrupt);
+    EXPECT_THROW((void)flowtable::FlowMonitor::restore(in), std::runtime_error)
+        << name;
+  }
 }
 
 // --- overload and saturation ---------------------------------------------------

@@ -87,9 +87,10 @@ namespace {
 /// The synchronous command handshake from pipeline.cpp, reduced to its
 /// memory protocol: the issuer stack-allocates the command, passes a
 /// POINTER through the ring, and waits on a completion flag; the worker
-/// writes the result through the pointer and releases the flag.  The
-/// issuer's read of `result` is only safe because of that release/acquire
-/// pair -- which is exactly what the buggy variant severs.
+/// runs the command's closure, which writes the result into the issuer's
+/// frame, and releases the flag.  The issuer's read of `result` is only
+/// safe because of that release/acquire pair -- which is exactly what the
+/// buggy variant severs.
 struct Command {
   util::shared<std::uint64_t> arg;
   util::shared<std::uint64_t> result;
@@ -148,7 +149,7 @@ TEST(ModelCheckCommand, CompletionHandshakeRelaxedDoneIsFlagged) {
 
 namespace {
 
-/// PipelineMonitor::run_on_all reduced to its memory protocol: one control
+/// PipelineMonitor::on_all reduced to its memory protocol: one control
 /// thread and two workers, each worker with its own command ring and its
 /// own completion handshake.  The control thread posts both commands before
 /// waiting on either -- so the workers run them concurrently -- and reads

@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -274,21 +276,26 @@ TEST(PipelineMonitor, RejectsBadConfig) {
 
 // The tentpole acceptance test: with coalescing off, the pipeline (after
 // drain) returns, flow for flow, the BIT-EXACT estimates of single
-// FlowMonitors fed the same per-shard packet sequences.  The pipeline adds
-// concurrency, not approximation.
+// FlowMonitors fed the same per-shard packet sequences, and every control
+// call answers with the worker-order fold of those shards' answers.  The
+// pipeline adds concurrency, not approximation.
 TEST(PipelineMonitor, EstimateParityWithFlowMonitor) {
   auto config = pipeline_config(4, 1);
   config.coalescer.slots = 0;  // per-packet updates, deterministic RNG stream
+  // Hot flows (about 770 KB each) outgrow their volume counters, so
+  // pressure() has saturations to fold.
+  config.base.max_flow_bytes = 1 << 18;
 
-  // One deterministic trace, some flows hot, some cold.
+  // One deterministic trace, some flows hot, some cold, one packet per ns.
   util::Rng rng(99);
-  std::vector<std::pair<FiveTuple, std::uint32_t>> trace;
+  std::vector<PipelineMonitor::PacketEvent> trace;
   trace.reserve(20000);
-  for (int i = 0; i < 20000; ++i) {
+  for (std::uint64_t i = 0; i < 20000; ++i) {
     const auto f = static_cast<std::uint32_t>(rng.uniform_u64(0, 199));
     const auto hot = static_cast<std::uint32_t>(rng.uniform_u64(0, 9));
-    trace.emplace_back(tuple(rng.bernoulli(0.5) ? hot : f),
-                       static_cast<std::uint32_t>(rng.uniform_u64(40, 1500)));
+    trace.push_back({tuple(rng.bernoulli(0.5) ? hot : f),
+                     static_cast<std::uint32_t>(rng.uniform_u64(40, 1500)),
+                     i + 1});
   }
 
   // Reference: one FlowMonitor per shard, fed that shard's subsequence.
@@ -297,42 +304,112 @@ TEST(PipelineMonitor, EstimateParityWithFlowMonitor) {
   for (unsigned w = 0; w < config.workers; ++w) {
     reference.emplace_back(PipelineMonitor::shard_config(config, w));
   }
-  for (const auto& [flow, len] : trace) {
-    ASSERT_TRUE(
-        reference[PipelineMonitor::worker_of(flow, config.workers)].ingest(flow, len));
-  }
-
   PipelineMonitor pipeline(config);
-  for (const auto& [flow, len] : trace) {
-    ASSERT_TRUE(pipeline.ingest(0, flow, len));
-  }
-  pipeline.drain();
-
-  EXPECT_EQ(pipeline.packets_seen(), 20000u);
-  for (std::uint32_t f = 0; f < 200; ++f) {
-    const auto& ref =
-        reference[PipelineMonitor::worker_of(tuple(f), config.workers)];
-    const auto expected = ref.query(tuple(f));
-    const auto actual = pipeline.query(tuple(f));
-    ASSERT_EQ(expected.has_value(), actual.has_value()) << "flow " << f;
-    if (expected) {
-      EXPECT_DOUBLE_EQ(expected->bytes, actual->bytes) << "flow " << f;
-      EXPECT_DOUBLE_EQ(expected->packets, actual->packets) << "flow " << f;
+  const auto replay = [&] {
+    for (const auto& pkt : trace) {
+      ASSERT_TRUE(reference[PipelineMonitor::worker_of(pkt.flow, config.workers)]
+                      .ingest(pkt.flow, pkt.length, pkt.now_ns));
+      ASSERT_TRUE(pipeline.ingest(0, pkt.flow, pkt.length, pkt.now_ns));
     }
+  };
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto expect_same_flows =
+      [&](const std::vector<FlowMonitor::FlowEstimate>& actual,
+          const std::vector<FlowMonitor::FlowEstimate>& expected) {
+        ASSERT_EQ(actual.size(), expected.size());
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          ASSERT_EQ(actual[i].flow, expected[i].flow) << "record " << i;
+          ASSERT_EQ(bits(actual[i].bytes), bits(expected[i].bytes))
+              << "record " << i;
+          ASSERT_EQ(bits(actual[i].packets), bits(expected[i].packets))
+              << "record " << i;
+        }
+      };
+  // Every read-only control call against the reference shards' answers,
+  // folded in worker order (sums bit-equal, in that order).
+  const auto expect_read_only_parity = [&](const char* where) {
+    SCOPED_TRACE(where);
+    constexpr std::size_t kTop = 15;
+    FlowMonitor::Totals totals;
+    FlowMonitor::MemoryReport memory;
+    flowtable::PressureStats pressure;
+    std::uint64_t packets_seen = 0;
+    std::vector<FlowMonitor::FlowEstimate> top;
+    for (const FlowMonitor& shard : reference) {
+      const FlowMonitor::Totals t = shard.totals();
+      totals.bytes += t.bytes;
+      totals.packets += t.packets;
+      totals.flows += t.flows;
+      const FlowMonitor::MemoryReport m = shard.memory();
+      memory.volume_counter_bits += m.volume_counter_bits;
+      memory.size_counter_bits += m.size_counter_bits;
+      memory.flow_table_bits += m.flow_table_bits;
+      pressure += shard.pressure();
+      packets_seen += shard.packets_seen();
+      const auto part = shard.top_k(kTop);
+      top.insert(top.end(), part.begin(), part.end());
+    }
+    std::partial_sort(top.begin(), top.begin() + kTop, top.end(),
+                      [](const FlowMonitor::FlowEstimate& a,
+                         const FlowMonitor::FlowEstimate& b) {
+                        return a.bytes > b.bytes;
+                      });
+    top.resize(kTop);
+
+    const FlowMonitor::Totals actual_totals = pipeline.totals();
+    EXPECT_EQ(bits(actual_totals.bytes), bits(totals.bytes));
+    EXPECT_EQ(bits(actual_totals.packets), bits(totals.packets));
+    EXPECT_EQ(actual_totals.flows, totals.flows);
+    const FlowMonitor::MemoryReport actual_memory = pipeline.memory();
+    EXPECT_EQ(actual_memory.volume_counter_bits, memory.volume_counter_bits);
+    EXPECT_EQ(actual_memory.size_counter_bits, memory.size_counter_bits);
+    EXPECT_EQ(actual_memory.flow_table_bits, memory.flow_table_bits);
+    const flowtable::PressureStats actual_pressure = pipeline.pressure();
+    EXPECT_GT(pressure.counters_saturated, 0u);
+    EXPECT_EQ(actual_pressure.flows_rejected, pressure.flows_rejected);
+    EXPECT_EQ(actual_pressure.flows_evicted, pressure.flows_evicted);
+    EXPECT_EQ(actual_pressure.counters_saturated, pressure.counters_saturated);
+    EXPECT_EQ(actual_pressure.rescale_events, pressure.rescale_events);
+    EXPECT_EQ(pipeline.packets_seen(), packets_seen);
+    expect_same_flows(pipeline.top_k(kTop), top);
+    for (std::uint32_t f = 0; f < 200; ++f) {
+      const auto expected =
+          reference[PipelineMonitor::worker_of(tuple(f), config.workers)]
+              .query(tuple(f));
+      const auto actual = pipeline.query(tuple(f));
+      ASSERT_EQ(expected.has_value(), actual.has_value()) << "flow " << f;
+      if (expected) {
+        EXPECT_EQ(bits(expected->bytes), bits(actual->bytes)) << "flow " << f;
+        EXPECT_EQ(bits(expected->packets), bits(actual->packets))
+            << "flow " << f;
+      }
+    }
+  };
+
+  replay();
+  pipeline.drain();
+  EXPECT_EQ(pipeline.packets_seen(), 20000u);
+  expect_read_only_parity("after drain");
+
+  // The calls that mutate state come last.  evict_idle: cold flows last
+  // seen more than 400 ns before the end of the trace go, hot flows stay.
+  std::vector<FlowMonitor::FlowEstimate> evicted;
+  for (auto& shard : reference) {
+    const auto part = shard.evict_idle(20001, 400);
+    evicted.insert(evicted.end(), part.begin(), part.end());
   }
+  EXPECT_GT(evicted.size(), 0u);
+  EXPECT_LT(evicted.size(), 200u);
+  expect_same_flows(pipeline.evict_idle(20001, 400), evicted);
 
   // Two epochs, the trace replayed between them: each merged report is the
   // reference shards' rotate() reports concatenated in worker order, bit
   // for bit, with totals summed in that order -- although the shards now
   // rotate concurrently.
-  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   for (std::uint64_t epoch = 0; epoch < 2; ++epoch) {
     if (epoch == 1) {
-      for (const auto& [flow, len] : trace) {
-        ASSERT_TRUE(reference[PipelineMonitor::worker_of(flow, config.workers)]
-                        .ingest(flow, len));
-        ASSERT_TRUE(pipeline.ingest(0, flow, len));
-      }
+      replay();
       pipeline.drain();
     }
     const FlowMonitor::EpochReport merged = pipeline.rotate();
@@ -345,21 +422,19 @@ TEST(PipelineMonitor, EstimateParityWithFlowMonitor) {
       totals.packets += report.totals.packets;
       totals.flows += report.totals.flows;
     }
+    SCOPED_TRACE("epoch " + std::to_string(epoch));
     EXPECT_EQ(merged.epoch, epoch);
-    ASSERT_EQ(merged.flows.size(), flows.size()) << "epoch " << epoch;
-    for (std::size_t i = 0; i < flows.size(); ++i) {
-      ASSERT_EQ(merged.flows[i].flow, flows[i].flow) << "record " << i;
-      ASSERT_EQ(bits(merged.flows[i].bytes), bits(flows[i].bytes))
-          << "record " << i;
-      ASSERT_EQ(bits(merged.flows[i].packets), bits(flows[i].packets))
-          << "record " << i;
-    }
-    EXPECT_EQ(bits(merged.totals.bytes), bits(totals.bytes))
-        << "epoch " << epoch;
-    EXPECT_EQ(bits(merged.totals.packets), bits(totals.packets))
-        << "epoch " << epoch;
-    EXPECT_EQ(merged.totals.flows, totals.flows) << "epoch " << epoch;
+    expect_same_flows(merged.flows, flows);
+    EXPECT_EQ(bits(merged.totals.bytes), bits(totals.bytes));
+    EXPECT_EQ(bits(merged.totals.packets), bits(totals.packets));
+    EXPECT_EQ(merged.totals.flows, totals.flows);
   }
+
+  // stop() drains a last replay and joins the workers; the same calls then
+  // run inline on the shards.
+  replay();
+  pipeline.stop();
+  expect_read_only_parity("after stop");
 }
 
 // The batched producer path (hash up front, bucket by worker, write spans
