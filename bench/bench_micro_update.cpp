@@ -25,6 +25,7 @@
 #include "flowtable/monitor.hpp"
 #include "pipeline/packet_ring.hpp"
 #include "telemetry/metrics.hpp"
+#include "trace/synthetic.hpp"
 #include "util/log_table.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
@@ -59,7 +60,8 @@ void BM_DiscoDouble(benchmark::State& state) {
 void BM_DiscoTable(benchmark::State& state) {
   // Same stream and loop as BM_DiscoDouble, with the precomputed
   // DecisionTable attached: update decisions are bit-identical, but j is
-  // found by probe+gallop over cached doubles instead of log/exp/pow.
+  // read from the table's float-bits index over cached doubles instead of
+  // computed with log/exp/pow.
   const auto lens = packet_lengths();
   disco::core::DiscoParams params(disco::util::choose_b(kMaxFlow, kBits));
   params.attach_table((std::uint64_t{1} << kBits) - 1);
@@ -71,6 +73,72 @@ void BM_DiscoTable(benchmark::State& state) {
     if (c > 3000) c = 0;  // stay in the operating range
     benchmark::DoNotOptimize(c);
   }
+}
+
+/// What the counters of one perfbench flow table decide, in arrival order:
+/// Zipf(1.1) flows capped at 256 packets with
+/// TruncatedExponentialLength(700, 40, 1500) lengths (zipf_scenario), no
+/// flow twice in a row, 12-bit counters provisioned as FlowMonitor's
+/// defaults.  Each packet records the volume counter's value before it
+/// with its length, and the size counter's value before it.
+struct PerfbenchMix {
+  disco::core::DiscoParams volume = disco::core::DiscoParams::for_budget(
+      std::uint64_t{1} << 32, kBits);
+  disco::core::DiscoParams size = disco::core::DiscoParams::for_budget(
+      std::uint64_t{1} << 24, kBits);
+  std::vector<std::uint16_t> volume_c;
+  std::vector<std::uint16_t> length;
+  std::vector<std::uint16_t> size_c;
+};
+
+const PerfbenchMix& perfbench_mix() {
+  static const PerfbenchMix mix = [] {
+    PerfbenchMix m;
+    disco::util::Rng rng(1);
+    auto flows = disco::trace::zipf_scenario(1.1, 256).make_flows(10'000, rng);
+    std::vector<std::uint64_t> volume_c(flows.size(), 0);
+    std::vector<std::uint64_t> size_c(flows.size(), 0);
+    disco::trace::PacketStream stream(std::move(flows), 1, 1, 2);
+    while (const auto p = stream.next()) {
+      std::uint64_t& v = volume_c[p->flow_id];
+      std::uint64_t& n = size_c[p->flow_id];
+      m.volume_c.push_back(static_cast<std::uint16_t>(v));
+      m.length.push_back(static_cast<std::uint16_t>(p->length));
+      m.size_c.push_back(static_cast<std::uint16_t>(n));
+      v = m.volume.update(v, p->length, rng);
+      n = m.size.update(n, 1, rng);
+    }
+    m.volume.attach_table((std::uint64_t{1} << kBits) - 1);
+    m.size.attach_table((std::uint64_t{1} << kBits) - 1);
+    return m;
+  }();
+  return mix;
+}
+
+void BM_DiscoTableMix(benchmark::State& state) {
+  // The volume decision on perfbench's (c, l) mix, replayed in arrival
+  // order: about one in six lands within one step (l <= b^c), one in
+  // twelve crosses 64 steps or more.
+  const PerfbenchMix& mix = perfbench_mix();
+  const std::size_t n = mix.length.size();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mix.volume.decide(mix.volume_c[i], mix.length[i]));
+    if (++i == n) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_DiscoTableUnit(benchmark::State& state) {
+  // The size counter's decision on the same traffic: every addend is 1.
+  const PerfbenchMix& mix = perfbench_mix();
+  const std::size_t n = mix.size_c.size();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mix.size.decide(mix.size_c[i], 1));
+    if (++i == n) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
 }
 
 void BM_DiscoArrayBatch(benchmark::State& state) {
@@ -355,6 +423,8 @@ void BM_MonitorIngest(benchmark::State& state) {
 
 BENCHMARK(BM_DiscoDouble);
 BENCHMARK(BM_DiscoTable);
+BENCHMARK(BM_DiscoTableMix);
+BENCHMARK(BM_DiscoTableUnit);
 BENCHMARK(BM_DiscoArrayBatch);
 BENCHMARK(BM_DiscoFixedPoint);
 BENCHMARK(BM_Sac);

@@ -80,8 +80,11 @@ struct PipelineMonitor::Worker {
   /// one flush.  Every burst this worker applies goes through one
   /// monitor.ingest_batch() call over this buffer, in emission order.
   std::vector<flowtable::FlowBurst> bursts;
-  std::vector<std::unique_ptr<SpscRing<Message>>> rings;
-  bool stop_requested = false;         ///< worker-thread-local exit flag
+  /// Producers read this on every push, so it gets a cache line of its
+  /// own, apart from `bursts` and `merged_reported`, which the worker
+  /// writes on every burst.
+  alignas(kCacheLine) std::vector<std::unique_ptr<SpscRing<Message>>> rings;
+  alignas(kCacheLine) bool stop_requested = false;  ///< worker-thread-local exit flag
   std::uint64_t merged_reported = 0;   ///< coalescer.merged() already exported
   /// Scratch buffer for one ring pop (config.pop_batch messages).
   std::vector<Message> batch;
@@ -187,10 +190,12 @@ std::size_t PipelineMonitor::ingest_batch(unsigned producer,
   const unsigned workers = static_cast<unsigned>(workers_.size());
 
   // Phase 1 -- hash the whole batch up front and bucket by owning worker
-  // (high hash bits, as worker_of).  One hash serves routing, the worker's
-  // coalescer slot and the flow-table probe (low bits): it rides in the
-  // message so no downstream stage rehashes.  With one worker the bucket
-  // step is skipped and messages are built straight into the ring span.
+  // (high hash bits, as worker_of).  One hash serves routing and the
+  // worker's coalescer slot: it rides in the message so the coalescer does
+  // not rehash.  The flow table still hashes every burst the coalescer
+  // emits (FlowMonitor::ingest_batch; a FlowBurst carries no hash).  With
+  // one worker the bucket step is skipped and messages are built straight
+  // into the ring span.
   if (stats.buckets.size() != workers) stats.buckets.resize(workers);
   if (workers > 1) {
     for (auto& bucket : stats.buckets) bucket.clear();

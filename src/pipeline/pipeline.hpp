@@ -127,10 +127,11 @@ class PipelineMonitor {
   /// packets: the producer hashes the whole batch up front, buckets it by
   /// owning worker, and writes each bucket straight into a reserved span of
   /// ring slots (SpscRing::push_prepare/push_commit).  The precomputed hash
-  /// travels in the message, so the worker's coalescer and flow table never
-  /// rehash the tuple.  This is the producer half of the batched-prefetch
-  /// ingest design (docs/architecture.md); a few hundred packets per call
-  /// amortises best, e.g. one NIC rx-burst.
+  /// travels in the message, so the worker's coalescer does not rehash the
+  /// tuple; the flow table does, once per coalesced burst
+  /// (FlowMonitor::ingest_batch).  This is the producer half of the
+  /// batched-prefetch ingest design (docs/architecture.md); a few hundred
+  /// packets per call amortises best, e.g. one NIC rx-burst.
   std::size_t ingest_batch(unsigned producer, const PacketEvent* packets,
                            std::size_t n);
 
@@ -220,8 +221,8 @@ class PipelineMonitor {
   /// pointer to a synchronous command the worker runs and signals.  Which
   /// union member is live is decided by the ring, not the message: packet
   /// rings carry `hash` (the producer already hashed the tuple to route it,
-  /// and the worker's coalescer and flow table reuse it instead of
-  /// rehashing), the command ring carries `command`.
+  /// and the worker's coalescer reuses it instead of rehashing; the flow
+  /// table hashes each burst again), the command ring carries `command`.
   struct Command;
   struct Message {
     FiveTuple flow{};

@@ -67,6 +67,14 @@ def run_micro(build_dir: str, min_time: float) -> dict:
     table_ns = benchmarks.get("BM_DiscoTable", {}).get("cpu_ns")
     if double_ns and table_ns:
         result["disco_table_speedup"] = round(double_ns / table_ns, 2)
+    # The table's decision cost on the traffic perfbench runs: the volume
+    # counter on perfbench's (c, l) mix, and the size counter's unit
+    # increments (see BM_DiscoTableMix / BM_DiscoTableUnit).
+    for key, name in (("disco_decide_mix_ns", "BM_DiscoTableMix"),
+                      ("disco_decide_unit_ns", "BM_DiscoTableUnit")):
+        ns = benchmarks.get(name, {}).get("cpu_ns")
+        if ns:
+            result[key] = round(ns, 2)
     # Derived metric: cost of the model-check atomics shim in a normal
     # build (util/atomic.hpp; docs/static-analysis.md "Model checking").
     # SpscRing-through-the-shim over the identical protocol on raw
