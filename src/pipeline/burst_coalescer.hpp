@@ -121,6 +121,21 @@ class BurstCoalescer {
     open_ = 0;
   }
 
+  /// Closes `flow`'s open burst, if its slot holds one (`hash` must equal
+  /// hash_tuple(flow)); every other open burst, including a different flow
+  /// in the same slot, stays open.  A no-op when coalescing is disabled.
+  /// What a one-flow query needs applied before it reads that flow.
+  template <typename Sink>
+  void flush_flow(const flowtable::FiveTuple& flow, std::uint64_t hash,
+                  Sink&& sink) {
+    if (table_.empty()) return;
+    Entry& e = table_[hash & mask_];
+    if (!e.open || e.burst.flow != flow) return;
+    sink(e.burst);
+    e.open = false;
+    --open_;
+  }
+
   /// Open bursts currently buffered (each awaiting a flush or a cap).
   [[nodiscard]] std::size_t open_bursts() const noexcept { return open_; }
 

@@ -12,37 +12,38 @@
 
 namespace disco::pipeline {
 
+namespace {
+
+/// The one wait of this file, for a producer on a full ring and for a
+/// control call on its command: a short spin, then yield -- on an
+/// oversubscribed host the worker needs the cpu more than the spinner does.
+inline void backoff(unsigned& spins) noexcept {
+  if (++spins < 16) return;
+  std::this_thread::yield();
+}
+
+}  // namespace
+
 // A synchronous control-plane call: a closure the owning worker runs between
-// two of its batches.  The caller owns the command, pushes a pointer through
-// the worker's command ring, and waits; the worker runs `run` -- which
-// writes its answer into the caller's frame -- and signals.  Control calls
-// are serialised by control_mutex_, so at most one command is in flight per
+// two of its batches.  The caller owns the command -- on its stack, or in
+// on_all's vector -- pushes a pointer through the worker's command ring, and
+// waits on `done`; the worker runs `run`, which applies the open bursts the
+// answer needs and writes the answer into the caller's frame, then sets
+// `done` with a release store.  That store is the worker's LAST access to
+// the command: once the caller's acquire load sees it, the answer is visible
+// and the caller may reuse or destroy the command at once
+// (tests/test_modelcheck_command.cpp checks both halves).  Control calls are
+// serialised by control_mutex_, so at most one command is in flight per
 // worker.
 struct PipelineMonitor::Command {
   std::function<void(Worker&)> run;
-  /// Absorb every packet already queued before running (drain, stop);
-  /// otherwise only the open bursts are applied first.
+  /// Absorb every packet already queued before running (drain, stop).
   bool drain = false;
-  // Completion handshake.  Deliberately a plain std::mutex, not the
-  // annotated util::Mutex: the condition-variable wait needs the std type,
-  // and Thread Safety Analysis cannot model a cv handshake anyway.  The pair
-  // lives for one control call and is touched by exactly two threads
-  // (requester and worker), so the invariant is structural.
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool done = false;
+  util::atomic<bool> done{false};
 
-  void signal() {
-    // Notify UNDER the lock: the waiter owns this object and may destroy it
-    // the moment wait() returns, so the notify must complete before the
-    // waiter can re-acquire the mutex and wake.
-    const std::lock_guard<std::mutex> lock(mutex);
-    done = true;
-    cv.notify_one();
-  }
-  void wait() {
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [this] { return done; });
+  void wait() const {
+    unsigned spins = 0;
+    while (!done.load(std::memory_order_acquire)) backoff(spins);
   }
 };
 
@@ -74,6 +75,13 @@ struct PipelineMonitor::Worker {
     (void)monitor.ingest_batch(bursts);
   }
 
+  /// Closes and applies `flow`'s open burst only, if it has one.
+  void flush_flow(const FiveTuple& flow) {
+    bursts.clear();
+    coalescer.flush_flow(flow, hash_tuple(flow), buffer());
+    (void)monitor.ingest_batch(bursts);
+  }
+
   flowtable::FlowMonitor monitor;
   BurstCoalescer coalescer;
   /// Scratch buffer: the bursts the coalescer emits for one popped batch or
@@ -99,18 +107,6 @@ struct PipelineMonitor::Worker {
   telemetry::Counter* coalesced = nullptr;
   telemetry::Counter* commands = nullptr;
 };
-
-namespace {
-
-/// Producer-side wait: a short spin for the worker to free a slot, then
-/// yield -- on an oversubscribed host the worker needs the cpu more than
-/// the spinner does.
-inline void backoff(unsigned& spins) noexcept {
-  if (++spins < 16) return;
-  std::this_thread::yield();
-}
-
-}  // namespace
 
 flowtable::FlowMonitor::Config PipelineMonitor::shard_config(
     const Config& config, unsigned worker) {
@@ -293,16 +289,17 @@ void PipelineMonitor::process_batch(Worker& worker, const Message* batch,
 
 void PipelineMonitor::handle_command(Worker& worker, Command& command) {
   worker.commands->inc();
-  // A draining command first absorbs everything already queued; every other
-  // call only needs the buffered bursts applied so answers see recent
-  // packets.
+  // A draining command first absorbs everything already queued.  Which open
+  // bursts to apply is the closure's choice: a query applies its own flow's
+  // burst, on_all's calls every one.
   if (command.drain) {
     while (poll_rings(worker)) {
     }
   }
-  worker.flush_coalescer();
   command.run(worker);
-  command.signal();
+  // The last access to `command`: the caller may destroy it once it sees
+  // the flag.
+  command.done.store(true, std::memory_order_release);
 }
 
 bool PipelineMonitor::poll_rings(Worker& worker) {
@@ -341,8 +338,9 @@ void PipelineMonitor::worker_loop(Worker& worker) {
     // then yield so producers and sibling workers get the core.  Open bursts
     // are closed only after a sustained idle streak: flushing on every empty
     // sweep would defeat coalescing whenever the worker outpaces its
-    // producers (it would see each packet alone).  Control-plane commands
-    // flush unconditionally, so queries are never stale.
+    // producers (it would see each packet alone).  Every control call first
+    // applies the open bursts its answer reads -- a query its own flow's,
+    // any other call all of them -- so answers count every popped packet.
     ++idle;
     if (idle == 64) worker.flush_coalescer();
     if (idle >= 16) std::this_thread::yield();
@@ -366,8 +364,10 @@ template <typename Fn>
 auto PipelineMonitor::on_all(Fn fn, bool drain) {
   // A call with no answer still fills one slot per worker, so every call
   // takes the same path.  char, not bool: workers write their slots
-  // concurrently, and vector<bool> packs them into shared words.
+  // concurrently, and vector<bool> packs them into shared words.  A call
+  // that reads the whole shard applies every open burst first.
   auto call = [&fn](Worker& worker) {
+    worker.flush_coalescer();
     if constexpr (std::is_void_v<std::invoke_result_t<Fn&, Worker&>>) {
       fn(worker);
       return char{};
@@ -436,7 +436,10 @@ std::optional<PipelineMonitor::FlowEstimate> PipelineMonitor::query(
   const util::MutexLock lock(control_mutex_);
   std::optional<FlowEstimate> estimate;
   Command command;
-  command.run = [&](Worker& worker) { estimate = worker.monitor.query(flow); };
+  command.run = [&](Worker& worker) {
+    worker.flush_flow(flow);
+    estimate = worker.monitor.query(flow);
+  };
   post(worker_of(flow, worker_count()), command);
   command.wait();
   return estimate;

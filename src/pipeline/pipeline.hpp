@@ -47,10 +47,8 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -161,6 +159,12 @@ class PipelineMonitor {
       DISCO_EXCLUDES(control_mutex_);
 
   [[nodiscard]] Totals totals() DISCO_EXCLUDES(control_mutex_);
+  /// The estimate for `flow`, from its owning worker alone.  It counts
+  /// every packet of the flow the worker has popped: the worker first
+  /// applies the flow's open coalescer burst, and only that one -- the
+  /// other open bursts stay open, so a query costs its own lookup plus the
+  /// wait for the worker to finish its current ring pop.  Packets still
+  /// queued in the rings are not counted (drain() first for that).
   [[nodiscard]] std::optional<FlowEstimate> query(const FiveTuple& flow)
       DISCO_EXCLUDES(control_mutex_);
   [[nodiscard]] std::vector<FlowEstimate> top_k(std::size_t k)
@@ -179,6 +183,8 @@ class PipelineMonitor {
   /// Blocks until every packet enqueued BEFORE this call has been applied
   /// and all open bursts are flushed.  The caller must have quiesced the
   /// producers (no concurrent ingest), or drain may chase a moving target.
+  /// Like every control call, the caller waits by polling the command's
+  /// completion flag (spin, then yield), not by sleeping.
   void drain() DISCO_EXCLUDES(control_mutex_);
 
   /// Drains and joins the worker threads.  Idempotent.  After stop(), the

@@ -67,10 +67,7 @@
 namespace disco::util {
 
 /// std::mutex with the capability attributes the analysis needs.  Same cost,
-/// same semantics; `native()` exposes the wrapped mutex for APIs that demand
-/// the std type (condition_variable waits) -- accesses made through it are
-/// invisible to the analysis, so such call sites document their locking by
-/// hand.
+/// same semantics.
 class DISCO_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -82,8 +79,6 @@ class DISCO_CAPABILITY("mutex") Mutex {
   [[nodiscard]] bool try_lock() DISCO_TRY_ACQUIRE(true) {
     return mutex_.try_lock();
   }
-
-  [[nodiscard]] std::mutex& native() noexcept { return mutex_; }
 
  private:
   std::mutex mutex_;

@@ -86,18 +86,27 @@ namespace {
 
 /// The synchronous command handshake from pipeline.cpp, reduced to its
 /// memory protocol: the issuer stack-allocates the command, passes a
-/// POINTER through the ring, and waits on a completion flag; the worker
-/// runs the command's closure, which writes the result into the issuer's
-/// frame, and releases the flag.  The issuer's read of `result` is only
-/// safe because of that release/acquire pair -- which is exactly what the
-/// buggy variant severs.
+/// POINTER through the ring, and polls a completion flag; the worker runs
+/// the command's closure, which writes the result into the issuer's frame,
+/// and releases the flag.  The issuer's read of `result` is only safe
+/// because of that release/acquire pair, and once it sees the flag it
+/// reuses the command's storage at once (writes `arg`), as the real
+/// caller's stack frame is reused when the control call returns -- so the
+/// release store must be the worker's last access to the command.  Each
+/// planted variant breaks one half.
 struct Command {
   util::shared<std::uint64_t> arg;
   util::shared<std::uint64_t> result;
   util::atomic<std::uint64_t> done{0};
 };
 
-template <bool kBuggy>
+enum class Handshake {
+  kPristine,
+  kRelaxedDone,    ///< the completion store is relaxed
+  kReadAfterDone,  ///< the worker reads the command after its release store
+};
+
+template <Handshake kVariant>
 verify::Result explore_handshake() {
   verify::Options opts;
   opts.exhaustive = true;
@@ -108,6 +117,7 @@ verify::Result explore_handshake() {
     Command cmd;
     verify::label(&cmd.done, "cmd.done");
     verify::label(&cmd.result, "cmd.result");
+    verify::label(&cmd.arg, "cmd.arg");
     std::uint64_t answer = 0;
     verify::run_threads({
         [&] {  // issuer
@@ -117,13 +127,18 @@ verify::Result explore_handshake() {
             verify::spin_yield();
           }
           answer = cmd.result;
+          cmd.arg = 0;  // the frame is reused
         },
         [&] {  // worker
           Command* c = nullptr;
           while (ring.pop_batch(&c, 1) == 0) verify::spin_yield();
           c->result = static_cast<std::uint64_t>(c->arg) * 2;
-          c->done.store(1, kBuggy ? std::memory_order_relaxed
-                                  : std::memory_order_release);
+          c->done.store(1, kVariant == Handshake::kRelaxedDone
+                               ? std::memory_order_relaxed
+                               : std::memory_order_release);
+          if constexpr (kVariant == Handshake::kReadAfterDone) {
+            (void)static_cast<std::uint64_t>(c->arg);
+          }
         },
     });
     verify::mc_check(answer == 14, "issuer must read the worker's result");
@@ -133,18 +148,27 @@ verify::Result explore_handshake() {
 }  // namespace
 
 TEST(ModelCheckCommand, CompletionHandshakeExhaustive) {
-  verify::Result r = explore_handshake<false>();
+  verify::Result r = explore_handshake<Handshake::kPristine>();
   EXPECT_FALSE(r.failed) << r.report;
   EXPECT_TRUE(r.exhausted);
   EXPECT_EQ(r.pruned, 0u);
 }
 
 TEST(ModelCheckCommand, CompletionHandshakeRelaxedDoneIsFlagged) {
-  verify::Result r = explore_handshake<true>();
+  verify::Result r = explore_handshake<Handshake::kRelaxedDone>();
   ASSERT_TRUE(r.failed)
       << "a relaxed completion store must be reported as a race on result";
   EXPECT_NE(r.report.find("DATA RACE"), std::string::npos) << r.report;
   EXPECT_NE(r.report.find("cmd.result"), std::string::npos) << r.report;
+}
+
+TEST(ModelCheckCommand, CompletionHandshakeReadAfterDoneIsFlagged) {
+  verify::Result r = explore_handshake<Handshake::kReadAfterDone>();
+  ASSERT_TRUE(r.failed)
+      << "a worker touching the command after its release store must be "
+         "reported as a race with the issuer's reuse";
+  EXPECT_NE(r.report.find("DATA RACE"), std::string::npos) << r.report;
+  EXPECT_NE(r.report.find("cmd.arg"), std::string::npos) << r.report;
 }
 
 namespace {

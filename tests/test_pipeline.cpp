@@ -190,6 +190,52 @@ TEST(BurstCoalescer, ZeroSlotsPassesThrough) {
   EXPECT_TRUE(collect_flush(c).empty());
 }
 
+// flush_flow, what a one-flow query applies: only the named flow's open
+// burst, once, and only when its slot really holds that flow.
+TEST(BurstCoalescer, FlushFlowEmitsOnlyThatFlow) {
+  constexpr unsigned kSlots = 16;
+  const auto slot = [](const FiveTuple& f) {
+    return flowtable::hash_tuple(f) & (kSlots - 1);
+  };
+  // a and b open bursts in different slots; c shares a's slot.
+  const FiveTuple a = tuple(1);
+  std::uint32_t i = 2;
+  while (slot(tuple(i)) == slot(a)) ++i;
+  const FiveTuple b = tuple(i);
+  i = 2;
+  while (slot(tuple(i)) != slot(a)) ++i;
+  const FiveTuple c = tuple(i);
+
+  BurstCoalescer coalescer({.slots = kSlots});
+  std::vector<BurstUpdate> emitted;
+  auto sink = [&](const BurstUpdate& u) { emitted.push_back(u); };
+  for (int n = 0; n < 3; ++n) coalescer.add(a, 100, n, sink);
+  for (int n = 0; n < 2; ++n) coalescer.add(b, 200, n, sink);
+  ASSERT_TRUE(emitted.empty());
+  ASSERT_EQ(coalescer.open_bursts(), 2u);
+
+  coalescer.flush_flow(c, flowtable::hash_tuple(c), sink);  // a's slot
+  EXPECT_TRUE(emitted.empty());
+  coalescer.flush_flow(a, flowtable::hash_tuple(a), sink);
+  coalescer.flush_flow(a, flowtable::hash_tuple(a), sink);  // already closed
+  ASSERT_EQ(emitted.size(), 1u);
+  EXPECT_EQ(emitted[0].flow, a);
+  EXPECT_EQ(emitted[0].packets, 3u);
+  EXPECT_EQ(emitted[0].bytes, 300u);
+  EXPECT_EQ(coalescer.open_bursts(), 1u);
+  const auto rest = collect_flush(coalescer);  // b stayed open
+  ASSERT_EQ(rest.size(), 1u);
+  EXPECT_EQ(rest[0].flow, b);
+  EXPECT_EQ(rest[0].packets, 2u);
+
+  BurstCoalescer off({.slots = 0});
+  emitted.clear();
+  off.add(a, 100, 0, sink);
+  ASSERT_EQ(emitted.size(), 1u);  // passed straight through
+  off.flush_flow(a, flowtable::hash_tuple(a), sink);
+  EXPECT_EQ(emitted.size(), 1u);
+}
+
 TEST(BurstCoalescer, DeterministicAcrossRuns) {
   // Same packet sequence => same emitted burst sequence, twice.
   util::Rng rng(7);
@@ -545,6 +591,34 @@ TEST(PipelineMonitor, CoalescedPipelineTracksTruth) {
               static_cast<double>(truth_bytes) * 0.05);
   EXPECT_NEAR(totals.packets, static_cast<double>(packets),
               static_cast<double>(packets) * 0.05);
+}
+
+// A query applies its own flow's open coalescer burst before the lookup, so
+// it counts every packet of the flow the worker has popped.
+TEST(PipelineMonitor, QueryAppliesItsOwnOpenBurst) {
+  auto config = pipeline_config(1, 1);
+  config.coalescer.slots = 64;
+  PipelineMonitor pipeline(config);
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(pipeline.ingest(0, tuple(3), 300));
+  // Packets 2-5 merged into packet 1's burst: all five are popped and sit
+  // in one open burst (until the worker's idle flush, which a query
+  // arriving this soon usually beats).
+  while (pipeline.coalesced() != 4) std::this_thread::yield();
+  const auto estimate = pipeline.query(tuple(3));
+  ASSERT_TRUE(estimate.has_value());
+  // Bit for bit what the shard reports for those five packets as one burst.
+  FlowMonitor reference(PipelineMonitor::shard_config(config, 0));
+  const flowtable::FlowBurst burst{tuple(3), 1500, 5, 0};
+  ASSERT_EQ(reference.ingest_batch({&burst, 1}), 1u);
+  const auto expected = reference.query(tuple(3));
+  ASSERT_TRUE(expected.has_value());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(estimate->packets),
+            std::bit_cast<std::uint64_t>(expected->packets));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(estimate->bytes),
+            std::bit_cast<std::uint64_t>(expected->bytes));
+  EXPECT_NEAR(estimate->packets, 5.0, 1.0);
+  pipeline.drain();
+  EXPECT_EQ(pipeline.packets_seen(), 5u);
 }
 
 TEST(PipelineMonitor, RotateDuringConcurrentIngestLosesNothing) {
