@@ -45,7 +45,7 @@ inline bool parse_telemetry_flag(int* argc, char** argv) {
 }
 
 /// Prints the process-wide metric registry as JSON (docs/telemetry.md has
-/// the schema).  With telemetry compiled out this prints an empty snapshot.
+/// the schema).
 inline void dump_telemetry_snapshot(std::ostream& out = std::cout) {
   out << telemetry::to_json(telemetry::Registry::global().snapshot()) << "\n";
 }

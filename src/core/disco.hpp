@@ -94,7 +94,6 @@ class DiscoParams {
     attach_table(DecisionTable::shared(scale_, c_max));
   }
 
-  void detach_table() noexcept { table_.reset(); }
   [[nodiscard]] const DecisionTable* decision_table() const noexcept {
     return table_.get();
   }

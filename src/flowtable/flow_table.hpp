@@ -238,8 +238,7 @@ class BasicFlowTable {
   };
   /// Probe-length histogram sampling: 1 in 64 lookups (starting with the
   /// first, so the metric is live as soon as traffic flows).  record()
-  /// already honors both telemetry toggles -- a compile-time stub under
-  /// DISCO_TELEMETRY=0, a relaxed enabled() load when runtime-disabled --
+  /// is one relaxed enabled() load while telemetry is runtime-disabled,
   /// but when telemetry IS on, each record pays three relaxed fetch_adds
   /// on the registry-shared histogram.  Sampling takes that off the
   /// per-lookup path while keeping the distribution shape; the measured

@@ -29,6 +29,16 @@ constexpr std::uint64_t kPressureSeedSalt = 0x9e3779b97f4a7c15ULL;
 // Bursts ingest_batch hashes and prefetches ahead of the one it probes.
 constexpr std::size_t kPrefetchDepth = 8;
 
+// Occupied slots select_victim samples per victim (RAP / EvictSmallest).
+constexpr unsigned kVictimSamples = 8;
+
+// RescaleB: each rescale re-provisions a counter array for this many times
+// its previous representable maximum, at most kMaxRescales times; past the
+// cap the array saturates (every rescale raises b and with it the Theorem 2
+// CV bound, so unbounded growth would silently trade all accuracy away).
+constexpr double kRescaleGrowth = 2.0;
+constexpr unsigned kMaxRescales = 16;
+
 template <typename T>
 void put(std::ostream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(value));
@@ -75,10 +85,8 @@ FlowMonitor::FlowMonitor(const Config& config)
       rng_(config.seed),
       pressure_rng_(config.seed ^ kPressureSeedSalt) {
   if (config_.pressure.saturation == SaturationPolicy::RescaleB) {
-    volume_.enable_rescale(config_.pressure.rescale_growth,
-                           config_.pressure.max_rescales);
-    size_.enable_rescale(config_.pressure.rescale_growth,
-                         config_.pressure.max_rescales);
+    volume_.enable_rescale(kRescaleGrowth, kMaxRescales);
+    size_.enable_rescale(kRescaleGrowth, kMaxRescales);
   }
   auto& registry = telemetry::Registry::global();
   const std::string& prefix = config_.telemetry_prefix;
@@ -215,10 +223,9 @@ std::optional<std::uint32_t> FlowMonitor::admit_under_pressure(
 std::optional<std::uint32_t> FlowMonitor::select_victim() {
   const std::size_t slots = table_.keys().size();
   if (slots == 0 || table_.size() == 0) return std::nullopt;
-  const unsigned samples = std::max(1u, config_.pressure.victim_samples);
   std::optional<std::uint32_t> best;
   std::uint64_t best_counter = ~std::uint64_t{0};
-  for (unsigned s = 0; s < samples; ++s) {
+  for (unsigned s = 0; s < kVictimSamples; ++s) {
     const auto idx = static_cast<std::uint32_t>(
         pressure_rng_.uniform_u64(0, slots - 1));
     if (!table_.slot_used(idx)) continue;  // freed slot awaiting reuse

@@ -223,9 +223,9 @@ class FlowMonitor {
   [[nodiscard]] std::optional<std::uint32_t> admit_under_pressure(
       const FlowBurst& burst);
 
-  /// Samples config_.pressure.victim_samples occupied slots uniformly and
-  /// returns the one with the smallest volume counter (sampled-min victim
-  /// selection -- see flowtable/pressure.hpp for the quantile argument).
+  /// Samples kVictimSamples (8) occupied slots uniformly and returns the one
+  /// with the smallest volume counter (sampled-min victim selection -- see
+  /// flowtable/pressure.hpp for the quantile argument).
   [[nodiscard]] std::optional<std::uint32_t> select_victim();
 
   /// Folds the counter arrays' overflow/rescale tallies into pressure_ and

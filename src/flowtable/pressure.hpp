@@ -28,15 +28,17 @@
 //                          (the seed behaviour, and the default).
 //     RescaleB             ICE-Buckets-style scale management: re-derive the
 //                          whole array under a larger base b (budget grown
-//                          by rescale_growth) with randomized-rounded
-//                          counter remapping, preserving unbiasedness at the
-//                          cost of a higher per-update CV bound.
+//                          2x per rescale, at most 16 rescales per array)
+//                          with randomized-rounded counter remapping,
+//                          preserving unbiasedness at the cost of a higher
+//                          per-update CV bound.
 //
-// Victim selection samples `victim_samples` occupied slots and takes the one
-// with the smallest volume counter -- O(1) per rejection instead of an O(n)
-// scan, the standard approximation (sampled Space-Saving / RAP); with K
-// samples the victim is in the true bottom quantile q with probability
-// 1 - (1-q)^K, and a heavy flow is essentially never chosen.
+// Victim selection samples 8 occupied slots and takes the one with the
+// smallest volume counter -- O(1) per rejection instead of an O(n) scan, the
+// standard approximation (sampled Space-Saving / RAP); with K samples the
+// victim is in the true bottom quantile q with probability 1 - (1-q)^K, and
+// a heavy flow is essentially never chosen.  The sample count, growth and
+// rescale cap are fixed constants in flowtable/monitor.cpp.
 //
 // Every degradation event is observable: PressureStats counts it, the
 // telemetry registry mirrors it (docs/telemetry.md), and epoch reports carry
@@ -61,15 +63,6 @@ enum class SaturationPolicy : std::uint8_t {
 struct PressureConfig {
   AdmissionPolicy admission = AdmissionPolicy::Drop;
   SaturationPolicy saturation = SaturationPolicy::Saturate;
-  /// Occupied slots sampled per victim selection (RAP / EvictSmallest).
-  unsigned victim_samples = 8;
-  /// Budget multiplier per RescaleB event: each rescale re-provisions the
-  /// counter array for growth x the previous representable maximum.
-  double rescale_growth = 2.0;
-  /// Hard cap on rescale events per array; past it the array saturates
-  /// (every rescale raises b and therefore the Theorem 2 CV bound, so
-  /// unbounded growth would silently trade all accuracy away).
-  unsigned max_rescales = 16;
 };
 
 /// Cumulative degradation counters since monitor construction.

@@ -3,10 +3,8 @@
 // A Snapshot is a plain-data copy of every registered metric at one moment
 // -- the boundary between the lock-free hot-path primitives (metrics.hpp)
 // and anything that wants to look at them (CLI dumps, tests, future
-// scrapers).  This header is deliberately independent of the
-// DISCO_TELEMETRY toggle: a compiled-out build still produces (empty)
-// snapshots and valid JSON, so downstream consumers need no conditional
-// code.
+// scrapers).  An empty snapshot still exports valid JSON, so consumers need
+// no special case for a run that registered nothing.
 //
 // Two renderings are provided:
 //   to_text  -- one metric per line, for eyeballing

@@ -1,7 +1,5 @@
 #include "telemetry/metrics.hpp"
 
-#if DISCO_TELEMETRY
-
 namespace disco::telemetry {
 
 namespace detail {
@@ -51,15 +49,6 @@ double LatencyHistogram::quantile(double q) const noexcept {
   return 0.0;
 }
 
-void LatencyHistogram::merge_from(const LatencyHistogram& other) noexcept {
-  for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    const std::uint64_t n = other.buckets_[i].load(std::memory_order_relaxed);
-    if (n != 0) buckets_[i].fetch_add(n, std::memory_order_relaxed);
-  }
-  count_.fetch_add(other.count(), std::memory_order_relaxed);
-  sum_.fetch_add(other.sum(), std::memory_order_relaxed);
-}
-
 void LatencyHistogram::reset() noexcept {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
@@ -67,5 +56,3 @@ void LatencyHistogram::reset() noexcept {
 }
 
 }  // namespace disco::telemetry
-
-#endif  // DISCO_TELEMETRY

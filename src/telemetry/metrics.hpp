@@ -1,14 +1,12 @@
 // Runtime telemetry primitives: the instrumentation the hot paths carry.
 //
 // Design goals, in order:
-//   1. Zero cost when compiled out.  Building with -DDISCO_TELEMETRY=0 (the
-//      CMake option DISCO_TELEMETRY=OFF) replaces every class here with an
-//      empty inline stub, so instrumented call sites compile to nothing.
-//   2. Negligible cost when compiled in but not enabled.  All mutating
-//      operations are gated on a process-wide runtime flag (one relaxed
-//      atomic load + predictable branch); benches that do not pass
-//      --telemetry measure the same hot path as before.
-//   3. Thread-safe when enabled.  Counters/gauges are relaxed atomics;
+//   1. Negligible cost when not enabled.  All mutating operations are gated
+//      on a process-wide runtime flag (one relaxed atomic load + predictable
+//      branch); benches that do not pass --telemetry measure the same hot
+//      path as before.  That flag is the only switch; docs/telemetry.md
+//      (Cost model) has what it costs.
+//   2. Thread-safe when enabled.  Counters/gauges are relaxed atomics;
 //      the histogram is an array of relaxed atomic buckets.  Telemetry is
 //      monitoring, not accounting: relaxed ordering is deliberate, and a
 //      snapshot taken concurrently with updates is approximate in the usual
@@ -18,9 +16,9 @@
 //   Counter           -- monotonically increasing event count
 //   Gauge             -- instantaneous level (table occupancy, queue depth)
 //   LatencyHistogram  -- log-scale distribution of nonnegative integer
-//                        samples with quantile queries and lossless merge.
-//                        Despite the name it records any uint64 sample
-//                        (nanoseconds, probe counts, batch sizes, ...).
+//                        samples with quantile queries.  Despite the name it
+//                        records any uint64 sample (nanoseconds, probe
+//                        counts, batch sizes, ...).
 //   ScopeTimer        -- RAII nanosecond timer feeding a LatencyHistogram
 //
 // Instances are normally obtained from telemetry::Registry (registry.hpp)
@@ -35,13 +33,7 @@
 
 #include "util/atomic.hpp"
 
-#ifndef DISCO_TELEMETRY
-#define DISCO_TELEMETRY 1
-#endif
-
 namespace disco::telemetry {
-
-#if DISCO_TELEMETRY
 
 namespace detail {
 extern util::atomic<bool> g_enabled;
@@ -88,7 +80,6 @@ class Gauge {
   void add(std::int64_t n) noexcept {
     if (enabled()) [[unlikely]] add_slow(n);
   }
-  void sub(std::int64_t n) noexcept { add(-n); }
   [[nodiscard]] std::int64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
@@ -149,10 +140,6 @@ class LatencyHistogram {
   /// under-reports).
   [[nodiscard]] double quantile(double q) const noexcept;
 
-  /// Adds another histogram's samples into this one (losslessly: buckets are
-  /// aligned by construction).  Used to aggregate per-shard distributions.
-  void merge_from(const LatencyHistogram& other) noexcept;
-
   void reset() noexcept;
 
  private:
@@ -187,49 +174,5 @@ class ScopeTimer {
   LatencyHistogram* hist_ = nullptr;
   std::chrono::steady_clock::time_point start_{};
 };
-
-#else  // DISCO_TELEMETRY == 0: every primitive is an inline no-op.
-
-[[nodiscard]] constexpr bool enabled() noexcept { return false; }
-constexpr void set_enabled(bool) noexcept {}
-
-class Counter {
- public:
-  constexpr void inc(std::uint64_t = 1) noexcept {}
-  [[nodiscard]] constexpr std::uint64_t value() const noexcept { return 0; }
-  constexpr void reset() noexcept {}
-};
-
-class Gauge {
- public:
-  constexpr void set(std::int64_t) noexcept {}
-  constexpr void add(std::int64_t) noexcept {}
-  constexpr void sub(std::int64_t) noexcept {}
-  [[nodiscard]] constexpr std::int64_t value() const noexcept { return 0; }
-  constexpr void reset() noexcept {}
-};
-
-class LatencyHistogram {
- public:
-  static constexpr std::size_t kNumBuckets = 0;
-  constexpr void record(std::uint64_t) noexcept {}
-  [[nodiscard]] constexpr std::uint64_t count() const noexcept { return 0; }
-  [[nodiscard]] constexpr std::uint64_t sum() const noexcept { return 0; }
-  [[nodiscard]] constexpr std::uint64_t bucket_count(std::size_t) const noexcept {
-    return 0;
-  }
-  [[nodiscard]] constexpr double quantile(double) const noexcept { return 0.0; }
-  constexpr void merge_from(const LatencyHistogram&) noexcept {}
-  constexpr void reset() noexcept {}
-};
-
-class ScopeTimer {
- public:
-  constexpr explicit ScopeTimer(LatencyHistogram&) noexcept {}
-  ScopeTimer(const ScopeTimer&) = delete;
-  ScopeTimer& operator=(const ScopeTimer&) = delete;
-};
-
-#endif  // DISCO_TELEMETRY
 
 }  // namespace disco::telemetry

@@ -1,7 +1,5 @@
 #include "telemetry/registry.hpp"
 
-#if DISCO_TELEMETRY
-
 #include <algorithm>
 
 namespace disco::telemetry {
@@ -76,5 +74,3 @@ void Registry::reset_values() {
 }
 
 }  // namespace disco::telemetry
-
-#endif  // DISCO_TELEMETRY

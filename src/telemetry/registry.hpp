@@ -12,27 +12,18 @@
 //   pipeline.worker_3.ingest_total       (Counter, per-shard family member)
 //   flow_table.probe_length              (LatencyHistogram)
 // The catalogue of metrics emitted by this repo lives in docs/telemetry.md.
-//
-// With DISCO_TELEMETRY=0 the registry degenerates to a stub handing out
-// shared no-op metrics and empty snapshots; call sites compile unchanged.
 #pragma once
 
+#include <map>
+#include <memory>
+#include <string>
 #include <string_view>
 
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
-
-#if DISCO_TELEMETRY
-#include <map>
-#include <memory>
-#include <string>
-
 #include "util/thread_annotations.hpp"
-#endif
 
 namespace disco::telemetry {
-
-#if DISCO_TELEMETRY
 
 class Registry {
  public:
@@ -84,35 +75,5 @@ class Registry {
   std::map<std::string, std::unique_ptr<LatencyHistogram>, std::less<>> histograms_
       DISCO_GUARDED_BY(mutex_);
 };
-
-#else  // DISCO_TELEMETRY == 0
-
-class Registry {
- public:
-  [[nodiscard]] static Registry& global() {
-    static Registry registry;
-    return registry;
-  }
-  [[nodiscard]] Counter& counter(std::string_view) {
-    static Counter stub;
-    return stub;
-  }
-  [[nodiscard]] Gauge& gauge(std::string_view) {
-    static Gauge stub;
-    return stub;
-  }
-  [[nodiscard]] LatencyHistogram& histogram(std::string_view) {
-    static LatencyHistogram stub;
-    return stub;
-  }
-  [[nodiscard]] Snapshot snapshot() const { return {}; }
-  void reset_values() {}
-
-  Registry() = default;
-  Registry(const Registry&) = delete;
-  Registry& operator=(const Registry&) = delete;
-};
-
-#endif  // DISCO_TELEMETRY
 
 }  // namespace disco::telemetry

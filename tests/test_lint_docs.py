@@ -4,7 +4,8 @@
 Builds throwaway fixture repos in a tempdir -- one that must lint clean and
 one with a seeded violation per rule -- and runs the linter over each.  The
 final test runs the linter over THIS repo, which is the acceptance gate:
-committed docs must have zero dead links, stale paths, or stale CLI flags.
+committed docs must have zero dead links, stale paths, stale CLI flags, or
+stale build options.
 """
 
 import os
@@ -33,6 +34,9 @@ def write(root, rel, content):
 
 
 def make_good_tree(root):
+    write(root, "CMakeLists.txt",
+          'option(DISCO_SIMD "SSE2 tag probes" ON)\n'
+          'set(DISCO_SANITIZE "" CACHE STRING "sanitizer")\n')
     write(root, "tools/disco_analyze.cpp",
           '// usage: --bits N --modules a,b\nint main() {}\n')
     write(root, "src/core/disco.hpp", "#pragma once\n")
@@ -55,16 +59,20 @@ def make_good_tree(root):
     write(root, "README.md",
           "Details in [the guide](docs/guide.md).\n"
           "External flags pass: cmake --build build && ctest "
-          "--output-on-failure (mentions disco_analyze).\n")
+          "--output-on-failure (mentions disco_analyze).\n"
+          "Build options: cmake -B b -DDISCO_SIMD=OFF "
+          "-DDISCO_SANITIZE=address -DCMAKE_BUILD_TYPE=Release.\n")
 
 
 def make_bad_tree(root):
+    write(root, "CMakeLists.txt", 'option(DISCO_SIMD "SSE2 tag probes" ON)\n')
     write(root, "tools/disco_analyze.cpp", '// usage: --bits N\nint main() {}\n')
     write(root, "README.md",
           "Broken: [missing doc](docs/nope.md).\n"
           "Stale ref: see src/core/vanished.hpp for details.\n"
           "Machine path: data lives in /root/related/some_repo/file.c.\n"
           "Dropped flag: disco_analyze trace.dtrc --frobnicate.\n"
+          "Dropped option: cmake -B b -DDISCO_SIMD=OFF -DDISCO_VANISHED=OFF.\n"
           "\n"
           "<!-- docs-lint: flags(disco_analyze) -->\n"
           "| `--bits N` | still real |\n"
@@ -105,14 +113,15 @@ class FixtureTrees(unittest.TestCase):
         self.assert_finding(out, "stale-cli-flag", "--frobnicate")
         self.assert_finding(out, "stale-cli-flag", "--defrobnicate")
         self.assert_finding(out, "stale-cli-flag", "disco_vanished")
+        self.assert_finding(out, "stale-build-option", "DISCO_VANISHED")
 
     def test_finding_count_is_exact(self):
-        # Exactly the six seeded violations -- no overfiring on the rest of
+        # Exactly the seven seeded violations -- no overfiring on the rest of
         # the fixture text (in particular `--bits` inside the annotated flag
-        # block must pass, since the tool still parses it).
+        # block and the declared -DDISCO_SIMD must pass).
         make_bad_tree(self.tmp.name)
         _, out, _ = run_linter(self.tmp.name)
-        self.assertEqual(len(out.strip().splitlines()), 6, out)
+        self.assertEqual(len(out.strip().splitlines()), 7, out)
 
     def test_suppression_is_honoured(self):
         make_good_tree(self.tmp.name)

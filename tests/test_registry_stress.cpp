@@ -16,8 +16,6 @@
 namespace disco::telemetry {
 namespace {
 
-#if DISCO_TELEMETRY
-
 // Telemetry is opt-in process-wide; enable it for the duration of each test
 // (same pattern as test_telemetry.cpp).
 class RegistryStress : public ::testing::Test {
@@ -153,29 +151,6 @@ TEST_F(RegistryStress, MixedMetricTypesUnderConcurrentRegistration) {
   EXPECT_EQ(snap.metrics[0].value, 6 * 300);
   EXPECT_EQ(snap.metrics[2].histogram.count, 6u * 300u);
 }
-
-#else  // DISCO_TELEMETRY == 0
-
-TEST(RegistryStressStub, ConcurrentUseOfStubRegistryIsHarmless) {
-  // The compiled-out registry hands every caller the same no-op metrics;
-  // hammering it from several threads must not crash and snapshots must
-  // stay empty.
-  Registry registry;
-  std::vector<std::thread> workers;
-  for (unsigned t = 0; t < 4; ++t) {
-    workers.emplace_back([&] {
-      for (int i = 0; i < 10000; ++i) {
-        registry.counter("stub.counter_total").inc();
-        registry.gauge("stub.gauge").set(1);
-        registry.histogram("stub.latency").record(5);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_TRUE(registry.snapshot().metrics.empty());
-}
-
-#endif  // DISCO_TELEMETRY
 
 }  // namespace
 }  // namespace disco::telemetry

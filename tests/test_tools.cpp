@@ -8,7 +8,6 @@
 #include <string>
 
 #include "telemetry/export.hpp"
-#include "telemetry/metrics.hpp"  // defines the DISCO_TELEMETRY default
 #include "trace/pcap.hpp"
 #include "trace/trace_io.hpp"
 
@@ -126,7 +125,6 @@ TEST(Tools, AnalyzeMetricsEmitsParsableTelemetrySnapshot) {
   ASSERT_NE(marker, std::string::npos);
   const auto snapshot = disco::telemetry::snapshot_from_json(
       output.substr(marker + std::string("telemetry snapshot:\n").size()));
-#if DISCO_TELEMETRY
   // The replay must surface the operational signals: per-worker ingests,
   // evictions, and the probe-length histogram.
   std::uint64_t ingests = 0;
@@ -147,9 +145,6 @@ TEST(Tools, AnalyzeMetricsEmitsParsableTelemetrySnapshot) {
   EXPECT_GT(ingests, 0u);
   EXPECT_GT(evictions, 0u);
   EXPECT_TRUE(probe_hist);
-#else
-  EXPECT_TRUE(snapshot.metrics.empty());
-#endif
   std::remove(trace_path.c_str());
   std::remove(out_path.c_str());
 }

@@ -3,7 +3,7 @@
 
 Prose rots faster than code: a renamed file, a dropped CLI flag, or a
 machine-specific path silently strands every doc that mentions it.  This
-linter walks the repo's markdown and flags three classes of rot:
+linter walks the repo's markdown and flags four classes of rot:
 
   dead-link        a relative markdown link whose target does not exist
   stale-path       a repo-relative path reference (src/..., docs/..., ...)
@@ -12,6 +12,9 @@ linter walks the repo's markdown and flags three classes of rot:
                    has no business in committed docs
   stale-cli-flag   a `--flag` shown next to one of this repo's binaries
                    that the binary's source no longer mentions
+  stale-build-option
+                   a `-DDISCO_<NAME>` that names neither an option(...) nor
+                   a set(... CACHE ...) in the top-level CMakeLists.txt
 
 CLI reference sections usually list one flag per line with no binary name
 in sight, which the stale-cli-flag rule cannot attribute.  Open a flag
@@ -76,6 +79,13 @@ EXTERNAL_FLAGS = {
     "--benchmark_filter",
 }
 
+# -DDISCO_<NAME> on a cmake (or compiler) command line, and the two ways the
+# top-level CMakeLists.txt declares such a name.
+BUILD_OPTION_RE = re.compile(r"(?<![\w\-])-D(DISCO_[A-Z0-9_]+)")
+CMAKE_OPTION_RE = re.compile(
+    r"^\s*(?:option\(\s*(DISCO_[A-Z0-9_]+)\b"
+    r"|set\(\s*(DISCO_[A-Z0-9_]+)\s[^)\n]*\bCACHE\b)", re.M)
+
 SUPPRESS_RE = re.compile(r"docs-lint:\s*allow\(([a-z\-]+(?:\s*,\s*[a-z\-]+)*)\)")
 
 # Flag-context annotations for CLI reference blocks (see module docstring).
@@ -107,6 +117,16 @@ def known_binaries(root: str) -> dict[str, str]:
     return out
 
 
+def build_options(root: str) -> set[str]:
+    """DISCO_* names the top-level CMakeLists.txt lets a user set with -D."""
+    try:
+        with open(os.path.join(root, "CMakeLists.txt"), encoding="utf-8") as f:
+            text = f.read()
+    except FileNotFoundError:
+        return set()
+    return {a or b for a, b in CMAKE_OPTION_RE.findall(text)}
+
+
 def suppressed_rules(line: str) -> set[str]:
     rules = set()
     for match in SUPPRESS_RE.finditer(line):
@@ -119,6 +139,7 @@ class Linter:
     def __init__(self, root: str):
         self.root = root
         self.binaries = known_binaries(root)
+        self.build_options = build_options(root)
         self.source_cache: dict[str, str] = {}
         self.findings: list[str] = []
 
@@ -163,6 +184,8 @@ class Linter:
                 self.check_paths(path, lineno, line)
             if "stale-cli-flag" not in allowed:
                 self.check_flags(path, lineno, line, context_binary)
+            if "stale-build-option" not in allowed:
+                self.check_build_options(path, lineno, line)
 
     def check_links(self, path: str, doc_dir: str, lineno: int, line: str):
         for match in MD_LINK_RE.finditer(line):
@@ -217,6 +240,13 @@ class Linter:
             self.report(path, lineno, "stale-cli-flag",
                         f"flag '{flag}' not found in source of "
                         f"{'/'.join(sorted(mentioned))}")
+
+    def check_build_options(self, path: str, lineno: int, line: str):
+        for match in BUILD_OPTION_RE.finditer(line):
+            if match.group(1) not in self.build_options:
+                self.report(path, lineno, "stale-build-option",
+                            f"'-D{match.group(1)}' is not an option of the "
+                            "top-level CMakeLists.txt")
 
 
 def main(argv: list[str]) -> int:
