@@ -106,8 +106,11 @@ int main(int argc, char** argv) {
 
   const auto totals = collector.totals();
   std::cout << "flows: " << flows.size() << ", taps: " << taps
-            << ", 12-bit counters, merged volume b = "
-            << stats::fmt(collector.volume_b(), 5) << "\n"
+            << ", 12-bit counters, volume b per site:";
+  for (const auto& site : collector.sites()) {
+    std::cout << ' ' << stats::fmt(site.volume_b, 5);
+  }
+  std::cout << "\n"
             << "collector: " << collector.reports_ingested() << " reports, "
             << collector.epochs_finalized() << " epoch(s), "
             << collector.tracked_flows() << " tracked flows\n\n";

@@ -2,62 +2,14 @@
 
 #include <algorithm>
 #include <bitset>
-#include <cmath>
 #include <utility>
 
-#include "core/theory.hpp"
 #include "telemetry/registry.hpp"
 
 namespace disco::collect {
 namespace {
 
 using FlowEstimate = flowtable::FlowMonitor::FlowEstimate;
-
-// The error model one report declares for one of its two metric axes
-// (bytes come from the volume array, packets from the size array).
-struct ErrorModel {
-  enum class Kind { kMultiplicative, kAdditive, kUnbounded };
-  Kind kind = Kind::kMultiplicative;
-  double b = 1.0;     // kMultiplicative: effective DISCO base (1 = exact)
-  double unit = 0.0;  // kAdditive: counting grid of additive_error_sd
-};
-
-[[nodiscard]] ErrorModel axis_model(double b, double error_unit,
-                                    double fallback_b) {
-  if (error_unit > 0.0) {
-    return {ErrorModel::Kind::kAdditive, 1.0, error_unit};
-  }
-  if (b >= 1.0) return {ErrorModel::Kind::kMultiplicative, b, 0.0};
-  // Legacy report (v1/v2): the wire carried no error metadata.
-  if (fallback_b >= 1.0) {
-    return {ErrorModel::Kind::kMultiplicative, fallback_b, 0.0};
-  }
-  return {ErrorModel::Kind::kUnbounded, 0.0, 0.0};
-}
-
-// Folds one per-flow estimate into an accumulator under the report's error
-// model.  `packets_hint` bounds the number of randomized roundings behind an
-// additive-error estimate: each packet update rounds once, so the flow's
-// (estimated) packet count is the natural bound (docs/collector.md).
-void fold_estimate(core::MixedEstimateAccumulator& acc, double estimate,
-                   const ErrorModel& model, double packets_hint) {
-  switch (model.kind) {
-    case ErrorModel::Kind::kMultiplicative:
-      acc.add_multiplicative(estimate, model.b);
-      break;
-    case ErrorModel::Kind::kAdditive: {
-      const long long rounded = std::llround(packets_hint);
-      const std::uint64_t roundings =
-          rounded > 0 ? static_cast<std::uint64_t>(rounded) : 1;
-      acc.add_additive(estimate,
-                       core::theory::additive_error_sd(model.unit, roundings));
-      break;
-    }
-    case ErrorModel::Kind::kUnbounded:
-      acc.add_unbounded(estimate);
-      break;
-  }
-}
 
 // Deterministic total order for equal byte estimates, so top_k output is
 // stable across runs and platforms.
@@ -105,17 +57,16 @@ bool Collector::site_lagging(const SiteState& site) const {
 }
 
 void Collector::fold_report(SiteState& site, const EpochReport& report) {
-  const ErrorModel volume = axis_model(report.volume_b,
-                                       report.volume_error_unit,
-                                       config_.fallback_b);
-  const ErrorModel size = axis_model(report.size_b, report.size_error_unit,
-                                     config_.fallback_b);
+  const core::ErrorModel volume = core::error_model(
+      report.volume_b, report.volume_error_unit, config_.fallback_b);
+  const core::ErrorModel size = core::error_model(
+      report.size_b, report.size_error_unit, config_.fallback_b);
   const std::uint64_t site_bit =
       site.index < 64 ? (std::uint64_t{1} << site.index) : 0;
   for (const FlowEstimate& flow : report.flows) {
     // Totals stay exact past the key cap: fold before admission.
-    fold_estimate(total_bytes_, flow.bytes, volume, flow.packets);
-    fold_estimate(total_packets_, flow.packets, size, flow.packets);
+    total_bytes_.add(flow.bytes, volume, flow.packets);
+    total_packets_.add(flow.packets, size, flow.packets);
     auto it = keys_.find(flow.flow);
     if (it == keys_.end()) {
       if (keys_.size() >= config_.max_tracked_flows) {
@@ -126,8 +77,8 @@ void Collector::fold_report(SiteState& site, const EpochReport& report) {
       it = keys_.emplace(flow.flow, KeyState{}).first;
     }
     KeyState& key = it->second;
-    fold_estimate(key.bytes, flow.bytes, volume, flow.packets);
-    fold_estimate(key.packets, flow.packets, size, flow.packets);
+    key.bytes.add(flow.bytes, volume, flow.packets);
+    key.packets.add(flow.packets, size, flow.packets);
     key.site_mask |= site_bit;
   }
   tracked_metric_->set(static_cast<std::int64_t>(keys_.size()));
@@ -137,7 +88,6 @@ void Collector::fold_report(SiteState& site, const EpochReport& report) {
       std::max(site.status.volume_error_unit, report.volume_error_unit);
   site.status.size_error_unit =
       std::max(site.status.size_error_unit, report.size_error_unit);
-  max_volume_b_ = std::max(max_volume_b_, report.volume_b);
   // PressureStats on the wire are cumulative per site; keep the newest.
   if (report.epoch >= site.pressure_epoch) {
     site.status.pressure = report.pressure;

@@ -9,8 +9,9 @@
 //     (core/estimate_merge.hpp) -- sites may run different counter widths,
 //     drift apart under RescaleB, or use additive-error estimators; each
 //     contribution is weighted into the per-flow variance bound with ITS
-//     OWN error metadata, so global top-k answers carry honest Theorem 2
-//     aggregate confidence intervals;
+//     OWN report's error model (core::error_model), so global top-k answers
+//     carry honest Theorem 2 aggregate confidence intervals.  Subscribed
+//     analysis modules fold the merged reports through the same model;
 //   * per-site liveness / lag / epoch-gap tracking: a site whose highest
 //     epoch trails the fleet by more than `liveness_window` epochs is
 //     marked lagging and stops gating epoch finalisation;
@@ -184,9 +185,6 @@ class Collector {
   [[nodiscard]] std::size_t tracked_flows() const noexcept {
     return keys_.size();
   }
-  /// Max effective volume base observed fleet-wide (conservative interval
-  /// base for consumers that want the homogeneous Theorem 2 formula).
-  [[nodiscard]] double volume_b() const noexcept { return max_volume_b_; }
 
   [[nodiscard]] const CollectorConfig& config() const noexcept {
     return config_;
@@ -230,7 +228,6 @@ class Collector {
   std::uint64_t reports_ingested_ = 0;
   std::uint64_t epochs_finalized_ = 0;
   std::uint64_t flows_dropped_ = 0;
-  double max_volume_b_ = 0.0;
   telemetry::Counter* epochs_metric_ = nullptr;
   telemetry::Counter* reports_metric_ = nullptr;
   telemetry::Counter* dropped_metric_ = nullptr;

@@ -152,19 +152,7 @@ bool DiscoArray::rescale_once(util::Rng& rng) noexcept {
 
 DiscoParams::ConfidenceInterval DiscoParams::confidence_interval(
     std::uint64_t c, double confidence) const {
-  if (!(confidence > 0.0) || !(confidence < 1.0)) {
-    throw std::invalid_argument(
-        "DiscoParams::confidence_interval: confidence must be in (0, 1)");
-  }
-  ConfidenceInterval ci;
-  ci.estimate = estimate(c);
-  // Corollary 1 bounds the coefficient of variation by sqrt((b-1)/(b+1));
-  // under the normal approximation the two-sided interval is z * e wide.
-  const double e = std::sqrt((b() - 1.0) / (b() + 1.0));
-  const double z = theory::normal_quantile(0.5 + confidence / 2.0);
-  ci.low = std::max(0.0, ci.estimate * (1.0 - z * e));
-  ci.high = ci.estimate * (1.0 + z * e);
-  return ci;
+  return interval_for_estimate(estimate(c), confidence);
 }
 
 DiscoParams::ConfidenceInterval DiscoParams::interval_for_estimate(
@@ -177,12 +165,12 @@ DiscoParams::ConfidenceInterval DiscoParams::interval_for_estimate(
     throw std::invalid_argument(
         "DiscoParams::interval_for_estimate: estimate must be >= 0");
   }
-  // Same Corollary 1 relative half-width as confidence_interval, applied to
-  // a continuous estimate directly: epoch reports carry f(c), not c, so
-  // consumers of rotate() output never need to invert through the counter.
+  // Corollary 1 bounds the coefficient of variation by cv_bound(b); under
+  // the normal approximation the two-sided interval is z * e wide.  It takes
+  // the estimate, not the counter: epoch reports carry f(c), not c.
   ConfidenceInterval ci;
   ci.estimate = estimate;
-  const double e = std::sqrt((b() - 1.0) / (b() + 1.0));
+  const double e = theory::cv_bound(b());
   const double z = theory::normal_quantile(0.5 + confidence / 2.0);
   ci.low = std::max(0.0, estimate * (1.0 - z * e));
   ci.high = estimate * (1.0 + z * e);

@@ -115,7 +115,8 @@ class DiscoParams {
   /// Two-sided confidence interval for the traffic estimate from counter
   /// value c: [low, high] such that the true n lies inside with probability
   /// ~confidence under the Theorem 2 normal approximation.  `confidence` in
-  /// (0, 1); the relative half-width is z * cv_bound(b).
+  /// (0, 1); the relative half-width is z * cv_bound(b).  Equal to
+  /// interval_for_estimate(estimate(c), confidence).
   struct ConfidenceInterval {
     double low = 0.0;
     double estimate = 0.0;
@@ -126,9 +127,10 @@ class DiscoParams {
 
   /// Same interval directly from a traffic estimate f(c) rather than a raw
   /// counter -- the epoch-report accessor: rotate() exports estimates, so
-  /// downstream consumers (analysis modules, collectors) can attach
-  /// Theorem 2 intervals without inverting back to counter space.  Requires
-  /// estimate >= 0 and confidence in (0, 1).
+  /// a consumer can attach a Theorem 2 interval to one flow without
+  /// inverting back to counter space (sums of estimates take
+  /// core/estimate_merge.hpp).  Requires estimate >= 0 and confidence in
+  /// (0, 1).
   [[nodiscard]] ConfidenceInterval interval_for_estimate(
       double estimate, double confidence = 0.95) const;
 

@@ -1,33 +1,36 @@
-// Cross-site merging of flow ESTIMATES with mixed error models.
+// Aggregate intervals over flow ESTIMATES with mixed error models.
+//
+// This is the one place that builds an interval for a sum of estimates: the
+// collector (src/collect) folds every site's records into a per-key and a
+// global sum, and the analysis modules (src/modules) fold every epoch's
+// records into per-port, per-class and per-prefix sums.  A single flow's
+// interval is core::DiscoParams::interval_for_estimate.
 //
 // Counter-level merging (core::DiscoParams::merge) requires both counters to
-// share one DiscoParams deployment.  A collector aggregating epoch reports
-// from many monitor processes does not have that luxury: sites run different
-// counter widths, RescaleB drifts their effective bases apart, and some
-// sites may use additive-error counters (core/additive.hpp) instead of
-// DISCO.  What every site exports is an UNBIASED per-flow estimate plus
-// enough error metadata (effective base b, or additive error unit) to bound
-// its variance -- so the collector merges at the estimate level:
+// share one DiscoParams deployment.  Reports from many monitors do not:
+// sites run different counter widths, RescaleB drifts their effective bases
+// apart, and some sites may use additive-error counters (core/additive.hpp)
+// instead of DISCO.  What every report exports is an UNBIASED per-flow
+// estimate plus enough error metadata (effective base b, or additive error
+// unit) to bound its variance -- so sums are taken at the estimate level:
 //
 //   X = sum_i X_i,   E[X] = sum_i n_i = n   (unbiasedness survives the sum)
 //
-// and, because distinct sites consume independent randomness,
+// and, because distinct flows and sites consume independent randomness,
 //
 //   Var(X) = sum_i Var(X_i)
 //     <=  sum_{i in DISCO}  e_i^2 * est_i^2     (Theorem 2, e_i = cv_bound(b_i))
 //       + sum_{i in additive} sd_i^2            (additive_error_sd bound)
 //
-// MixedEstimateAccumulator tracks exactly (sum, variance bound) and yields
-// the normal-approximation interval for the merged estimate.  This is the
-// heterogeneous generalisation of modules/confidence.hpp's
-// EstimateAccumulator, which assumes one uniform base for every member --
-// that homogeneous formula is preserved here verbatim (aggregate_interval)
-// so the modules layer can delegate without changing a single bit of its
-// output.
+// The half-width z * sqrt(Var) is strictly tighter than the naive
+// z * e * sum(est_i) whenever more than one estimate contributes:
+// aggregation helps accuracy, which is why the paper's per-port error plots
+// beat its per-flow ones.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "core/theory.hpp"
 
@@ -44,35 +47,70 @@ struct MergedInterval {
   bool valid = true;
 };
 
+/// The error model one report declares for one metric axis (bytes come from
+/// its volume array, packets from its size array).  Decode it once per
+/// report with error_model(), then fold each record under it.
+struct ErrorModel {
+  /// e(b)^2 for a DISCO axis at effective base b > 1; 0 when the axis
+  /// counts exactly (b == 1) or has no multiplicative error.
+  double cv2 = 0.0;
+  /// Counting grid of an additive-error axis (the `unit` of
+  /// theory::additive_error_sd); 0 when the axis has no additive error.
+  double unit = 0.0;
+  /// False when the report carried no error metadata and no fallback base
+  /// applies: its estimates still sum unbiasedly, but bound nothing.
+  bool bounded = true;
+};
+
+/// Decodes one report axis: its effective base `b`, its additive error unit,
+/// and the base to assume when the report carries neither (a v1/v2 legacy
+/// report; 0 = none, leaving its records unbounded).
+///
+/// A single monitor's report declares one family: b > 1 with unit 0
+/// (DISCO), or b == 1 with unit > 0 (additive).  A merged report of a mixed
+/// fleet (fold_reports keeps the max of both) declares b > 1 AND unit > 0;
+/// its records then carry both terms, e^2 * est^2 + sd^2, so neither
+/// family's records are under-covered.
+[[nodiscard]] inline ErrorModel error_model(double b, double error_unit,
+                                            double fallback_b = 0.0) {
+  ErrorModel model;
+  if (error_unit > 0.0) {
+    model.unit = error_unit;
+  } else if (!(b >= 1.0)) {
+    b = fallback_b;
+    model.bounded = b >= 1.0;
+  }
+  if (b > 1.0) {
+    const double e = theory::cv_bound(b);
+    model.cv2 = e * e;
+  }
+  return model;
+}
+
 /// Streaming accumulator for a sum of independent unbiased estimates with
 /// per-contribution error models.  Copyable POD-style state: a collector
-/// keeps one per (flow key, metric).
+/// keeps one per (flow key, metric), a module one per reported key.
 class MixedEstimateAccumulator {
  public:
-  /// A DISCO (multiplicative-error) contribution measured at effective base
-  /// `b`.  b == 1 is exact counting (zero variance); b must be >= 1.
-  void add_multiplicative(double estimate, double b) {
+  /// Folds one record's estimate under its report's error model.
+  /// `packets` bounds the number of randomized roundings behind an
+  /// additive-error estimate: each packet update rounds once, so the
+  /// record's (estimated) packet count is the natural bound
+  /// (docs/collector.md).
+  void add(double estimate, const ErrorModel& model, double packets) {
     sum_ += estimate;
-    if (b > 1.0) {
-      const double e = theory::cv_bound(b);
-      variance_ += e * e * estimate * estimate;
-    } else if (!(b >= 1.0)) {
+    if (!model.bounded) {
       valid_ = false;  // unknown base: sum stays unbiased, bound is gone
+      return;
     }
-  }
-
-  /// An additive-error contribution with standard-deviation bound `sd`
-  /// (core::theory::additive_error_sd).
-  void add_additive(double estimate, double sd) {
-    sum_ += estimate;
-    variance_ += sd * sd;
-  }
-
-  /// An unbiased contribution with NO error metadata (legacy report, no
-  /// fallback base): keeps the sum right, invalidates the interval.
-  void add_unbounded(double estimate) {
-    sum_ += estimate;
-    valid_ = false;
+    if (model.cv2 > 0.0) variance_ += model.cv2 * estimate * estimate;
+    if (model.unit > 0.0) {
+      const long long rounded = std::llround(packets);
+      const std::uint64_t roundings =
+          rounded > 0 ? static_cast<std::uint64_t>(rounded) : 1;
+      const double sd = theory::additive_error_sd(model.unit, roundings);
+      variance_ += sd * sd;
+    }
   }
 
   void merge(const MixedEstimateAccumulator& other) {
@@ -111,29 +149,5 @@ class MixedEstimateAccumulator {
   double variance_ = 0.0;
   bool valid_ = true;
 };
-
-/// The homogeneous special case: every member estimate shares one base `b`,
-/// and the caller tracked (sum, sum of squares).  This is the EXACT formula
-/// modules/confidence.hpp has always used -- half = z * e * sqrt(sum sq) --
-/// kept as one canonical implementation so the modules layer and any other
-/// uniform-base consumer produce bit-identical intervals to the pre-collect
-/// releases (the statistical regression suites pin its coverage).
-[[nodiscard]] inline MergedInterval aggregate_interval(double sum,
-                                                       double sum_squares,
-                                                       double b,
-                                                       double confidence) {
-  MergedInterval out;
-  out.estimate = sum;
-  if (b <= 1.0 || confidence <= 0.0 || confidence >= 1.0) {
-    out.low = out.high = sum;  // degenerate: b == 1 counts exactly
-    return out;
-  }
-  const double e = theory::cv_bound(b);
-  const double z = theory::normal_quantile(0.5 + confidence / 2.0);
-  const double half = z * e * std::sqrt(sum_squares);
-  out.low = std::max(0.0, sum - half);
-  out.high = sum + half;
-  return out;
-}
 
 }  // namespace disco::core

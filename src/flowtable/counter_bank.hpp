@@ -101,8 +101,7 @@ class CounterBank {
   /// Effective DISCO base for epoch reports: the additive family counts on
   /// a linear grid, reported as b = 1.0 -- exactly the degenerate value
   /// downstream interval math treats as "no multiplicative error"
-  /// (src/modules/confidence.hpp).  Its error is carried separately by
-  /// error_unit().
+  /// (core::error_model).  Its error is carried separately by error_unit().
   [[nodiscard]] double effective_b() const noexcept {
     return is_disco() ? disco_->params().b() : 1.0;
   }

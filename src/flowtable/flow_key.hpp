@@ -1,7 +1,6 @@
 // Flow identity: the classic 5-tuple and its hash.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 
@@ -34,51 +33,11 @@ struct FiveTuple {
   return h;
 }
 
-/// IPv6 5-tuple.  Addresses are 16 raw bytes in network order.
-struct FiveTupleV6 {
-  std::array<std::uint8_t, 16> src_ip{};
-  std::array<std::uint8_t, 16> dst_ip{};
-  std::uint16_t src_port = 0;
-  std::uint16_t dst_port = 0;
-  std::uint8_t protocol = 0;
-
-  friend bool operator==(const FiveTupleV6&, const FiveTupleV6&) = default;
-};
-
-/// 64-bit mix of the IPv6 tuple: fold the addresses through the same
-/// multiply-xorshift avalanche, 8 bytes at a time.
-[[nodiscard]] inline std::uint64_t hash_tuple(const FiveTupleV6& t) noexcept {
-  auto fold = [](std::uint64_t h, const std::uint8_t* p) {
-    std::uint64_t w = 0;
-    for (int i = 0; i < 8; ++i) w = (w << 8) | p[i];
-    h ^= w;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    return h;
-  };
-  std::uint64_t h = (static_cast<std::uint64_t>(t.src_port) << 40) ^
-                    (static_cast<std::uint64_t>(t.dst_port) << 8) ^ t.protocol;
-  h = fold(h, t.src_ip.data());
-  h = fold(h, t.src_ip.data() + 8);
-  h = fold(h, t.dst_ip.data());
-  h = fold(h, t.dst_ip.data() + 8);
-  h *= 0xc4ceb9fe1a85ec53ULL;
-  h ^= h >> 33;
-  return h;
-}
-
 }  // namespace disco::flowtable
 
 template <>
 struct std::hash<disco::flowtable::FiveTuple> {
   std::size_t operator()(const disco::flowtable::FiveTuple& t) const noexcept {
-    return static_cast<std::size_t>(disco::flowtable::hash_tuple(t));
-  }
-};
-
-template <>
-struct std::hash<disco::flowtable::FiveTupleV6> {
-  std::size_t operator()(const disco::flowtable::FiveTupleV6& t) const noexcept {
     return static_cast<std::size_t>(disco::flowtable::hash_tuple(t));
   }
 };

@@ -26,7 +26,7 @@
 //
 // Key requirements: equality-comparable, hashable via std::hash<Key>, and
 // cheap to copy (keys are stored twice: bucket array + slot-ordered list).
-// `FlowTable` is the IPv4 5-tuple instantiation; `FlowTableV6` the IPv6 one.
+// `FlowTable` is the IPv4 5-tuple instantiation.
 #pragma once
 
 #include <bit>
@@ -326,8 +326,5 @@ class BasicFlowTable {
 
 /// The IPv4 5-tuple table used by FlowMonitor.
 using FlowTable = BasicFlowTable<FiveTuple>;
-
-/// IPv6 instantiation (see flow_key.hpp for the key).
-using FlowTableV6 = BasicFlowTable<FiveTupleV6>;
 
 }  // namespace disco::flowtable

@@ -178,10 +178,14 @@ std::size_t FlowMonitor::ingest_batch(std::span<const FlowBurst> bursts) {
   }
   packets_seen_ += accepted_packets;
   pressure_.flows_rejected += rejected_bursts;
-  metrics_.rejects->inc(rejected_packets);
-  metrics_.flows_rejected->inc(rejected_bursts);
-  metrics_.ingests->inc(accepted_packets);
-  metrics_.occupancy->set(static_cast<std::int64_t>(table_.size()));
+  // One enabled() test for all four updates: a one-packet ingest cannot
+  // amortise four of them.
+  if (telemetry::enabled()) [[unlikely]] {
+    metrics_.rejects->inc(rejected_packets);
+    metrics_.flows_rejected->inc(rejected_bursts);
+    metrics_.ingests->inc(accepted_packets);
+    metrics_.occupancy->set(static_cast<std::int64_t>(table_.size()));
+  }
   sync_pressure_counters();
   return accepted;
 }

@@ -145,12 +145,13 @@ class FlowMonitor {
     PressureStats pressure{};
     /// Effective DISCO base of the volume / size counter arrays when this
     /// report was produced (b drifts upward under RescaleB).  Downstream
-    /// consumers attach Theorem 2 confidence intervals to the estimates via
-    /// core::DiscoParams(b).interval_for_estimate(...) -- the modules layer
-    /// (src/modules, docs/modules.md) does exactly this.  Merged reports
-    /// (fold_reports, as PipelineMonitor::rotate uses it) carry the max
-    /// across shards, so derived intervals are conservative for every
-    /// member flow.
+    /// consumers attach Theorem 2 confidence intervals to one estimate via
+    /// core::DiscoParams(b).interval_for_estimate(...), and to sums of
+    /// estimates via core::error_model and core::MixedEstimateAccumulator
+    /// (core/estimate_merge.hpp) -- the collector and the modules layer do
+    /// the latter.  Merged reports (fold_reports, as PipelineMonitor::rotate
+    /// uses it) carry the max across shards, so derived intervals are
+    /// conservative for every member flow.
     double volume_b = 0.0;
     double size_b = 0.0;
     /// Additive-error mode only (Config.estimator == AdditiveError): the

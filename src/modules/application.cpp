@@ -53,14 +53,17 @@ ApplicationModule::ApplicationModule(const ModuleOptions& options)
     : options_(options) {}
 
 void ApplicationModule::on_epoch(const EpochReport& report) {
+  const core::ErrorModel volume =
+      core::error_model(report.volume_b, report.volume_error_unit);
+  const core::ErrorModel size =
+      core::error_model(report.size_b, report.size_error_unit);
   for (const auto& flow : report.flows) {
     ClassStats& stats = classes_[static_cast<std::size_t>(classify_flow(flow.flow))];
-    stats.bytes.add(flow.bytes);
-    stats.packets.add(flow.packets);
+    stats.bytes.add(flow.bytes, volume, flow.packets);
+    stats.packets.add(flow.packets, size, flow.packets);
     stats.flows += 1;
     total_bytes_ += flow.bytes;
   }
-  volume_b_ = std::max(volume_b_, report.volume_b);
   ++epochs_;
 }
 
@@ -68,7 +71,6 @@ void ApplicationModule::reset() {
   classes_ = {};
   total_bytes_ = 0.0;
   epochs_ = 0;
-  volume_b_ = 0.0;
 }
 
 void ApplicationModule::export_text(std::ostream& out) const {
@@ -95,7 +97,7 @@ std::string ApplicationModule::export_json() const {
     if (stats.flows == 0) continue;
     if (!first) out << ", ";
     first = false;
-    const auto ci = stats.bytes.interval(volume_b_, options_.confidence);
+    const auto ci = stats.bytes.interval(options_.confidence);
     const double share = total_bytes_ > 0.0 ? ci.estimate / total_bytes_ : 0.0;
     out << "{\"class\": \"" << app_class_name(static_cast<AppClass>(i))
         << "\", \"bytes\": " << json::number(ci.estimate)

@@ -4,7 +4,8 @@
 // well-known port (the smaller-numbered of src/dst wins, matching the
 // convention that servers sit on the registered port) and report each
 // class's share of total estimated bytes, packets, and flows, cumulative
-// across epochs.  Byte totals carry Theorem 2 intervals.
+// across epochs.  Byte totals carry aggregate intervals
+// (core/estimate_merge.hpp).
 //
 // Options read: confidence.
 #pragma once
@@ -15,7 +16,7 @@
 #include <string>
 #include <string_view>
 
-#include "modules/confidence.hpp"
+#include "core/estimate_merge.hpp"
 #include "modules/module.hpp"
 
 namespace disco::modules {
@@ -53,8 +54,8 @@ class ApplicationModule final : public AnalysisModule {
   [[nodiscard]] std::string export_json() const override;
 
   struct ClassStats {
-    EstimateAccumulator bytes;
-    EstimateAccumulator packets;
+    core::MixedEstimateAccumulator bytes;
+    core::MixedEstimateAccumulator packets;
     std::uint64_t flows = 0;
   };
   /// Cumulative stats for one class (index by static_cast<size_t>(AppClass)).
@@ -68,7 +69,6 @@ class ApplicationModule final : public AnalysisModule {
   std::array<ClassStats, kAppClassCount> classes_{};
   double total_bytes_ = 0.0;
   std::uint64_t epochs_ = 0;
-  double volume_b_ = 0.0;
   ModuleOptions options_;
 };
 

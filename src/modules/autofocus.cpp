@@ -12,11 +12,12 @@ AutofocusModule::AutofocusModule(const ModuleOptions& options)
     : options_(options) {}
 
 void AutofocusModule::on_epoch(const EpochReport& report) {
+  const core::ErrorModel volume =
+      core::error_model(report.volume_b, report.volume_error_unit);
   for (const auto& flow : report.flows) {
-    leaves_[flow.flow.dst_ip].bytes.add(flow.bytes);
+    leaves_[flow.flow.dst_ip].add(flow.bytes, volume, flow.packets);
     total_bytes_ += flow.bytes;
   }
-  volume_b_ = std::max(volume_b_, report.volume_b);
   ++epochs_;
   recompute();
 }
@@ -25,7 +26,6 @@ void AutofocusModule::reset() {
   leaves_.clear();
   reported_.clear();
   total_bytes_ = 0.0;
-  volume_b_ = 0.0;
   epochs_ = 0;
 }
 
@@ -35,17 +35,17 @@ void AutofocusModule::recompute() {
   const double threshold = options_.heavy_share * total_bytes_;
 
   // Per-node fold state at the current level: total traffic under the
-  // prefix, traffic already explained by reported descendants, and the
-  // moment sums needed for the interval on `bytes`.
+  // prefix with its variance bound, and traffic already explained by
+  // reported descendants.
   struct Node {
-    EstimateAccumulator bytes;
+    core::MixedEstimateAccumulator bytes;
     double explained = 0.0;
   };
 
   std::unordered_map<std::uint32_t, Node> level;
   level.reserve(leaves_.size());
-  for (const auto& [ip, leaf] : leaves_) {
-    level[ip].bytes = leaf.bytes;
+  for (const auto& [ip, bytes] : leaves_) {
+    level[ip].bytes = bytes;
   }
 
   // Bottom-up: examine each level, then fold pairs into the parent level.
@@ -62,7 +62,7 @@ void AutofocusModule::recompute() {
         out.length = length;
         out.bytes = node.bytes.sum();
         out.residual = residual;
-        out.bytes_ci = node.bytes.interval(volume_b_, options_.confidence);
+        out.bytes_ci = node.bytes.interval(options_.confidence);
         reported_.push_back(out);
         node.explained = node.bytes.sum();
       }

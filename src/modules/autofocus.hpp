@@ -23,7 +23,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "modules/confidence.hpp"
+#include "core/estimate_merge.hpp"
 #include "modules/module.hpp"
 
 namespace disco::modules {
@@ -45,7 +45,7 @@ class AutofocusModule final : public AnalysisModule {
     int length = 0;            ///< prefix length, 0..32
     double bytes = 0.0;        ///< total estimated bytes under the prefix
     double residual = 0.0;     ///< bytes minus reported-descendant bytes
-    AggregateInterval bytes_ci;  ///< Theorem 2 interval on `bytes`
+    core::MergedInterval bytes_ci;  ///< aggregate interval on `bytes`
   };
   /// Reported prefixes, residual descending (recomputed each epoch).
   [[nodiscard]] const std::vector<Prefix>& report() const noexcept {
@@ -57,15 +57,11 @@ class AutofocusModule final : public AnalysisModule {
  private:
   void recompute();
 
-  struct Leaf {
-    EstimateAccumulator bytes;
-  };
-
   ModuleOptions options_;
-  std::unordered_map<std::uint32_t, Leaf> leaves_;  ///< per dst /32
+  /// Per dst /32.
+  std::unordered_map<std::uint32_t, core::MixedEstimateAccumulator> leaves_;
   std::vector<Prefix> reported_;
   double total_bytes_ = 0.0;
-  double volume_b_ = 0.0;
   std::uint64_t epochs_ = 0;
 };
 

@@ -14,25 +14,25 @@ TopKeysModule::TopKeysModule(TopKeyKind kind, const ModuleOptions& options)
       options_(options) {}
 
 void TopKeysModule::on_epoch(const EpochReport& report) {
+  const core::ErrorModel volume =
+      core::error_model(report.volume_b, report.volume_error_unit);
+  const core::ErrorModel size =
+      core::error_model(report.size_b, report.size_error_unit);
   for (const auto& flow : report.flows) {
     const std::uint32_t key = kind_ == TopKeyKind::DstPort
                                   ? flow.flow.dst_port
                                   : flow.flow.dst_ip;
     Agg& agg = aggregates_[key];
-    agg.bytes.add(flow.bytes);
-    agg.packets.add(flow.packets);
+    agg.bytes.add(flow.bytes, volume, flow.packets);
+    agg.packets.add(flow.packets, size, flow.packets);
     agg.flows += 1;
   }
-  volume_b_ = std::max(volume_b_, report.volume_b);
-  size_b_ = std::max(size_b_, report.size_b);
   ++epochs_;
 }
 
 void TopKeysModule::reset() {
   aggregates_.clear();
   epochs_ = 0;
-  volume_b_ = 0.0;
-  size_b_ = 0.0;
 }
 
 std::vector<TopKeysModule::Entry> TopKeysModule::top() const {
@@ -41,8 +41,8 @@ std::vector<TopKeysModule::Entry> TopKeysModule::top() const {
   for (const auto& [key, agg] : aggregates_) {
     Entry entry;
     entry.key = key;
-    entry.bytes = agg.bytes.interval(volume_b_, options_.confidence);
-    entry.packets = agg.packets.interval(size_b_, options_.confidence);
+    entry.bytes = agg.bytes.interval(options_.confidence);
+    entry.packets = agg.packets.interval(options_.confidence);
     entry.flows = agg.flows;
     entries.push_back(entry);
   }

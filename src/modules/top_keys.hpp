@@ -4,10 +4,10 @@
 // per-flow estimates into per-key aggregates (destination port or
 // destination address), keep the running totals across epochs, and report
 // the k heaviest keys by estimated bytes.  Unlike CoMo's exact counters,
-// the inputs here are DISCO estimates, so each reported key carries a
-// Theorem 2 confidence interval (confidence.hpp) at the max effective base
-// observed -- the number a collector needs to decide whether #1 and #2 are
-// really distinguishable.
+// the inputs here are DISCO (or additive-error) estimates, so each reported
+// key carries an aggregate interval (core/estimate_merge.hpp), every record
+// folded under its own epoch report's error model -- the number a collector
+// needs to decide whether #1 and #2 are really distinguishable.
 //
 // Options read: top_k, confidence.
 #pragma once
@@ -19,7 +19,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "modules/confidence.hpp"
+#include "core/estimate_merge.hpp"
 #include "modules/module.hpp"
 
 namespace disco::modules {
@@ -43,8 +43,8 @@ class TopKeysModule final : public AnalysisModule {
   /// One reported key, heaviest first.
   struct Entry {
     std::uint32_t key = 0;  ///< port number or IPv4 address, per kind()
-    AggregateInterval bytes;   ///< estimate + Theorem 2 interval
-    AggregateInterval packets;
+    core::MergedInterval bytes;  ///< estimate + aggregate interval
+    core::MergedInterval packets;
     std::uint64_t flows = 0;  ///< flow records folded into this key
   };
 
@@ -56,8 +56,8 @@ class TopKeysModule final : public AnalysisModule {
 
  private:
   struct Agg {
-    EstimateAccumulator bytes;
-    EstimateAccumulator packets;
+    core::MixedEstimateAccumulator bytes;
+    core::MixedEstimateAccumulator packets;
     std::uint64_t flows = 0;
   };
 
@@ -68,8 +68,6 @@ class TopKeysModule final : public AnalysisModule {
   ModuleOptions options_;
   std::unordered_map<std::uint32_t, Agg> aggregates_;
   std::uint64_t epochs_ = 0;
-  double volume_b_ = 0.0;  ///< max effective base seen (conservative CIs)
-  double size_b_ = 0.0;
 };
 
 }  // namespace disco::modules

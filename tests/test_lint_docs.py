@@ -4,8 +4,8 @@
 Builds throwaway fixture repos in a tempdir -- one that must lint clean and
 one with a seeded violation per rule -- and runs the linter over each.  The
 final test runs the linter over THIS repo, which is the acceptance gate:
-committed docs must have zero dead links, stale paths, stale CLI flags, or
-stale build options.
+committed docs must have zero dead links, stale paths, stale CLI flags,
+stale build options, or stale symbols.
 """
 
 import os
@@ -39,9 +39,12 @@ def make_good_tree(root):
           'set(DISCO_SANITIZE "" CACHE STRING "sanitizer")\n')
     write(root, "tools/disco_analyze.cpp",
           '// usage: --bits N --modules a,b\nint main() {}\n')
-    write(root, "src/core/disco.hpp", "#pragma once\n")
+    write(root, "src/core/disco.hpp",
+          "#pragma once\nclass DiscoParams { double b() const; };\n")
     write(root, "docs/guide.md",
           "See [the readme](../README.md) and `src/core/disco.hpp`.\n"
+          "Symbols that exist pass: `core::DiscoParams`, "
+          "`DiscoParams::b()`.\n"
           "Run `disco_analyze trace.dtrc --bits 4 --modules all`.\n"
           "Template paths like src/<area>/file.cpp and docs/*.md are fine.\n"
           "Suppressed: [old](gone.md) "
@@ -67,12 +70,14 @@ def make_good_tree(root):
 def make_bad_tree(root):
     write(root, "CMakeLists.txt", 'option(DISCO_SIMD "SSE2 tag probes" ON)\n')
     write(root, "tools/disco_analyze.cpp", '// usage: --bits N\nint main() {}\n')
+    write(root, "src/core/disco.hpp", "#pragma once\nclass DiscoParams {};\n")
     write(root, "README.md",
           "Broken: [missing doc](docs/nope.md).\n"
           "Stale ref: see src/core/vanished.hpp for details.\n"
           "Machine path: data lives in /root/related/some_repo/file.c.\n"
           "Dropped flag: disco_analyze trace.dtrc --frobnicate.\n"
           "Dropped option: cmake -B b -DDISCO_SIMD=OFF -DDISCO_VANISHED=OFF.\n"
+          "Dropped symbol: `core::DiscoParams` stays, `core::Vanished` went.\n"
           "\n"
           "<!-- docs-lint: flags(disco_analyze) -->\n"
           "| `--bits N` | still real |\n"
@@ -114,14 +119,16 @@ class FixtureTrees(unittest.TestCase):
         self.assert_finding(out, "stale-cli-flag", "--defrobnicate")
         self.assert_finding(out, "stale-cli-flag", "disco_vanished")
         self.assert_finding(out, "stale-build-option", "DISCO_VANISHED")
+        self.assert_finding(out, "stale-symbol", "core::Vanished")
 
     def test_finding_count_is_exact(self):
-        # Exactly the seven seeded violations -- no overfiring on the rest of
+        # Exactly the eight seeded violations -- no overfiring on the rest of
         # the fixture text (in particular `--bits` inside the annotated flag
-        # block and the declared -DDISCO_SIMD must pass).
+        # block, the declared -DDISCO_SIMD and the existing
+        # `core::DiscoParams` must pass).
         make_bad_tree(self.tmp.name)
         _, out, _ = run_linter(self.tmp.name)
-        self.assertEqual(len(out.strip().splitlines()), 7, out)
+        self.assertEqual(len(out.strip().splitlines()), 8, out)
 
     def test_suppression_is_honoured(self):
         make_good_tree(self.tmp.name)

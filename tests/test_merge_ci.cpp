@@ -1,10 +1,12 @@
-// Tests for DISCO counter merging (distributed aggregation) and the
-// Theorem 2-based confidence intervals.
+// Tests for DISCO counter merging (distributed aggregation), the
+// Theorem 2-based confidence intervals, and the aggregate intervals of
+// core/estimate_merge.hpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/disco.hpp"
+#include "core/estimate_merge.hpp"
 #include "core/theory.hpp"
 #include "util/math.hpp"
 
@@ -137,6 +139,53 @@ TEST(ConfidenceInterval, EmpiricalCoverageAtLeastNominal) {
     }
   }
   EXPECT_GE(static_cast<double>(covered) / runs, 0.95);
+}
+
+TEST(MixedEstimateAccumulator, AggregateIntervalIsTighterThanNaiveSum) {
+  const double b = 1.05;
+  const ErrorModel model = error_model(b, 0.0);
+  MixedEstimateAccumulator acc;
+  for (int i = 0; i < 100; ++i) acc.add(1000.0, model, 1.0);
+  const auto ci = acc.interval(0.95);
+  EXPECT_DOUBLE_EQ(ci.estimate, 100'000.0);
+  EXPECT_LT(ci.low, ci.estimate);
+  EXPECT_GT(ci.high, ci.estimate);
+  // Var(sum) <= e^2 * sum(est^2): the half-width shrinks ~sqrt(n) versus
+  // treating the aggregate as one estimate.
+  const double half = ci.high - ci.estimate;
+  const double naive_half =
+      theory::normal_quantile(0.975) * theory::cv_bound(b) * 100'000.0;
+  EXPECT_LT(half, naive_half / 5.0);
+}
+
+TEST(MixedEstimateAccumulator, ExactBaseDegeneratesToPoint) {
+  MixedEstimateAccumulator acc;
+  acc.add(42.0, error_model(1.0, 0.0), 1.0);
+  const auto ci = acc.interval(0.95);
+  EXPECT_TRUE(ci.valid);
+  EXPECT_DOUBLE_EQ(ci.low, 42.0);
+  EXPECT_DOUBLE_EQ(ci.high, 42.0);
+}
+
+TEST(MixedEstimateAccumulator, MixedFleetModelSumsBothTerms) {
+  // A merged report of a DISCO and an additive site keeps the max of both
+  // b and the error unit; each of its records carries both variance terms.
+  const double b = 1.01;
+  const double unit = 16.0;
+  const ErrorModel model = error_model(b, unit);
+  MixedEstimateAccumulator acc;
+  acc.add(5000.0, model, 9.0);
+  const double e = theory::cv_bound(b);
+  const double sd = theory::additive_error_sd(unit, 9);
+  EXPECT_DOUBLE_EQ(acc.variance_bound(), e * e * 5000.0 * 5000.0 + sd * sd);
+
+  // A single site's report declares one family only.
+  MixedEstimateAccumulator disco_only;
+  disco_only.add(5000.0, error_model(b, 0.0), 9.0);
+  EXPECT_DOUBLE_EQ(disco_only.variance_bound(), e * e * 5000.0 * 5000.0);
+  MixedEstimateAccumulator additive_only;
+  additive_only.add(5000.0, error_model(1.0, unit), 9.0);
+  EXPECT_DOUBLE_EQ(additive_only.variance_bound(), sd * sd);
 }
 
 }  // namespace

@@ -1,9 +1,17 @@
 // Model-check drivers for the pipeline's command protocols
-// (src/pipeline/pipeline.cpp): commands travel IN-BAND through the same
-// SpscRing as data, so their ordering against surrounding messages is the
-// correctness property -- a rotate lands exactly between the packets pushed
-// before and after it.  The completion side (worker fills a result the
-// issuer then reads) is a publish/subscribe handshake on a flag.
+// (src/pipeline/pipeline.cpp).
+//
+// InBandRotateBoundaryIsExact checks a property of SpscRing alone: a marker
+// pushed by the ring's single producer is delivered exactly between the
+// values pushed before and after it, in every schedule.  The pipeline does
+// not rely on it today: it posts every command on a dedicated per-worker
+// command ring, read between data pops, so PipelineMonitor::rotate's cut is
+// not exact (pipeline.hpp, "Epoch semantics").  A marker-based rotation, in
+// which each producer stamps its own data ring, would rely on exactly this
+// property.
+//
+// The other drivers check the completion side (the worker fills a result the
+// issuer then reads): a publish/subscribe handshake on a flag.
 //
 // Compiled with DISCO_MODELCHECK=1; see test_modelcheck_ring.cpp for the
 // harness conventions.
@@ -22,17 +30,15 @@ using disco::pipeline::SpscRing;
 
 namespace {
 
-/// In-band control marker, mirroring pipeline.cpp's convention of pushing
-/// command tokens through the data ring.
+/// A control marker pushed through the data ring itself.
 constexpr std::uint64_t kRotate = ~std::uint64_t{0};
 
 }  // namespace
 
 TEST(ModelCheckCommand, InBandRotateBoundaryIsExact) {
-  // Producer: 1, 2, ROTATE, 3.  Consumer accumulates per epoch; the rotate
-  // must cut exactly after 1+2 in EVERY schedule -- that is the whole point
-  // of in-band commands (no separate control channel to race with the
-  // data).
+  // Producer: 1, 2, ROTATE, 3.  Consumer accumulates per epoch; the marker
+  // must cut exactly after 1+2 in EVERY schedule: one producer's ring
+  // delivers a marker in push order with its data.
   verify::Options opts;
   opts.exhaustive = true;
   opts.preemption_bound = 2;

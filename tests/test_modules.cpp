@@ -15,7 +15,6 @@
 #include "modules/anomaly_ewma.hpp"
 #include "modules/application.hpp"
 #include "modules/autofocus.hpp"
-#include "modules/confidence.hpp"
 #include "modules/host.hpp"
 #include "modules/scanner.hpp"
 #include "modules/top_keys.hpp"
@@ -99,32 +98,6 @@ TEST(EpochSubscription, PipelineMonitorNotifiesWithMergedReport) {
   EXPECT_EQ(seen[0].flows.size(), merged.flows.size());
   EXPECT_EQ(seen[0].flows.size(), 40u);
   EXPECT_GT(seen[0].volume_b, 1.0);  // max over shards survived the merge
-}
-
-// --- confidence accumulator -------------------------------------------------
-
-TEST(EstimateAccumulator, AggregateIntervalIsTighterThanNaiveSum) {
-  EstimateAccumulator acc;
-  for (int i = 0; i < 100; ++i) acc.add(1000.0);
-  const double b = 1.05;
-  const auto ci = acc.interval(b, 0.95);
-  EXPECT_DOUBLE_EQ(ci.estimate, 100'000.0);
-  EXPECT_LT(ci.low, ci.estimate);
-  EXPECT_GT(ci.high, ci.estimate);
-  // Var(sum) <= e^2 * sum(est^2): the half-width shrinks ~sqrt(n) versus
-  // treating the aggregate as one estimate.
-  const double half = ci.high - ci.estimate;
-  const double naive_half =
-      core::theory::normal_quantile(0.975) * core::theory::cv_bound(b) * 100'000.0;
-  EXPECT_LT(half, naive_half / 5.0);
-}
-
-TEST(EstimateAccumulator, ExactBaseDegeneratesToPoint) {
-  EstimateAccumulator acc;
-  acc.add(42.0);
-  const auto ci = acc.interval(1.0, 0.95);
-  EXPECT_DOUBLE_EQ(ci.low, 42.0);
-  EXPECT_DOUBLE_EQ(ci.high, 42.0);
 }
 
 // --- built-in modules -------------------------------------------------------

@@ -5,9 +5,10 @@
 //
 // What is pinned here:
 //   * topports ranks agree with exact ground truth where the ground truth
-//     is statistically distinguishable (Zipf head), and its Theorem 2
-//     aggregate intervals cover the exact values at ~the stated confidence
-//     across independent seeded runs;
+//     is statistically distinguishable (Zipf head), and its aggregate
+//     intervals cover the exact values at ~the stated confidence across
+//     independent seeded runs -- over DISCO sites, additive-error sites, and
+//     a mixed fleet merged by a Collector;
 //   * autofocus reports a planted heavy /24 at the right granularity with
 //     a byte estimate close to, and an interval covering, the exact total;
 //   * scanner-detector finds a planted thin-fanout scanner with zero false
@@ -23,6 +24,7 @@
 #include <set>
 #include <vector>
 
+#include "collect/collector.hpp"
 #include "flowtable/monitor.hpp"
 #include "modules/autofocus.hpp"
 #include "modules/host.hpp"
@@ -56,9 +58,11 @@ struct PortWorkload {
 };
 
 /// 600 flows whose destination port follows Zipf(1.2) over 64 ports, each
-/// flow 16 packets with uniform lengths.  Ingests into `monitor`, returns
-/// the exact accounting.
-PortWorkload run_port_workload(FlowMonitor& monitor, std::uint64_t seed) {
+/// flow 16 packets with uniform lengths.  Packet p of every flow goes to
+/// taps[p % taps.size()] (one tap: the whole workload into one monitor);
+/// returns the exact accounting.
+PortWorkload run_port_workload(const std::vector<FlowMonitor*>& taps,
+                               std::uint64_t seed) {
   util::Rng rng(seed);
   trace::ZipfCount port_rank(1.2, 64);
   PortWorkload truth;
@@ -70,7 +74,9 @@ PortWorkload run_port_workload(FlowMonitor& monitor, std::uint64_t seed) {
     for (int p = 0; p < 16; ++p) {
       const auto len =
           static_cast<std::uint32_t>(rng.uniform_u64(200, 1400));
-      EXPECT_TRUE(monitor.ingest(flow, len)) << "flow table unexpectedly full";
+      EXPECT_TRUE(taps[static_cast<std::size_t>(p) % taps.size()]->ingest(
+          flow, len))
+          << "flow table unexpectedly full";
       truth.exact_bytes[flow.dst_port] += len;
       truth.total_bytes += len;
     }
@@ -105,7 +111,7 @@ TEST(ModulesStatistical, TopPortsMatchesExactGroundTruth) {
   PortWorkload truth;
   {
     SCOPED_TRACE("workload");
-    truth = run_port_workload(monitor, 20100621);
+    truth = run_port_workload({&monitor}, 20100621);
   }
   (void)monitor.rotate();
 
@@ -148,42 +154,82 @@ TEST(ModulesStatistical, TopPortsMatchesExactGroundTruth) {
 }
 
 TEST(ModulesStatistical, TopPortsIntervalCoverageAcrossRuns) {
-  // Theorem 2 interval calibration: across independent seeded runs, the 95%
-  // interval on the heaviest port's aggregate must cover the exact bytes in
-  // nearly every run.  cv_bound is an upper bound on the relative standard
-  // deviation, so empirical coverage is ABOVE the nominal level; 90% leaves
-  // slack for the normal approximation without ever passing a broken
-  // interval (a sign error or dropped sqrt fails this instantly).
+  // Interval calibration: across independent seeded runs, the 95% interval
+  // on the heaviest port's aggregate must cover the exact bytes in nearly
+  // every run.  The error models bound each estimate's standard deviation,
+  // so empirical coverage is ABOVE the nominal level; 90% leaves slack for
+  // the normal approximation without ever passing a broken interval (a
+  // sign error, a dropped sqrt, or a model that ignores the additive unit
+  // fails this instantly).
+  //
+  // Three regimes: DISCO sites (error from b), additive-error sites (error
+  // from the unit; b == 1), and a mixed fleet whose two taps' reports a
+  // Collector merges into reports that declare both.
+  enum class Fleet { Disco, Additive, Mixed };
   constexpr int kRuns = 20;
-  int covered = 0;
-  for (int run = 0; run < kRuns; ++run) {
-    FlowMonitor monitor(monitor_config(0xc0ffee00u + run));
-    ModuleHost host("modstat_coverage");
-    TopKeysModule* module = nullptr;
-    {
-      ModuleOptions options;
-      options.top_k = 1;
-      auto owned =
-          std::make_unique<TopKeysModule>(TopKeyKind::DstPort, options);
-      module = owned.get();
-      host.attach(std::move(owned));
-    }
-    host.subscribe_to(monitor);
-    PortWorkload truth;
-    {
-      SCOPED_TRACE(run);
-      truth = run_port_workload(monitor, 7000u + run);
-    }
-    (void)monitor.rotate();
+  for (const Fleet fleet : {Fleet::Disco, Fleet::Additive, Fleet::Mixed}) {
+    SCOPED_TRACE(fleet == Fleet::Disco      ? "DISCO"
+                 : fleet == Fleet::Additive ? "additive"
+                                            : "mixed fleet");
+    int covered = 0;
+    for (int run = 0; run < kRuns; ++run) {
+      ModuleHost host("modstat_coverage");
+      TopKeysModule* module = nullptr;
+      {
+        ModuleOptions options;
+        options.top_k = 1;
+        auto owned =
+            std::make_unique<TopKeysModule>(TopKeyKind::DstPort, options);
+        module = owned.get();
+        host.attach(std::move(owned));
+      }
+      FlowMonitor::Config disco_config = monitor_config(0xc0ffee00u + run);
+      FlowMonitor::Config additive_config = monitor_config(0xadd00000u + run);
+      additive_config.estimator = flowtable::EstimatorKind::AdditiveError;
+      PortWorkload truth;
+      if (fleet == Fleet::Mixed) {
+        FlowMonitor site0(disco_config);
+        FlowMonitor site1(additive_config);
+        collect::Collector collector;
+        host.subscribe_to(collector);
+        std::vector<EpochReport> merged;
+        collector.subscribe(
+            [&](const EpochReport& report) { merged.push_back(report); });
+        {
+          SCOPED_TRACE(run);
+          truth = run_port_workload({&site0, &site1}, 7000u + run);
+        }
+        (void)collector.ingest(0, flowtable::kReportVersion, site0.rotate());
+        (void)collector.ingest(1, flowtable::kReportVersion, site1.rotate());
+        collector.finalize_all();
+        ASSERT_EQ(merged.size(), 1u);
+        // The merged report really declares both families.
+        EXPECT_GT(merged[0].volume_b, 1.0);
+        EXPECT_GT(merged[0].volume_error_unit, 1.0);
+      } else {
+        FlowMonitor monitor(fleet == Fleet::Disco ? disco_config
+                                                   : additive_config);
+        host.subscribe_to(monitor);
+        {
+          SCOPED_TRACE(run);
+          truth = run_port_workload({&monitor}, 7000u + run);
+        }
+        const auto report = monitor.rotate();
+        if (fleet == Fleet::Additive) {
+          // Scale-ups really happened, so the unit carries real error.
+          EXPECT_GT(report.volume_error_unit, 1.0);
+        }
+      }
 
-    const auto top = module->top();
-    ASSERT_EQ(top.size(), 1u);
-    const double exact =
-        truth.exact_bytes.at(static_cast<std::uint16_t>(top[0].key));
-    if (top[0].bytes.low <= exact && exact <= top[0].bytes.high) ++covered;
+      const auto top = module->top();
+      ASSERT_EQ(top.size(), 1u);
+      const double exact =
+          truth.exact_bytes.at(static_cast<std::uint16_t>(top[0].key));
+      if (top[0].bytes.low <= exact && exact <= top[0].bytes.high) ++covered;
+    }
+    EXPECT_GE(covered, 18) << "95% intervals covered only " << covered << "/"
+                           << kRuns << " runs";
   }
-  EXPECT_GE(covered, 18) << "95% intervals covered only " << covered << "/"
-                         << kRuns << " runs";
 }
 
 // --- autofocus vs a planted heavy prefix ------------------------------------

@@ -24,7 +24,8 @@
 //   --modules a,b,...  subscribe the named analysis modules ("all" for every
 //                      built-in; docs/modules.md) to the merged epoch stream
 //                      and print their reports
-//   --json             machine-readable output document instead of text
+//   --json             print one JSON document instead of text: doubles at
+//                      full precision, module reports under "modules"
 //
 // Prints global top-k with Theorem 2 aggregate confidence intervals, global
 // totals, reconciled fleet pressure, and a per-site status table (liveness,
@@ -34,6 +35,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -128,9 +130,12 @@ void print_text(const disco::collect::Collector& collector, std::size_t top) {
   site_table.print(std::cout);
 }
 
-void print_json(const disco::collect::Collector& collector, std::size_t top) {
+void print_json(const disco::collect::Collector& collector,
+                const disco::modules::ModuleHost& host, std::size_t top) {
   const auto totals = collector.totals();
   std::ostringstream out;
+  // Round-trip precision: a consumer (or a cmp of two runs) sees every bit.
+  out.precision(std::numeric_limits<double>::max_digits10);
   out << "{\"reports\":" << collector.reports_ingested()
       << ",\"epochs_finalized\":" << collector.epochs_finalized()
       << ",\"tracked_flows\":" << collector.tracked_flows()
@@ -163,7 +168,9 @@ void print_json(const disco::collect::Collector& collector, std::size_t top) {
         << ",\"lag_epochs\":" << s.lag_epochs
         << ",\"lagging\":" << (s.lagging ? "true" : "false") << "}";
   }
-  out << "]}";
+  out << ']';
+  if (host.size() > 0) out << ",\"modules\":" << host.export_json();
+  out << '}';
   std::cout << out.str() << "\n";
 }
 
@@ -260,11 +267,14 @@ int main(int argc, char** argv) {
     collector.finalize_all();
   }
 
-  if (json) print_json(collector, top);
-  else print_text(collector, top);
-  if (host.size() > 0) {
-    std::cout << "\n";
-    host.export_text(std::cout);
+  if (json) {
+    print_json(collector, host, top);
+  } else {
+    print_text(collector, top);
+    if (host.size() > 0) {
+      std::cout << "\n";
+      host.export_text(std::cout);
+    }
   }
   return 0;
 }

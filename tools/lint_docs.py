@@ -3,7 +3,7 @@
 
 Prose rots faster than code: a renamed file, a dropped CLI flag, or a
 machine-specific path silently strands every doc that mentions it.  This
-linter walks the repo's markdown and flags four classes of rot:
+linter walks the repo's markdown and flags five classes of rot:
 
   dead-link        a relative markdown link whose target does not exist
   stale-path       a repo-relative path reference (src/..., docs/..., ...)
@@ -15,6 +15,9 @@ linter walks the repo's markdown and flags four classes of rot:
   stale-build-option
                    a `-DDISCO_<NAME>` that names neither an option(...) nor
                    a set(... CACHE ...) in the top-level CMakeLists.txt
+  stale-symbol     a backticked qualified C++ name (`ns::Name`,
+                   `Class::member`) whose last identifier appears nowhere in
+                   the code (src, tools, bench, tests, examples, perfbench)
 
 CLI reference sections usually list one flag per line with no binary name
 in sight, which the stale-cli-flag rule cannot attribute.  Open a flag
@@ -86,6 +89,14 @@ CMAKE_OPTION_RE = re.compile(
     r"^\s*(?:option\(\s*(DISCO_[A-Z0-9_]+)\b"
     r"|set\(\s*(DISCO_[A-Z0-9_]+)\s[^)\n]*\bCACHE\b)", re.M)
 
+# Inline code spans, and qualified names inside them; group 1 is the last
+# identifier, the one that must still exist.
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+QUALIFIED_RE = re.compile(r"(?<![\w:])(?:[A-Za-z_]\w*::)+([A-Za-z_]\w*)")
+IDENTIFIER_RE = re.compile(r"[A-Za-z_]\w*")
+SYMBOL_DIRS = ("src", "tools", "bench", "tests", "examples", "perfbench")
+SYMBOL_EXTS = (".cpp", ".hpp", ".h", ".py")
+
 SUPPRESS_RE = re.compile(r"docs-lint:\s*allow\(([a-z\-]+(?:\s*,\s*[a-z\-]+)*)\)")
 
 # Flag-context annotations for CLI reference blocks (see module docstring).
@@ -127,6 +138,18 @@ def build_options(root: str) -> set[str]:
     return {a or b for a, b in CMAKE_OPTION_RE.findall(text)}
 
 
+def code_identifiers(root: str) -> set[str]:
+    """Every identifier in the repo's code, for the stale-symbol rule."""
+    out = set()
+    for top in SYMBOL_DIRS:
+        for path in glob.glob(os.path.join(root, top, "**", "*"),
+                              recursive=True):
+            if path.endswith(SYMBOL_EXTS) and os.path.isfile(path):
+                with open(path, encoding="utf-8", errors="replace") as f:
+                    out.update(IDENTIFIER_RE.findall(f.read()))
+    return out
+
+
 def suppressed_rules(line: str) -> set[str]:
     rules = set()
     for match in SUPPRESS_RE.finditer(line):
@@ -140,6 +163,7 @@ class Linter:
         self.root = root
         self.binaries = known_binaries(root)
         self.build_options = build_options(root)
+        self.identifiers: set[str] | None = None  # built on first use
         self.source_cache: dict[str, str] = {}
         self.findings: list[str] = []
 
@@ -186,6 +210,8 @@ class Linter:
                 self.check_flags(path, lineno, line, context_binary)
             if "stale-build-option" not in allowed:
                 self.check_build_options(path, lineno, line)
+            if "stale-symbol" not in allowed:
+                self.check_symbols(path, lineno, line)
 
     def check_links(self, path: str, doc_dir: str, lineno: int, line: str):
         for match in MD_LINK_RE.finditer(line):
@@ -247,6 +273,16 @@ class Linter:
                 self.report(path, lineno, "stale-build-option",
                             f"'-D{match.group(1)}' is not an option of the "
                             "top-level CMakeLists.txt")
+
+    def check_symbols(self, path: str, lineno: int, line: str):
+        for span in CODE_SPAN_RE.findall(line):
+            for match in QUALIFIED_RE.finditer(span):
+                if self.identifiers is None:
+                    self.identifiers = code_identifiers(self.root)
+                if match.group(1) not in self.identifiers:
+                    self.report(path, lineno, "stale-symbol",
+                                f"'{match.group(0)}' names an identifier "
+                                "the code no longer has")
 
 
 def main(argv: list[str]) -> int:
