@@ -167,11 +167,17 @@ void Collector::try_finalize() {
 void Collector::finalize_epoch(std::uint64_t epoch) {
   auto it = pending_.find(epoch);
   if (it != pending_.end() && !it->second.empty()) {
-    // The epoch's reports in site order, folded into one report.
+    // The epoch's reports in site order, folded into one report.  An axis
+    // that declares no error model (a v1/v2 report) takes the fallback
+    // base first, so subscribers fold its records as fold_report does.
     std::vector<EpochReport> reports;
     reports.reserve(it->second.size());
     for (auto& [site_id, report] : it->second) {
       (void)site_id;
+      report.volume_b = core::effective_b(
+          report.volume_b, report.volume_error_unit, config_.fallback_b);
+      report.size_b = core::effective_b(report.size_b, report.size_error_unit,
+                                        config_.fallback_b);
       reports.push_back(std::move(report));
     }
     EpochReport merged = flowtable::fold_reports(reports);

@@ -291,10 +291,13 @@ struct ReportServer::Impl {
       // the fds and will close them on the EOF this produces.
       for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
     }
+    // The shutdown wakes the acceptor's accept(); the acceptor reads
+    // listen_fd_ until it exits, so the descriptor is closed (and its number
+    // freed for reuse) only after the join.
     ::shutdown(listen_fd_, SHUT_RDWR);
+    if (acceptor_.joinable()) acceptor_.join();
     close_fd(listen_fd_);
     listen_fd_ = -1;
-    if (acceptor_.joinable()) acceptor_.join();
     for (auto& handler : handlers_) {
       if (handler.joinable()) handler.join();
     }

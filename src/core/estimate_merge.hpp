@@ -62,6 +62,14 @@ struct ErrorModel {
   bool bounded = true;
 };
 
+/// The base one report axis is read at: its own `b`, or `fallback_b` when
+/// the axis declares neither a base nor an additive error unit (a v1/v2
+/// legacy report).
+[[nodiscard]] inline double effective_b(double b, double error_unit,
+                                        double fallback_b) {
+  return error_unit > 0.0 || b >= 1.0 ? b : fallback_b;
+}
+
 /// Decodes one report axis: its effective base `b`, its additive error unit,
 /// and the base to assume when the report carries neither (a v1/v2 legacy
 /// report; 0 = none, leaving its records unbounded).
@@ -76,8 +84,8 @@ struct ErrorModel {
   ErrorModel model;
   if (error_unit > 0.0) {
     model.unit = error_unit;
-  } else if (!(b >= 1.0)) {
-    b = fallback_b;
+  } else {
+    b = effective_b(b, error_unit, fallback_b);
     model.bounded = b >= 1.0;
   }
   if (b > 1.0) {

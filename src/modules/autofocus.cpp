@@ -94,8 +94,13 @@ void AutofocusModule::export_text(std::ostream& out) const {
       << " bytes, " << epochs_ << " epoch(s)\n";
   for (const Prefix& p : reported_) {
     out << "  " << json::ipv4(p.prefix) << '/' << p.length << "  bytes "
-        << p.bytes << " [" << p.bytes_ci.low << ", " << p.bytes_ci.high
-        << "]  residual " << p.residual << '\n';
+        << p.bytes;
+    if (p.bytes_ci.valid) {
+      out << " [" << p.bytes_ci.low << ", " << p.bytes_ci.high << ']';
+    } else {
+      out << " [interval unavailable]";
+    }
+    out << "  residual " << p.residual << '\n';
   }
 }
 
@@ -111,8 +116,9 @@ std::string AutofocusModule::export_json() const {
     first = false;
     out << "{\"prefix\": \"" << json::ipv4(p.prefix) << '/' << p.length
         << "\", \"bytes\": " << json::number(p.bytes)
-        << ", \"bytes_low\": " << json::number(p.bytes_ci.low)
-        << ", \"bytes_high\": " << json::number(p.bytes_ci.high)
+        << ", \"bytes_low\": " << json::bound(p.bytes_ci.low, p.bytes_ci.valid)
+        << ", \"bytes_high\": "
+        << json::bound(p.bytes_ci.high, p.bytes_ci.valid)
         << ", \"residual\": " << json::number(p.residual) << '}';
   }
   out << "]}";

@@ -51,6 +51,13 @@ inline std::string number(double v) {
   return out.str();
 }
 
+/// One bound of a merged interval as a JSON value: null when the interval
+/// is unavailable (a report without error metadata), so that no consumer
+/// reads a zero-width interval as exact counting.
+inline std::string bound(double v, bool valid) {
+  return valid ? number(v) : "null";
+}
+
 /// Dotted-quad rendering of a host-order IPv4 address ("10.1.2.3").
 inline std::string ipv4(std::uint32_t ip) {
   std::ostringstream out;

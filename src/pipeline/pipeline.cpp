@@ -8,11 +8,28 @@
 
 #include "flowtable/report_io.hpp"
 #include "telemetry/registry.hpp"
+#include "util/cpu_relax.hpp"
 #include "util/fault.hpp"
 
 namespace disco::pipeline {
 
 namespace {
+
+/// Messages a worker applies between two looks at its command ring.  A
+/// control call waits for the rest of one chunk, not for the rest of a
+/// pop of up to `pop_batch` messages: about 8 us of one-packet bursts.
+constexpr std::size_t kCommandChunk = 64;
+
+/// A sweep that pops fewer messages than this is thin: the worker is
+/// keeping pace with its producers packet by packet.  Popping again at
+/// once would pull the ring's index and slot lines away from a producer
+/// that writes them on every push, so both sides would miss on every
+/// packet; the worker waits kThinSweepPauses spin-loop hints first, which
+/// touch no shared line (about 2 us where a hint takes ~23 ns, as on a
+/// Sapphire Rapids Xeon).  Half the wait left a one-packet-per-call
+/// producer about a fifth slower (EXPERIMENTS.md, "Ingest ablation").
+constexpr std::size_t kThinSweep = 32;
+constexpr unsigned kThinSweepPauses = 96;
 
 /// The one wait of this file, for a producer on a full ring and for a
 /// control call on its command: a short spin, then yield -- on an
@@ -25,16 +42,16 @@ inline void backoff(unsigned& spins) noexcept {
 }  // namespace
 
 // A synchronous control-plane call: a closure the owning worker runs between
-// two of its batches.  The caller owns the command -- on its stack, or in
-// on_all's vector -- pushes a pointer through the worker's command ring, and
-// waits on `done`; the worker runs `run`, which applies the open bursts the
-// answer needs and writes the answer into the caller's frame, then sets
-// `done` with a release store.  That store is the worker's LAST access to
-// the command: once the caller's acquire load sees it, the answer is visible
-// and the caller may reuse or destroy the command at once
-// (tests/test_modelcheck_command.cpp checks both halves).  Control calls are
-// serialised by control_mutex_, so at most one command is in flight per
-// worker.
+// two chunks of its ring pops (apply_pop).  The caller owns the command --
+// on its stack, or in on_all's vector -- pushes a pointer through the
+// worker's command ring, and waits on `done`; the worker runs `run`, which
+// applies the open bursts the answer needs and writes the answer into the
+// caller's frame, then sets `done` with a release store.  That store is the
+// worker's LAST access to the command: once the caller's acquire load sees
+// it, the answer is visible and the caller may reuse or destroy the command
+// at once (tests/test_modelcheck_command.cpp checks both halves).  Control
+// calls are serialised by control_mutex_, so at most one command is in
+// flight per worker.
 struct PipelineMonitor::Command {
   std::function<void(Worker&)> run;
   /// Absorb every packet already queued before running (drain, stop).
@@ -84,8 +101,8 @@ struct PipelineMonitor::Worker {
 
   flowtable::FlowMonitor monitor;
   BurstCoalescer coalescer;
-  /// Scratch buffer: the bursts the coalescer emits for one popped batch or
-  /// one flush.  Every burst this worker applies goes through one
+  /// Scratch buffer: the bursts the coalescer emits for one chunk of a pop
+  /// or one flush.  Every burst this worker applies goes through one
   /// monitor.ingest_batch() call over this buffer, in emission order.
   std::vector<flowtable::FlowBurst> bursts;
   /// Producers read this on every push, so it gets a cache line of its
@@ -268,7 +285,7 @@ std::size_t PipelineMonitor::ingest_batch(unsigned producer,
 
 void PipelineMonitor::process_batch(Worker& worker, const Message* batch,
                                     std::size_t n) {
-  // Collect the coalescer's emissions for the whole popped batch, then apply
+  // Collect the coalescer's emissions for one chunk of a pop, then apply
   // them with one ingest_batch call, in emission order.
   worker.bursts.clear();
   auto buffer = worker.buffer();
@@ -293,7 +310,7 @@ void PipelineMonitor::handle_command(Worker& worker, Command& command) {
   // bursts to apply is the closure's choice: a query applies its own flow's
   // burst, on_all's calls every one.
   if (command.drain) {
-    while (poll_rings(worker)) {
+    while (poll_rings(worker) > 0) {
     }
   }
   command.run(worker);
@@ -302,36 +319,66 @@ void PipelineMonitor::handle_command(Worker& worker, Command& command) {
   command.done.store(true, std::memory_order_release);
 }
 
-bool PipelineMonitor::poll_rings(Worker& worker) {
-  bool any = false;
+PipelineMonitor::Command* PipelineMonitor::next_command(Worker& worker) {
+  Message msg;
+  return worker.rings[producers_]->pop_batch(&msg, 1) == 1 ? msg.command
+                                                            : nullptr;
+}
+
+void PipelineMonitor::apply_pop(Worker& worker, std::size_t n) {
+  const Message* batch = worker.batch.data();
+  for (std::size_t applied = 0; applied < n;) {
+    const std::size_t chunk = std::min(kCommandChunk, n - applied);
+    process_batch(worker, batch + applied, chunk);
+    applied += chunk;
+    if (applied == n) break;
+    // A command served here sees the rest of this pop as still queued.  A
+    // draining one pops the rings into `worker.batch`, over that rest, so
+    // the rest is applied first.
+    Command* command = next_command(worker);
+    if (command == nullptr) continue;
+    if (command->drain) {
+      process_batch(worker, batch + applied, n - applied);
+      applied = n;
+    }
+    handle_command(worker, *command);
+  }
+}
+
+std::size_t PipelineMonitor::poll_rings(Worker& worker) {
+  std::size_t popped = 0;
   std::size_t backlog = 0;
   for (unsigned p = 0; p < producers_; ++p) {
     SpscRing<Message>& ring = *worker.rings[p];
     const std::size_t n = ring.pop_batch(worker.batch.data(), worker.batch.size());
     if (n > 0) {
-      any = true;
+      popped += n;
       worker.pop_batch->record(n);
-      process_batch(worker, worker.batch.data(), n);
+      apply_pop(worker, n);
       backlog += ring.size_approx();
     }
   }
   worker.occupancy->set(static_cast<std::int64_t>(backlog));
-  return any;
+  return popped;
 }
 
 void PipelineMonitor::worker_loop(Worker& worker) {
-  SpscRing<Message>& command_ring = *worker.rings[producers_];
   unsigned idle = 0;
   for (;;) {
     // Commands first: they are rare and latency-sensitive (a rotate must not
-    // wait behind a deep packet backlog sweep).
-    Message command_msg;
-    while (command_ring.pop_batch(&command_msg, 1) == 1) {
-      handle_command(worker, *command_msg.command);
+    // wait behind a deep packet backlog sweep).  A stop may also be served
+    // inside a sweep, between two chunks of a pop.
+    while (Command* command = next_command(worker)) {
+      handle_command(worker, *command);
       if (worker.stop_requested) return;
     }
-    if (poll_rings(worker)) {
+    const std::size_t popped = poll_rings(worker);
+    if (worker.stop_requested) return;
+    if (popped > 0) {
       idle = 0;
+      if (popped < kThinSweep) {
+        for (unsigned i = 0; i < kThinSweepPauses; ++i) util::cpu_relax();
+      }
       continue;
     }
     // Idle: back off -- briefly spin (a packet may be nanoseconds away),
@@ -340,7 +387,7 @@ void PipelineMonitor::worker_loop(Worker& worker) {
     // sweep would defeat coalescing whenever the worker outpaces its
     // producers (it would see each packet alone).  Every control call first
     // applies the open bursts its answer reads -- a query its own flow's,
-    // any other call all of them -- so answers count every popped packet.
+    // any other call all of them -- so answers count every applied packet.
     ++idle;
     if (idle == 64) worker.flush_coalescer();
     if (idle >= 16) std::this_thread::yield();

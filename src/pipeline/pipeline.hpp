@@ -22,17 +22,23 @@
 //   * Control-plane operations (rotate, totals, query, top-k, drain, stop,
 //     ...) are closures over the worker's shard.  Each travels as an
 //     in-band command message through a dedicated per-worker command ring
-//     and runs ON the worker thread, between batches, so it never touches a
-//     shard from outside -- the shard has exactly one thread, ever.  A
-//     command pauses only its own worker while it runs; calls that visit
-//     every worker post to all of them before waiting, so the shards serve
-//     them (a rotate included) concurrently, and fold the answers in worker
-//     order on the calling thread.
+//     and runs ON the worker thread, so it never touches a shard from
+//     outside -- the shard has exactly one thread, ever.  The worker applies
+//     a ring pop in chunks of 64 messages and serves its command ring
+//     between chunks, so a command waits for at most the rest of one chunk,
+//     not of the whole pop.  A command pauses only its own worker while it
+//     runs; calls that visit every worker post to all of them before
+//     waiting, so the shards serve them (a rotate included) concurrently,
+//     and fold the answers in worker order on the calling thread.
+//   * A worker that keeps pace with its producers packet by packet pauses
+//     about two microseconds after each thin sweep (under 32 messages)
+//     instead of popping again at once, so it stops pulling the ring's
+//     lines away from a producer that writes them on every push.
 //   * Backpressure is explicit: a full ring either drops the packet
 //     (`Backpressure::Drop`, counted) or spins the producer until space
 //     frees (`Backpressure::Block`) -- the two policies of a real NIC queue.
 //
-// Epoch semantics: a rotate is applied per shard between batches, so packets
+// Epoch semantics: a rotate is applied per shard between chunks, so packets
 // in flight land in either the old or the new epoch of their shard -- the
 // standard epoch-boundary trade of distributed monitors.  Every *accepted*
 // packet is counted in exactly one epoch.  A caller that needs an exact cut
@@ -133,7 +139,7 @@ class PipelineMonitor {
   std::size_t ingest_batch(unsigned producer, const PacketEvent* packets,
                            std::size_t n);
 
-  // --- control plane (thread-safe; in-band, between a worker's batches) ----
+  // --- control plane (thread-safe; in-band, between a worker's chunks) -----
   // All control-plane entry points serialise on control_mutex_ internally
   // (DISCO_EXCLUDES documents they are not reentrant from a context already
   // holding it -- e.g. from inside another control call on the same thread).
@@ -160,11 +166,13 @@ class PipelineMonitor {
 
   [[nodiscard]] Totals totals() DISCO_EXCLUDES(control_mutex_);
   /// The estimate for `flow`, from its owning worker alone.  It counts
-  /// every packet of the flow the worker has popped: the worker first
+  /// every packet of the flow the worker has applied: the worker first
   /// applies the flow's open coalescer burst, and only that one -- the
   /// other open bursts stay open, so a query costs its own lookup plus the
-  /// wait for the worker to finish its current ring pop.  Packets still
-  /// queued in the rings are not counted (drain() first for that).
+  /// wait for the worker to finish the chunk (at most 64 messages) it is
+  /// applying.  Packets still queued in the rings are not counted, and
+  /// neither is the unapplied rest of the worker's current pop (drain()
+  /// first for those).
   [[nodiscard]] std::optional<FlowEstimate> query(const FiveTuple& flow)
       DISCO_EXCLUDES(control_mutex_);
   [[nodiscard]] std::vector<FlowEstimate> top_k(std::size_t k)
@@ -181,8 +189,10 @@ class PipelineMonitor {
       DISCO_EXCLUDES(control_mutex_);
 
   /// Blocks until every packet enqueued BEFORE this call has been applied
-  /// and all open bursts are flushed.  The caller must have quiesced the
-  /// producers (no concurrent ingest), or drain may chase a moving target.
+  /// and all open bursts are flushed: a worker met mid-pop first applies
+  /// the rest of that pop, then empties its rings.  The caller must have
+  /// quiesced the producers (no concurrent ingest), or drain may chase a
+  /// moving target.
   /// Like every control call, the caller waits by polling the command's
   /// completion flag (spin, then yield), not by sleeping.
   void drain() DISCO_EXCLUDES(control_mutex_);
@@ -244,10 +254,15 @@ class PipelineMonitor {
 
   void worker_loop(Worker& worker);
   /// Pops one batch from each of `worker`'s producer rings and applies it;
-  /// returns whether any ring had packets.  The worker loop's sweep, and
+  /// returns how many messages it popped.  The worker loop's sweep, and
   /// how a draining command absorbs the backlog.
-  bool poll_rings(Worker& worker);
+  std::size_t poll_rings(Worker& worker);
+  /// Applies the `n` messages of `worker.batch` in chunks, serving the
+  /// command ring between two chunks.
+  void apply_pop(Worker& worker, std::size_t n);
   void process_batch(Worker& worker, const Message* batch, std::size_t n);
+  /// The command waiting on `worker`'s command ring, popped, or nullptr.
+  Command* next_command(Worker& worker);
   void handle_command(Worker& worker, Command& command);
   /// Pushes `command` onto worker `w`'s command ring without waiting; once
   /// the workers are stopped, runs it inline instead.  Either way the

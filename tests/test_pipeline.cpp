@@ -621,6 +621,99 @@ TEST(PipelineMonitor, QueryAppliesItsOwnOpenBurst) {
   EXPECT_EQ(pipeline.packets_seen(), 5u);
 }
 
+// A worker serves its command ring between chunks of a ring pop.  Read-only
+// calls served there must leave the packet sequence alone: every packet of
+// the pop applied once, in order, whatever lands between two chunks.  With
+// 256-packet spans against one worker, pops run to 256 messages, so most
+// of the querier's calls arrive mid-pop.
+TEST(PipelineMonitor, ReadOnlyCallsServedMidPopKeepParity) {
+  auto config = pipeline_config(1, 1);
+  config.coalescer.slots = 0;  // one update per packet: one RNG stream
+  config.telemetry_prefix = "pipeline_mid_pop";
+  constexpr std::size_t kSpan = 256;
+  constexpr std::size_t kPackets = 800 * kSpan;
+  constexpr std::uint32_t kFlows = 1000;
+
+  util::Rng rng(2026);
+  std::vector<PipelineMonitor::PacketEvent> trace;
+  trace.reserve(kPackets);
+  for (std::size_t i = 0; i < kPackets; ++i) {
+    const auto f = static_cast<std::uint32_t>(rng.uniform_u64(0, kFlows - 1));
+    trace.push_back({tuple(f),
+                     static_cast<std::uint32_t>(rng.uniform_u64(40, 1500)),
+                     i + 1});
+  }
+
+  PipelineMonitor pipeline(config);
+  std::atomic<bool> done{false};
+  std::uint64_t calls = 0;
+  std::thread querier([&] {
+    for (std::uint32_t f = 0; !done.load(std::memory_order_relaxed); ++f) {
+      (void)pipeline.query(tuple(f % kFlows));
+      (void)pipeline.totals();
+      (void)pipeline.top_k(5);
+      (void)pipeline.packets_seen();
+      calls += 4;
+    }
+  });
+  for (std::size_t off = 0; off < kPackets; off += kSpan) {
+    ASSERT_EQ(pipeline.ingest_batch(0, trace.data() + off, kSpan), kSpan);
+  }
+  pipeline.drain();
+  done.store(true, std::memory_order_relaxed);
+  querier.join();
+  EXPECT_GT(calls, 0u);
+
+  FlowMonitor reference(PipelineMonitor::shard_config(config, 0));
+  for (const auto& pkt : trace) {
+    ASSERT_TRUE(reference.ingest(pkt.flow, pkt.length, pkt.now_ns));
+  }
+  EXPECT_EQ(pipeline.packets_seen(), kPackets);
+  for (std::uint32_t f = 0; f < kFlows; ++f) {
+    const auto expected = reference.query(tuple(f));
+    const auto actual = pipeline.query(tuple(f));
+    ASSERT_EQ(expected.has_value(), actual.has_value()) << "flow " << f;
+    if (expected) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(actual->bytes),
+                std::bit_cast<std::uint64_t>(expected->bytes))
+          << "flow " << f;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(actual->packets),
+                std::bit_cast<std::uint64_t>(expected->packets))
+          << "flow " << f;
+    }
+  }
+}
+
+// A drain or a stop met between two chunks of a pop polls the rings into
+// the same buffer that holds the rest of that pop, so the worker must apply
+// the rest first.  Each round fills the ring and posts the call at once,
+// while the worker is still working through full 256-message pops.
+TEST(PipelineMonitor, DrainAndStopMetMidPopApplyTheRest) {
+  auto config = pipeline_config(1, 1);
+  config.coalescer.slots = 0;
+  config.telemetry_prefix = "pipeline_mid_pop_drain";
+  std::vector<PipelineMonitor::PacketEvent> fill(config.ring_capacity);
+  for (std::size_t i = 0; i < fill.size(); ++i) {
+    fill[i] = {tuple(static_cast<std::uint32_t>(i % 3000)), 500, 0};
+  }
+
+  PipelineMonitor pipeline(config);
+  std::uint64_t accepted = 0;
+  for (int round = 0; round < 20; ++round) {
+    accepted += pipeline.ingest_batch(0, fill.data(), fill.size());
+    pipeline.drain();
+    ASSERT_EQ(pipeline.packets_seen(), accepted) << "drain, round " << round;
+  }
+
+  for (int round = 0; round < 20; ++round) {
+    PipelineMonitor stopped(config);
+    const std::size_t sent = stopped.ingest_batch(0, fill.data(), fill.size());
+    stopped.stop();
+    ASSERT_EQ(sent, fill.size());
+    ASSERT_EQ(stopped.packets_seen(), sent) << "stop, round " << round;
+  }
+}
+
 TEST(PipelineMonitor, RotateDuringConcurrentIngestLosesNothing) {
   // Producers ingest with Block backpressure while the control plane keeps
   // rotating: every accepted packet must land in exactly one epoch, and
