@@ -14,6 +14,19 @@
 // by Theorem 2 -- *lower* estimation variance, because one large update
 // replaces several small ones.
 //
+// Runs arrive merged: the pipeline's producers already add up each stretch
+// of back-to-back same-flow packets of an ingest call into one run (bytes,
+// packet count, newest timestamp), and add() takes a run.  A single packet
+// is the one-packet run.  The table then merges runs of a flow that other
+// flows interleave, or that two calls split.
+//
+// Caps: a burst closes once a merge brings it to `max_burst_packets` or
+// `max_burst_bytes`.  A run merges whole, so the run that closes a burst
+// can carry it past a cap: by less than that run when the burst was below
+// the cap before, by at most the run otherwise.  The run that opens a
+// burst is not checked (the producer already cut it at the caps), as a
+// single packet never was.
+//
 // Correctness: a coalesced update feeds the same unbiased Algorithm 1 with
 // l = (sum of the burst's bytes), so f(c) stays an unbiased estimator of
 // the flow's total traffic no matter how packets are grouped (Theorem 1 is
@@ -64,32 +77,26 @@ class BurstCoalescer {
     }
   }
 
-  /// Adds one packet.  Invokes `sink(const BurstUpdate&)` zero or more
-  /// times: when the packet's slot holds a different flow's burst (it is
-  /// closed first) and/or when the packet's own burst reaches a cap.
-  /// Deterministic: the emitted sequence is a pure function of the packet
-  /// sequence.
-  template <typename Sink>
-  void add(const flowtable::FiveTuple& flow, std::uint32_t length,
-           std::uint64_t now_ns, Sink&& sink) {
-    add(flow, hash_tuple(flow), length, now_ns, std::forward<Sink>(sink));
-  }
-
-  /// Same, with the tuple hash already in hand (the pipeline's producers
-  /// hash every packet to route it, and the hash rides in the ring
-  /// message) -- must equal hash_tuple(flow).
+  /// Adds a run of `packets` (>= 1) packets of `flow` holding `bytes` bytes,
+  /// the newest stamped `now_ns`; `hash` must equal hash_tuple(flow).
+  /// Invokes `sink(const BurstUpdate&)` zero or more times: when the run's
+  /// slot holds a different flow's burst (it is closed first) and/or when a
+  /// merge brings the run's burst to a cap.  Deterministic: the emitted
+  /// sequence is a pure function of the run sequence.
   template <typename Sink>
   void add(const flowtable::FiveTuple& flow, std::uint64_t hash,
-           std::uint32_t length, std::uint64_t now_ns, Sink&& sink) {
+           std::uint64_t bytes, std::uint64_t packets, std::uint64_t now_ns,
+           Sink&& sink) {
+    merged_ += packets - 1;  // the run's own packets after its first
     if (table_.empty()) {  // coalescing disabled: pass through
-      sink(BurstUpdate{flow, length, 1, now_ns});
+      sink(BurstUpdate{flow, bytes, packets, now_ns});
       return;
     }
     Entry& e = table_[hash & mask_];
     if (e.open) {
       if (e.burst.flow == flow) {
-        e.burst.bytes += length;
-        e.burst.packets += 1;
+        e.burst.bytes += bytes;
+        e.burst.packets += packets;
         e.burst.last_ns = now_ns;
         ++merged_;
         if (e.burst.packets >= max_packets_ || e.burst.bytes >= max_bytes_) {
@@ -102,9 +109,23 @@ class BurstCoalescer {
       sink(e.burst);  // collision: close the resident burst
       --open_;
     }
-    e.burst = BurstUpdate{flow, length, 1, now_ns};
+    e.burst = BurstUpdate{flow, bytes, packets, now_ns};
     e.open = true;
     ++open_;
+  }
+
+  /// Adds one packet: the one-packet run.
+  template <typename Sink>
+  void add(const flowtable::FiveTuple& flow, std::uint32_t length,
+           std::uint64_t now_ns, Sink&& sink) {
+    add(flow, hash_tuple(flow), length, 1, now_ns, std::forward<Sink>(sink));
+  }
+
+  /// Same, with the tuple hash already in hand (must equal hash_tuple(flow)).
+  template <typename Sink>
+  void add(const flowtable::FiveTuple& flow, std::uint64_t hash,
+           std::uint32_t length, std::uint64_t now_ns, Sink&& sink) {
+    add(flow, hash, length, 1, now_ns, std::forward<Sink>(sink));
   }
 
   /// Closes every open burst in slot order (deterministic), emptying the
@@ -139,8 +160,14 @@ class BurstCoalescer {
   /// Open bursts currently buffered (each awaiting a flush or a cap).
   [[nodiscard]] std::size_t open_bursts() const noexcept { return open_; }
 
-  /// Packets absorbed into an already-open burst (the update-count saving).
+  /// Packets that needed no DISCO update of their own (the update-count
+  /// saving): k - 1 for each k-packet run, plus one for each run merged
+  /// into an already-open burst.
   [[nodiscard]] std::uint64_t merged() const noexcept { return merged_; }
+
+  /// The caps as applied (a configured 0 means 1).
+  [[nodiscard]] std::uint64_t max_packets() const noexcept { return max_packets_; }
+  [[nodiscard]] std::uint64_t max_bytes() const noexcept { return max_bytes_; }
 
  private:
   struct Entry {

@@ -15,9 +15,13 @@ namespace disco::pipeline {
 
 namespace {
 
-/// Messages a worker applies between two looks at its command ring.  A
-/// control call waits for the rest of one chunk, not for the rest of a
-/// pop of up to `pop_batch` messages: about 8 us of one-packet bursts.
+/// Packets a worker applies between two looks at its command ring (a
+/// chunk holds at least one message, so one longer run is a chunk of its
+/// own).  A control call waits for the rest of one chunk, not for the rest
+/// of a pop of up to `pop_batch` messages: about 8 us of one-packet bursts.
+/// Counting messages instead lets a chunk of producer runs hold hundreds of
+/// packets, about one DISCO update per run, and about doubled the median
+/// query on run-heavy traffic (EXPERIMENTS.md, "Runs at the producer").
 constexpr std::size_t kCommandChunk = 64;
 
 /// A sweep that pops fewer messages than this is thin: the worker is
@@ -172,6 +176,15 @@ PipelineMonitor::PipelineMonitor(const Config& config)
     worker.coalesced = &registry.counter(prefix + ".coalesced_total");
     worker.commands = &registry.counter(prefix + ".commands_total");
   }
+  // Runs honour the caps as the coalescer applies them, so a run never
+  // holds more than a burst may.
+  const BurstCoalescer& coalescer = workers_.front()->coalescer;
+  constexpr std::uint64_t kField = ~std::uint32_t{0};
+  run_packets_ = config.coalescer.slots == 0
+                     ? 1
+                     : static_cast<std::uint32_t>(
+                           std::min(coalescer.max_packets(), kField));
+  run_bytes_ = static_cast<std::uint32_t>(std::min(coalescer.max_bytes(), kField));
   producer_stats_.reserve(producers_);
   for (unsigned p = 0; p < producers_; ++p) {
     producer_stats_.push_back(std::make_unique<ProducerStats>());
@@ -202,27 +215,49 @@ std::size_t PipelineMonitor::ingest_batch(unsigned producer,
   ProducerStats& stats = *producer_stats_[producer];
   const unsigned workers = static_cast<unsigned>(workers_.size());
 
-  // Phase 1 -- hash the whole batch up front and bucket by owning worker
-  // (high hash bits, as worker_of).  One hash serves routing and the
-  // worker's coalescer slot: it rides in the message so the coalescer does
-  // not rehash.  The flow table still hashes every burst the coalescer
-  // emits (FlowMonitor::ingest_batch; a FlowBurst carries no hash).  With
-  // one worker the bucket step is skipped and messages are built straight
-  // into the ring span.
+  // A run: the packets from packets[i] on while they share its flow and
+  // fit the run caps.  Built in locals and returned as one message, with
+  // `i` advanced past it.  Every packet's timestamp passes the clock-skew
+  // fault point; the message keeps the last.
+  const auto next_run = [&](std::size_t& i) {
+    const PacketEvent& first = packets[i];
+    std::uint64_t bytes = first.length;
+    std::uint32_t count = 1;
+    std::uint64_t now_ns = util::fault::skew_clock(first.now_ns);
+    while (++i < n && count < run_packets_ && packets[i].flow == first.flow &&
+           bytes + packets[i].length <= run_bytes_) {
+      bytes += packets[i].length;
+      ++count;
+      now_ns = util::fault::skew_clock(packets[i].now_ns);
+    }
+    Message msg{first.flow, static_cast<std::uint32_t>(bytes), count, now_ns,
+                {}};
+    msg.hash = hash_tuple(first.flow);
+    return msg;
+  };
+
+  // Phase 1 -- form the batch's runs up front and bucket them by owning
+  // worker (high hash bits, as worker_of).  One hash per run serves
+  // routing and the worker's coalescer slot: it rides in the message so
+  // the coalescer does not rehash.  The flow table still hashes every
+  // burst the coalescer emits (FlowMonitor::ingest_batch; a FlowBurst
+  // carries no hash).  With one worker the bucket step is skipped and runs
+  // are formed straight into the ring span.
   if (stats.buckets.size() != workers) stats.buckets.resize(workers);
   if (workers > 1) {
     for (auto& bucket : stats.buckets) bucket.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t hash = hash_tuple(packets[i].flow);
-      Message msg{packets[i].flow, packets[i].length,
-                  util::fault::skew_clock(packets[i].now_ns), {}};
-      msg.hash = hash;
-      stats.buckets[(hash >> 32) % workers].push_back(msg);
+    for (std::size_t i = 0; i < n;) {
+      const Message msg = next_run(i);
+      stats.buckets[(msg.hash >> 32) % workers].push_back(msg);
     }
   }
 
   // Phase 2 -- per worker, reserve a contiguous span of ring slots, write
-  // the bucket into it, and publish the whole span with one release store.
+  // the runs into it, and publish them with one release store.  With one
+  // worker, `remaining` and `offset` count packets, a span is granted one
+  // slot per remaining packet, and only the slots the runs fill are
+  // committed; otherwise they count the bucket's runs.  Accepted and
+  // dropped count packets either way.
   // Fault points (compile to nothing without DISCO_FAULTS): kClockSkew
   // perturbs the timestamps feeding burst-boundary decisions downstream;
   // kRingFull fails a span's reservation as if the worker had fallen
@@ -252,8 +287,15 @@ std::size_t PipelineMonitor::ingest_batch(unsigned producer,
                         : ring.push_prepare(granted);
       if (slots == nullptr) {
         if (config_.backpressure == Backpressure::Drop) {
-          stats.dropped.fetch_add(remaining, std::memory_order_relaxed);
-          dropped_metric_->inc(remaining);
+          std::size_t lost = remaining;
+          if (bucket != nullptr) {
+            lost = 0;
+            for (std::size_t j = offset; j < offset + remaining; ++j) {
+              lost += bucket[j].packets;
+            }
+          }
+          stats.dropped.fetch_add(lost, std::memory_order_relaxed);
+          dropped_metric_->inc(lost);
           break;
         }
         blocked_metric_->inc();
@@ -263,38 +305,45 @@ std::size_t PipelineMonitor::ingest_batch(unsigned producer,
           granted = remaining;
         } while ((slots = ring.push_prepare(granted)) == nullptr);
       }
+      std::size_t written = 0;
+      std::size_t consumed = 0;
       if (bucket != nullptr) {
-        std::copy(bucket + offset, bucket + offset + granted, slots);
-      } else {
-        for (std::size_t i = 0; i < granted; ++i) {
-          const PacketEvent& pkt = packets[offset + i];
-          Message msg{pkt.flow, pkt.length, util::fault::skew_clock(pkt.now_ns),
-                      {}};
-          msg.hash = hash_tuple(pkt.flow);
-          slots[i] = msg;
+        for (; written < granted; ++written) {
+          const Message& msg = bucket[offset + written];
+          slots[written] = msg;
+          accepted += msg.packets;
         }
+        consumed = written;
+      } else {
+        std::size_t i = offset;
+        while (written < granted && i < n) slots[written++] = next_run(i);
+        consumed = i - offset;
+        accepted += consumed;
       }
-      ring.push_commit(granted);
-      offset += granted;
-      accepted += granted;
-      remaining -= granted;
+      ring.push_commit(written);
+      offset += consumed;
+      remaining -= consumed;
     }
   }
   return accepted;
 }
 
-void PipelineMonitor::process_batch(Worker& worker, const Message* batch,
-                                    std::size_t n) {
+std::size_t PipelineMonitor::apply_chunk(Worker& worker, const Message* batch,
+                                         std::size_t n) {
   // Collect the coalescer's emissions for one chunk of a pop, then apply
   // them with one ingest_batch call, in emission order.
   worker.bursts.clear();
   auto buffer = worker.buffer();
-  for (std::size_t i = 0; i < n; ++i) {
+  std::size_t i = 0;
+  std::size_t packets = 0;
+  do {
     // Packet-ring messages carry the producer's hash (see Message): the
-    // coalescer reuses it instead of rehashing the tuple per packet.
-    worker.coalescer.add(batch[i].flow, batch[i].hash, batch[i].length,
-                         batch[i].now_ns, buffer);
-  }
+    // coalescer reuses it instead of rehashing the tuple per run.
+    const Message& msg = batch[i];
+    packets += msg.packets;
+    worker.coalescer.add(msg.flow, msg.hash, msg.length, msg.packets,
+                         msg.now_ns, buffer);
+  } while (++i < n && packets + batch[i].packets <= kCommandChunk);
   (void)worker.monitor.ingest_batch(worker.bursts);
   const std::uint64_t merged = worker.coalescer.merged();
   if (merged != worker.merged_reported) {
@@ -302,6 +351,7 @@ void PipelineMonitor::process_batch(Worker& worker, const Message* batch,
     worker.merged_reported = merged;
     worker.merged_mirror.store(merged, std::memory_order_relaxed);
   }
+  return i;
 }
 
 void PipelineMonitor::handle_command(Worker& worker, Command& command) {
@@ -328,9 +378,7 @@ PipelineMonitor::Command* PipelineMonitor::next_command(Worker& worker) {
 void PipelineMonitor::apply_pop(Worker& worker, std::size_t n) {
   const Message* batch = worker.batch.data();
   for (std::size_t applied = 0; applied < n;) {
-    const std::size_t chunk = std::min(kCommandChunk, n - applied);
-    process_batch(worker, batch + applied, chunk);
-    applied += chunk;
+    applied += apply_chunk(worker, batch + applied, n - applied);
     if (applied == n) break;
     // A command served here sees the rest of this pop as still queued.  A
     // draining one pops the rings into `worker.batch`, over that rest, so
@@ -338,8 +386,9 @@ void PipelineMonitor::apply_pop(Worker& worker, std::size_t n) {
     Command* command = next_command(worker);
     if (command == nullptr) continue;
     if (command->drain) {
-      process_batch(worker, batch + applied, n - applied);
-      applied = n;
+      while (applied < n) {
+        applied += apply_chunk(worker, batch + applied, n - applied);
+      }
     }
     handle_command(worker, *command);
   }

@@ -8,10 +8,16 @@
 //
 //   producer threads                     worker threads (one per shard)
 //   ---------------                      -----------------------------
-//   hash 5-tuple, route by        SPSC   pop a batch, coalesce bursts
-//   high bits to the owning  --> rings -->  (Section VI pre-aggregation),
-//   worker's ring                        apply DISCO updates to the shard
+//   merge same-flow runs,         SPSC   pop a batch, coalesce runs into
+//   hash each run, route by  --> rings -->  bursts (Section VI
+//   high bits to the owning              pre-aggregation), apply DISCO
+//   worker's ring                        updates to the shard
 //
+//   * Section VI's aggregation starts at the producer: each stretch of
+//     back-to-back same-flow packets in one ingest_batch call travels as ONE
+//     ring message (a run), so it costs one hash, one ring slot and one
+//     coalescer step, not one per packet.  The worker's coalescer then
+//     merges runs of a flow that other flows interleave.
 //   * Routing uses the hash's HIGH bits (the flow table probes with the low
 //     bits), so shard choice and in-table placement stay decorrelated, and
 //     a flow's estimates are identical to a single FlowMonitor fed that
@@ -24,12 +30,13 @@
 //     in-band command message through a dedicated per-worker command ring
 //     and runs ON the worker thread, so it never touches a shard from
 //     outside -- the shard has exactly one thread, ever.  The worker applies
-//     a ring pop in chunks of 64 messages and serves its command ring
-//     between chunks, so a command waits for at most the rest of one chunk,
-//     not of the whole pop.  A command pauses only its own worker while it
-//     runs; calls that visit every worker post to all of them before
-//     waiting, so the shards serve them (a rotate included) concurrently,
-//     and fold the answers in worker order on the calling thread.
+//     a ring pop in chunks of at most 64 packets (or one run) and serves its
+//     command ring between chunks, so a command waits for at most the rest
+//     of one chunk, not of the whole pop.  A command pauses only its own
+//     worker while it runs; calls that visit every worker post to all of
+//     them before waiting, so the shards serve them (a rotate included)
+//     concurrently, and fold the answers in worker order on the calling
+//     thread.
 //   * A worker that keeps pace with its producers packet by packet pauses
 //     about two microseconds after each thin sweep (under 32 messages)
 //     instead of popping again at once, so it stops pulling the ring's
@@ -123,19 +130,30 @@ class PipelineMonitor {
   };
 
   /// Enqueues `n` packets from producer `producer` and returns how many
-  /// were accepted (all of them under Block backpressure unless the
-  /// pipeline is stopping; possibly fewer under Drop, each miss counted in
-  /// dropped()) -- the one producer-side ingest implementation.  The
-  /// per-packet costs -- the accepting check, worker lookup, and above all
-  /// the ring's release store -- are paid once per batch of same-worker
-  /// packets: the producer hashes the whole batch up front, buckets it by
-  /// owning worker, and writes each bucket straight into a reserved span of
-  /// ring slots (SpscRing::push_prepare/push_commit).  The precomputed hash
-  /// travels in the message, so the worker's coalescer does not rehash the
-  /// tuple; the flow table does, once per coalesced burst
-  /// (FlowMonitor::ingest_batch).  This is the producer half of the
-  /// batched-prefetch ingest design (docs/architecture.md); a few hundred
-  /// packets per call amortises best, e.g. one NIC rx-burst.
+  /// packets were accepted (all of them under Block backpressure unless
+  /// the pipeline is stopping; possibly fewer under Drop, every packet of a
+  /// dropped run counted in dropped()) -- the one producer-side ingest
+  /// implementation.
+  ///
+  /// Each maximal stretch of consecutive same-flow packets of the call is
+  /// one run: one ring message carrying the run's bytes, packet count,
+  /// last timestamp and one hash (Section VI's aggregation, done where the
+  /// packets arrive).  A run is cut where it would pass the coalescer's
+  /// max_burst_packets or max_burst_bytes (as the coalescer applies them)
+  /// or 2^32 - 1 bytes.  With coalescing off (`coalescer.slots == 0`) every
+  /// packet is its own run, so each packet stays one DISCO update.
+  ///
+  /// The remaining per-message costs -- the accepting check, worker lookup,
+  /// and above all the ring's release store -- are paid once per batch of
+  /// same-worker runs: the producer hashes the batch's runs up front,
+  /// buckets them by owning worker, and writes each bucket into a reserved
+  /// span of ring slots (SpscRing::push_prepare/push_commit); one worker
+  /// gets its runs formed straight into the span.  The hash travels in the
+  /// message, so the worker's coalescer does not rehash the tuple; the flow
+  /// table does, once per coalesced burst (FlowMonitor::ingest_batch).
+  /// This is the producer half of the batched-prefetch ingest design
+  /// (docs/architecture.md); a few hundred packets per call amortises best,
+  /// e.g. one NIC rx-burst.
   std::size_t ingest_batch(unsigned producer, const PacketEvent* packets,
                            std::size_t n);
 
@@ -169,10 +187,10 @@ class PipelineMonitor {
   /// every packet of the flow the worker has applied: the worker first
   /// applies the flow's open coalescer burst, and only that one -- the
   /// other open bursts stay open, so a query costs its own lookup plus the
-  /// wait for the worker to finish the chunk (at most 64 messages) it is
-  /// applying.  Packets still queued in the rings are not counted, and
-  /// neither is the unapplied rest of the worker's current pop (drain()
-  /// first for those).
+  /// wait for the worker to finish the chunk (at most 64 packets, or one
+  /// run) it is applying.  Packets still queued in the rings are not
+  /// counted, and neither is the unapplied rest of the worker's current pop
+  /// (drain() first for those).
   [[nodiscard]] std::optional<FlowEstimate> query(const FiveTuple& flow)
       DISCO_EXCLUDES(control_mutex_);
   [[nodiscard]] std::vector<FlowEstimate> top_k(std::size_t k)
@@ -214,8 +232,10 @@ class PipelineMonitor {
   /// producers.  Always counted, independent of telemetry.
   [[nodiscard]] std::uint64_t dropped() const noexcept;
 
-  /// Packets merged into an open burst by the coalescers (the DISCO-update
-  /// saving), summed over workers.  Stable only while quiesced or stopped.
+  /// Packets that needed no DISCO update of their own (the saving), summed
+  /// over workers: the packets after the first of each producer run, plus
+  /// each run the coalescers merged into an open burst.  Stable only while
+  /// quiesced or stopped.
   [[nodiscard]] std::uint64_t coalesced() const noexcept;
 
   /// The worker/shard that owns `flow`: top 32 hash bits modulo `workers`
@@ -233,22 +253,25 @@ class PipelineMonitor {
       const Config& config, unsigned worker);
 
  private:
-  /// One slot of every ring: a packet, or (command rings only) a borrowed
-  /// pointer to a synchronous command the worker runs and signals.  Which
-  /// union member is live is decided by the ring, not the message: packet
-  /// rings carry `hash` (the producer already hashed the tuple to route it,
-  /// and the worker's coalescer reuses it instead of rehashing; the flow
-  /// table hashes each burst again), the command ring carries `command`.
+  /// One slot of every ring: a run of same-flow packets, or (command rings
+  /// only) a borrowed pointer to a synchronous command the worker runs and
+  /// signals.  Which union member is live is decided by the ring, not the
+  /// message: packet rings carry `hash` (the producer already hashed the
+  /// tuple to route it, and the worker's coalescer reuses it instead of
+  /// rehashing; the flow table hashes each burst again), the command ring
+  /// carries `command`.
   struct Command;
   struct Message {
     FiveTuple flow{};
-    std::uint32_t length = 0;
-    std::uint64_t now_ns = 0;
+    std::uint32_t length = 0;   ///< the run's bytes
+    std::uint32_t packets = 1;  ///< the run's packets (fills the padding)
+    std::uint64_t now_ns = 0;   ///< the run's last packet's timestamp
     union {
       Command* command = nullptr;
       std::uint64_t hash;
     };
   };
+  static_assert(sizeof(Message) == 40, "a run costs one packet's ring slot");
 
   struct Worker;
 
@@ -260,7 +283,9 @@ class PipelineMonitor {
   /// Applies the `n` messages of `worker.batch` in chunks, serving the
   /// command ring between two chunks.
   void apply_pop(Worker& worker, std::size_t n);
-  void process_batch(Worker& worker, const Message* batch, std::size_t n);
+  /// Applies one chunk from the front of `batch[0, n)`: messages up to 64
+  /// packets in all, at least one message.  Returns the messages applied.
+  std::size_t apply_chunk(Worker& worker, const Message* batch, std::size_t n);
   /// The command waiting on `worker`'s command ring, popped, or nullptr.
   Command* next_command(Worker& worker);
   void handle_command(Worker& worker, Command& command);
@@ -278,6 +303,11 @@ class PipelineMonitor {
 
   Config config_;
   unsigned producers_ = 1;
+  /// A producer run's caps: the coalescer's burst caps within the message's
+  /// 32-bit fields, and one packet with coalescing off.  Set before the
+  /// workers start, read-only after.
+  std::uint32_t run_packets_ = 1;
+  std::uint32_t run_bytes_ = 1;
 
   struct ProducerStats {
     /// Bumped with relaxed fetch_add and read with relaxed loads: a pure

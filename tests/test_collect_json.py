@@ -81,6 +81,10 @@ class CollectJson(unittest.TestCase):
         self.assertEqual(modules["epochs"], EPOCHS)
         self.assertEqual({m["module"] for m in modules["modules"]}, MODULES)
 
+    def test_topports_ranks_several_ports(self):
+        modules = {m["module"]: m for m in self.doc["modules"]["modules"]}
+        self.assertGreater(len(modules["topports"]["top"]), 1)
+
     def test_numbers_round_trip(self):
         totals = self.doc["totals"]
         top = self.doc["top"]

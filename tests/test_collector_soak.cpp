@@ -52,13 +52,14 @@ constexpr double kConfidence = 0.999;
 
 int g_interval_violations = 0;
 
-/// Same mapping as disco_monitor / disco_analyze.
+/// Same mapping as disco_monitor.
 flowtable::FiveTuple tuple_for_flow(std::uint32_t flow_id) {
+  constexpr std::uint16_t kPorts[] = {443, 80, 53, 22, 8080, 25, 123, 3306};
   flowtable::FiveTuple t;
   t.src_ip = 0x0a000000u | flow_id;
-  t.dst_ip = 0xc0a80001u;
+  t.dst_ip = 0xc0a80001u + (flow_id & 3u);
   t.src_port = static_cast<std::uint16_t>(1024 + (flow_id & 0x7fff));
-  t.dst_port = 443;
+  t.dst_port = kPorts[(flow_id >> 2) & 7u];
   t.protocol = 6;
   return t;
 }

@@ -34,6 +34,41 @@ FiveTuple tuple(std::uint32_t i) {
                    static_cast<std::uint16_t>(1024 + (i % 50000)), 443, 6};
 }
 
+/// `packets` packets in runs of 1-16 back-to-back packets of one of 64
+/// flows, stamped 1, 2, ...: the shape producers merge into runs.
+std::vector<PipelineMonitor::PacketEvent> run_trace(std::size_t packets,
+                                                    std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<PipelineMonitor::PacketEvent> trace;
+  trace.reserve(packets);
+  while (trace.size() < packets) {
+    const FiveTuple flow = tuple(static_cast<std::uint32_t>(rng.uniform_u64(0, 63)));
+    for (std::uint64_t left = 1 + rng.uniform_u64(0, 15);
+         left > 0 && trace.size() < packets; --left) {
+      trace.push_back({flow, static_cast<std::uint32_t>(rng.uniform_u64(40, 1500)),
+                       trace.size() + 1});
+    }
+  }
+  return trace;
+}
+
+/// Offers `trace` in calls of uneven sizes (1 to 509 packets, so runs are
+/// split at odd places) and returns the packets the calls accepted.
+std::uint64_t ingest_unevenly(PipelineMonitor& pipeline,
+                              const std::vector<PipelineMonitor::PacketEvent>& trace) {
+  std::uint64_t accepted = 0;
+  std::size_t chunk = 1;
+  for (std::size_t off = 0; off < trace.size();) {
+    const std::size_t n = std::min(chunk, trace.size() - off);
+    const std::size_t got = pipeline.ingest_batch(0, trace.data() + off, n);
+    EXPECT_LE(got, n);
+    accepted += got;
+    off += n;
+    chunk = (chunk * 7 + 3) % 509 + 1;
+  }
+  return accepted;
+}
+
 PipelineMonitor::Config pipeline_config(unsigned workers, unsigned producers) {
   PipelineMonitor::Config c;
   c.base.max_flows = 4096;
@@ -163,6 +198,58 @@ TEST(BurstCoalescer, CapsCloseTheBurst) {
   const auto flushed = collect_flush(c);
   ASSERT_EQ(flushed.size(), 1u);
   EXPECT_EQ(flushed[0].packets, 1u);
+
+  // A run merges whole: runs of 2 and 2 bring the burst past the 3-packet
+  // cap, to 4, and it closes there.
+  const FiveTuple f = tuple(9);
+  emitted.clear();
+  c.add(f, flowtable::hash_tuple(f), 20, 2, 1, sink);
+  EXPECT_TRUE(emitted.empty());
+  c.add(f, flowtable::hash_tuple(f), 20, 2, 2, sink);
+  ASSERT_EQ(emitted.size(), 1u);
+  EXPECT_EQ(emitted[0].packets, 4u);
+  EXPECT_EQ(emitted[0].bytes, 40u);
+  EXPECT_EQ(emitted[0].last_ns, 2u);
+  EXPECT_EQ(c.open_bursts(), 0u);
+  EXPECT_EQ(c.merged(), 4u + 3u);  // 4 packets above, 1 + 1 + 1 here
+}
+
+// Below the caps, a run leaves the coalescer exactly as its packets fed one
+// by one would: the same bursts, in the same order, with the same merged().
+TEST(BurstCoalescer, RunsEmitWhatTheirPacketsEmit) {
+  const BurstCoalescer::Config config{.slots = 16,
+                                      .max_burst_packets = 1u << 20,
+                                      .max_burst_bytes = std::uint64_t{1} << 40};
+  BurstCoalescer by_packet(config);
+  BurstCoalescer by_run(config);
+  std::vector<BurstUpdate> expected, actual;
+  auto expect = [&](const BurstUpdate& b) { expected.push_back(b); };
+  auto act = [&](const BurstUpdate& b) { actual.push_back(b); };
+  util::Rng rng(31);
+  std::uint64_t now = 0;
+  for (int run = 0; run < 3000; ++run) {
+    // 40 flows in 16 slots: runs collide, interleave and repeat.
+    const FiveTuple flow = tuple(static_cast<std::uint32_t>(rng.uniform_u64(0, 39)));
+    const std::uint64_t packets = 1 + rng.uniform_u64(0, 15);
+    std::uint64_t bytes = 0;
+    for (std::uint64_t p = 0; p < packets; ++p) {
+      const auto len = static_cast<std::uint32_t>(rng.uniform_u64(64, 1500));
+      bytes += len;
+      by_packet.add(flow, len, ++now, expect);
+    }
+    by_run.add(flow, flowtable::hash_tuple(flow), bytes, packets, now, act);
+  }
+  by_packet.flush(expect);
+  by_run.flush(act);
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(actual[i].flow, expected[i].flow) << "burst " << i;
+    ASSERT_EQ(actual[i].bytes, expected[i].bytes) << "burst " << i;
+    ASSERT_EQ(actual[i].packets, expected[i].packets) << "burst " << i;
+    ASSERT_EQ(actual[i].last_ns, expected[i].last_ns) << "burst " << i;
+  }
+  EXPECT_EQ(by_run.merged(), by_packet.merged());
+  EXPECT_EQ(by_run.merged() + expected.size(), now);  // one update per burst
 }
 
 TEST(BurstCoalescer, ByteCapClosesTheBurst) {
@@ -594,31 +681,102 @@ TEST(PipelineMonitor, CoalescedPipelineTracksTruth) {
 }
 
 // A query applies its own flow's open coalescer burst before the lookup, so
-// it counts every packet of the flow the worker has popped.
+// it counts every packet of the flow the worker has popped: five packets in
+// five calls, merged by the worker's coalescer, or in one call, merged at
+// the producer into one run.
 TEST(PipelineMonitor, QueryAppliesItsOwnOpenBurst) {
+  for (const bool one_call : {false, true}) {
+    SCOPED_TRACE(one_call ? "one ingest_batch call" : "five ingest calls");
+    auto config = pipeline_config(1, 1);
+    config.coalescer.slots = 64;
+    PipelineMonitor pipeline(config);
+    if (one_call) {
+      const std::vector<PipelineMonitor::PacketEvent> run(5, {tuple(3), 300, 0});
+      ASSERT_EQ(pipeline.ingest_batch(0, run.data(), run.size()), 5u);
+    } else {
+      for (int i = 0; i < 5; ++i) ASSERT_TRUE(pipeline.ingest(0, tuple(3), 300));
+    }
+    // Packets 2-5 merged into packet 1's burst: all five are popped and
+    // sit in one open burst (until the worker's idle flush, which a query
+    // arriving this soon usually beats).
+    while (pipeline.coalesced() < 4) std::this_thread::yield();
+    EXPECT_EQ(pipeline.coalesced(), 4u);
+    const auto estimate = pipeline.query(tuple(3));
+    ASSERT_TRUE(estimate.has_value());
+    // Bit for bit what the shard reports for those five packets as one burst.
+    FlowMonitor reference(PipelineMonitor::shard_config(config, 0));
+    const flowtable::FlowBurst burst{tuple(3), 1500, 5, 0};
+    ASSERT_EQ(reference.ingest_batch({&burst, 1}), 1u);
+    const auto expected = reference.query(tuple(3));
+    ASSERT_TRUE(expected.has_value());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(estimate->packets),
+              std::bit_cast<std::uint64_t>(expected->packets));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(estimate->bytes),
+              std::bit_cast<std::uint64_t>(expected->bytes));
+    EXPECT_NEAR(estimate->packets, 5.0, 1.0);
+    pipeline.drain();
+    EXPECT_EQ(pipeline.packets_seen(), 5u);
+  }
+}
+
+// Runs form inside one ingest_batch call, so call boundaries split them.
+// With one worker (runs formed in the ring span) and with four (runs
+// bucketed by worker), each call returns its packet count and the workers
+// apply every packet offered.
+TEST(PipelineMonitor, RunsSplitAcrossUnevenCallsCountEveryPacket) {
+  const auto trace = run_trace(30000, 4243);
+  for (const unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    PipelineMonitor pipeline(pipeline_config(workers, 1));
+    EXPECT_EQ(ingest_unevenly(pipeline, trace), trace.size());
+    pipeline.drain();
+    EXPECT_EQ(pipeline.packets_seen(), trace.size());
+    EXPECT_GT(pipeline.coalesced(), trace.size() / 2);  // runs average 8.5
+  }
+}
+
+// A producer cuts a run where it would pass the coalescer's packet cap or
+// the message's 32-bit byte field.  The bursts that follow are checked bit
+// for bit against a shard fed them.
+TEST(PipelineMonitor, RunsAreCutAtTheCaps) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto expect_bursts =
+      [&](const PipelineMonitor::Config& config,
+          const std::vector<PipelineMonitor::PacketEvent>& packets,
+          const std::vector<flowtable::FlowBurst>& bursts, std::uint64_t merged) {
+        PipelineMonitor pipeline(config);
+        ASSERT_EQ(pipeline.ingest_batch(0, packets.data(), packets.size()),
+                  packets.size());
+        pipeline.drain();
+        EXPECT_EQ(pipeline.coalesced(), merged);
+        FlowMonitor reference(PipelineMonitor::shard_config(config, 0));
+        for (const auto& burst : bursts) {
+          ASSERT_EQ(reference.ingest_batch({&burst, 1}), 1u);
+        }
+        const auto expected = reference.query(packets[0].flow);
+        const auto actual = pipeline.query(packets[0].flow);
+        ASSERT_TRUE(expected.has_value());
+        ASSERT_TRUE(actual.has_value());
+        EXPECT_EQ(bits(actual->bytes), bits(expected->bytes));
+        EXPECT_EQ(bits(actual->packets), bits(expected->packets));
+      };
+
+  // Ten packets under a 4-packet cap: runs of 4, 4 and 2.  The second run
+  // closes the first one's burst at 8 packets; the third stays open until
+  // the drain.
   auto config = pipeline_config(1, 1);
-  config.coalescer.slots = 64;
-  PipelineMonitor pipeline(config);
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(pipeline.ingest(0, tuple(3), 300));
-  // Packets 2-5 merged into packet 1's burst: all five are popped and sit
-  // in one open burst (until the worker's idle flush, which a query
-  // arriving this soon usually beats).
-  while (pipeline.coalesced() != 4) std::this_thread::yield();
-  const auto estimate = pipeline.query(tuple(3));
-  ASSERT_TRUE(estimate.has_value());
-  // Bit for bit what the shard reports for those five packets as one burst.
-  FlowMonitor reference(PipelineMonitor::shard_config(config, 0));
-  const flowtable::FlowBurst burst{tuple(3), 1500, 5, 0};
-  ASSERT_EQ(reference.ingest_batch({&burst, 1}), 1u);
-  const auto expected = reference.query(tuple(3));
-  ASSERT_TRUE(expected.has_value());
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(estimate->packets),
-            std::bit_cast<std::uint64_t>(expected->packets));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(estimate->bytes),
-            std::bit_cast<std::uint64_t>(expected->bytes));
-  EXPECT_NEAR(estimate->packets, 5.0, 1.0);
-  pipeline.drain();
-  EXPECT_EQ(pipeline.packets_seen(), 5u);
+  config.coalescer.max_burst_packets = 4;
+  expect_bursts(config, std::vector<PipelineMonitor::PacketEvent>(10, {tuple(5), 100, 0}),
+                {{tuple(5), 800, 8, 0}, {tuple(5), 200, 2, 0}}, 8);
+
+  // Two 3 GiB packets under a byte cap past 32 bits: two runs, which the
+  // coalescer merges into one 6 GiB burst.
+  config = pipeline_config(1, 1);
+  config.base.max_flow_bytes = std::uint64_t{1} << 40;
+  config.coalescer.max_burst_bytes = std::uint64_t{1} << 40;
+  expect_bursts(config,
+                std::vector<PipelineMonitor::PacketEvent>(2, {tuple(6), 3u << 30, 0}),
+                {{tuple(6), std::uint64_t{6} << 30, 2, 0}}, 1);
 }
 
 // A worker serves its command ring between chunks of a ring pop.  Read-only
@@ -778,6 +936,26 @@ TEST(PipelineMonitor, DropBackpressureCountsEveryLostPacket) {
   EXPECT_EQ(accepted + pipeline.dropped(), kAttempted);
   EXPECT_EQ(pipeline.packets_seen(), accepted);
   EXPECT_GT(accepted, 0u);
+}
+
+// Drop backpressure with runs: a dropped run loses all its packets, and
+// both ingest_batch's return value and dropped() count packets, so they add
+// up to the packets offered.  One worker and four, as above.
+TEST(PipelineMonitor, DropBackpressureCountsRunsInPackets) {
+  const auto trace = run_trace(50000, 4244);
+  for (const unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    auto config = pipeline_config(workers, 1);
+    config.ring_capacity = 8;  // absurdly small: force drops
+    config.backpressure = Backpressure::Drop;
+    PipelineMonitor pipeline(config);
+    const std::uint64_t accepted = ingest_unevenly(pipeline, trace);
+    pipeline.drain();
+    EXPECT_GT(pipeline.dropped(), 0u);
+    EXPECT_GT(accepted, 0u);
+    EXPECT_EQ(accepted + pipeline.dropped(), trace.size());
+    EXPECT_EQ(pipeline.packets_seen(), accepted);
+  }
 }
 
 TEST(PipelineMonitor, QueriesRunConcurrentlyWithIngest) {

@@ -8,8 +8,10 @@
 // (src/util/fault.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "flowtable/monitor.hpp"
@@ -343,6 +345,48 @@ TEST_F(FaultFixture, RingFullDropsAreCountedExactly) {
   // Every accepted packet must be applied downstream despite the faults.
   EXPECT_EQ(monitor.packets_seen(), accepted);
   monitor.stop();
+}
+
+// The same with runs: a failed reservation drops whole runs, and both the
+// return values and dropped() count their packets.  One worker (runs formed
+// in the ring span) and four (runs bucketed by worker).
+TEST_F(FaultFixture, RingFullDropsCountRunsInPackets) {
+  std::vector<pipeline::PipelineMonitor::PacketEvent> trace;
+  for (std::uint32_t run = 0; trace.size() < 20000; ++run) {
+    for (std::uint32_t p = 0; p < 1 + run % 16; ++p) {
+      trace.push_back({tuple(run % 64), 100 + p, trace.size()});
+    }
+  }
+  for (const unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    util::fault::Plan plan;
+    plan.start_after = 20;
+    plan.period = 4;
+    util::fault::arm(util::fault::Point::kRingFull, plan);
+
+    pipeline::PipelineMonitor::Config config;
+    config.base = policy_config(AdmissionPolicy::Drop, SaturationPolicy::Saturate);
+    config.base.max_flows = 4096;
+    config.workers = workers;
+    config.backpressure = pipeline::Backpressure::Drop;
+    pipeline::PipelineMonitor monitor(config);
+
+    std::uint64_t accepted = 0;
+    std::size_t n = 0;
+    for (std::size_t off = 0; off < trace.size(); off += n) {
+      n = std::min(n % 300 + 37, trace.size() - off);  // uneven calls
+      const std::size_t got = monitor.ingest_batch(0, trace.data() + off, n);
+      ASSERT_LE(got, n);
+      accepted += got;
+    }
+    monitor.drain();
+    const std::uint64_t trips = util::fault::trips(util::fault::Point::kRingFull);
+    EXPECT_GT(trips, 0u);
+    EXPECT_GE(monitor.dropped(), trips);  // each trip drops at least one run
+    EXPECT_EQ(accepted + monitor.dropped(), trace.size());
+    EXPECT_EQ(monitor.packets_seen(), accepted);
+    monitor.stop();
+  }
 }
 
 TEST_F(FaultFixture, ClockSkewShiftsIdleEviction) {

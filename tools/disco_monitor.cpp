@@ -54,14 +54,19 @@ namespace {
   std::exit(2);
 }
 
-/// Same deterministic dense-id-to-5-tuple mapping as disco_analyze, so the
-/// collector side can relate merged keys back to trace flow ids.
+/// Deterministic dense-id-to-5-tuple mapping.  The source address carries
+/// the flow id, so the collector side can relate merged keys back to trace
+/// flow ids; the destination spreads flows over four hosts and eight
+/// service ports, so the key-ranking modules (topports, topdest,
+/// autofocus) see more than one key.  tests/test_collector_soak.cpp keeps
+/// a copy in step.
 disco::flowtable::FiveTuple tuple_for_flow(std::uint32_t flow_id) {
+  constexpr std::uint16_t kPorts[] = {443, 80, 53, 22, 8080, 25, 123, 3306};
   disco::flowtable::FiveTuple t;
-  t.src_ip = 0x0a000000u | flow_id;  // 10.x.y.z
-  t.dst_ip = 0xc0a80001u;            // 192.168.0.1
+  t.src_ip = 0x0a000000u | flow_id;         // 10.x.y.z
+  t.dst_ip = 0xc0a80001u + (flow_id & 3u);  // 192.168.0.1-4
   t.src_port = static_cast<std::uint16_t>(1024 + (flow_id & 0x7fff));
-  t.dst_port = 443;
+  t.dst_port = kPorts[(flow_id >> 2) & 7u];
   t.protocol = 6;
   return t;
 }
