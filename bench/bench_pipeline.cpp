@@ -15,8 +15,10 @@
 //
 // Reported Mpps is end-to-end: producers start to last packet applied
 // (drain), so ring residue is paid for, not hidden.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -98,6 +100,32 @@ struct PipelineOptions {
 /// of packets hashed, bucketed, and published per ring commit.
 constexpr std::size_t kIngestBatch = 256;
 
+/// Offers `packets` packets of producer `producer`'s source to `monitor` in
+/// ingest_batch calls of kIngestBatch packets, adding each call's count to
+/// `offered` when given; returns the bytes offered.
+std::uint64_t ingest_batched(
+    disco::pipeline::PipelineMonitor& monitor, unsigned producer,
+    std::uint64_t packets, std::uint64_t max_run,
+    disco::util::atomic<std::uint64_t>* offered = nullptr) {
+  BurstSource source(producer, max_run);
+  std::vector<disco::pipeline::PipelineMonitor::PacketEvent> batch(
+      kIngestBatch);
+  std::uint64_t bytes = 0;
+  for (std::uint64_t done = 0; done < packets;) {
+    const std::size_t n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kIngestBatch, packets - done));
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto pkt = source.next();
+      batch[j] = {pkt.flow, pkt.length, 0};
+      bytes += pkt.length;
+    }
+    (void)monitor.ingest_batch(producer, batch.data(), n);
+    if (offered != nullptr) offered->fetch_add(n, std::memory_order_relaxed);
+    done += n;
+  }
+  return bytes;
+}
+
 RunResult run_pipeline(unsigned producers, std::uint64_t packets_per_producer,
                        const PipelineOptions& options = {}) {
   using namespace disco;
@@ -108,7 +136,6 @@ RunResult run_pipeline(unsigned producers, std::uint64_t packets_per_producer,
   config.producers = producers;
   config.ring_capacity = 1u << 14;
   config.backpressure = pipeline::Backpressure::Block;
-  config.coalescer.slots = 64;
   pipeline::PipelineMonitor monitor(config);
 
   disco::util::atomic<std::uint64_t> total_bytes{0};
@@ -116,23 +143,12 @@ RunResult run_pipeline(unsigned producers, std::uint64_t packets_per_producer,
   const auto start = Clock::now();
   for (unsigned p = 0; p < producers; ++p) {
     threads.emplace_back([&, p] {
-      BurstSource source(p, options.max_run);
       std::uint64_t bytes = 0;
       if (options.batched_ingest) {
-        std::vector<pipeline::PipelineMonitor::PacketEvent> batch(kIngestBatch);
-        std::uint64_t done = 0;
-        while (done < packets_per_producer) {
-          const std::size_t n = static_cast<std::size_t>(
-              std::min<std::uint64_t>(kIngestBatch, packets_per_producer - done));
-          for (std::size_t j = 0; j < n; ++j) {
-            const auto pkt = source.next();
-            batch[j] = {pkt.flow, pkt.length, 0};
-            bytes += pkt.length;
-          }
-          (void)monitor.ingest_batch(p, batch.data(), n);
-          done += n;
-        }
+        bytes = ingest_batched(monitor, p, packets_per_producer,
+                               options.max_run);
       } else {
+        BurstSource source(p, options.max_run);
         for (std::uint64_t i = 0; i < packets_per_producer; ++i) {
           const auto pkt = source.next();
           (void)monitor.ingest(p, pkt.flow, pkt.length);
@@ -172,11 +188,24 @@ RunResult run_pipeline_best(unsigned producers,
   return best;
 }
 
-/// Module-overhead ablation: the same pipeline run, but the main thread
-/// rotates `rotations` times at packet-count thresholds (polled through the
-/// control plane) while producers ingest -- once with no subscribers, once
-/// with the full built-in module set attached.  Both arms pay for the
-/// rotations and the polling; the delta is what the analysis layer costs.
+/// The run with the median Mpps of an odd number of runs.
+RunResult median_run(std::vector<RunResult> runs) {
+  const auto mid = runs.begin() + static_cast<std::ptrdiff_t>(runs.size() / 2);
+  std::nth_element(runs.begin(), mid, runs.end(),
+                   [](const RunResult& a, const RunResult& b) {
+                     return a.mpps < b.mpps;
+                   });
+  return *mid;
+}
+
+/// Module-overhead ablation: the batched pipeline run of the main rows, but
+/// the main thread rotates `rotations` times at thresholds of the packets
+/// the producers have offered while they ingest -- once with no
+/// subscribers, once with the full built-in module set attached.  Both arms
+/// make every rotation, so the delta is what the analysis layer costs.  The
+/// thresholds are read from the producers, not through the control plane:
+/// polling packets_seen() sends every worker a command per poll, and an arm
+/// whose rotations take longer polls less.
 RunResult run_pipeline_with_modules(unsigned producers,
                                     std::uint64_t packets_per_producer,
                                     unsigned rotations, bool with_modules) {
@@ -187,7 +216,6 @@ RunResult run_pipeline_with_modules(unsigned producers,
   config.producers = producers;
   config.ring_capacity = 1u << 14;
   config.backpressure = pipeline::Backpressure::Block;
-  config.coalescer.slots = 64;
   pipeline::PipelineMonitor monitor(config);
 
   modules::ModuleHost host("bench_modules");
@@ -201,32 +229,25 @@ RunResult run_pipeline_with_modules(unsigned producers,
   const std::uint64_t total_packets =
       static_cast<std::uint64_t>(producers) * packets_per_producer;
   disco::util::atomic<std::uint64_t> total_bytes{0};
+  disco::util::atomic<std::uint64_t> offered{0};
   std::vector<std::thread> threads;
   const auto start = Clock::now();
   for (unsigned p = 0; p < producers; ++p) {
     threads.emplace_back([&, p] {
-      BurstSource source(p, PipelineOptions{}.max_run);
-      std::uint64_t bytes = 0;
-      for (std::uint64_t i = 0; i < packets_per_producer; ++i) {
-        const auto pkt = source.next();
-        (void)monitor.ingest(p, pkt.flow, pkt.length);
-        bytes += pkt.length;
-      }
+      const std::uint64_t bytes =
+          ingest_batched(monitor, p, packets_per_producer,
+                         PipelineOptions{}.max_run, &offered);
       total_bytes.fetch_add(bytes, std::memory_order_relaxed);
     });
   }
   // Rotate mid-stream at evenly spaced packet thresholds (the last interval
   // is closed after drain, below).
-  unsigned rotated = 0;
-  while (rotated + 1 < rotations) {
-    if (monitor.packets_seen() >=
-        (rotated + 1) * (total_packets / rotations)) {
-      (void)monitor.rotate();
-      ++rotated;
-    } else {
+  for (unsigned rotated = 0; rotated + 1 < rotations; ++rotated) {
+    while (offered.load(std::memory_order_relaxed) <
+           (rotated + 1) * (total_packets / rotations)) {
       std::this_thread::yield();
     }
-    if (monitor.packets_seen() >= total_packets) break;
+    (void)monitor.rotate();
   }
   for (auto& t : threads) t.join();
   monitor.drain();
@@ -374,18 +395,29 @@ int main(int argc, char** argv) {
   // with all built-in analysis modules attached.  Modules run on the
   // control-plane thread at rotate(), so ingest throughput should be nearly
   // untouched -- this section is the number that claim rests on
-  // (docs/modules.md, EXPERIMENTS.md).
+  // (docs/modules.md, EXPERIMENTS.md).  The arms alternate, each pair in
+  // the opposite order of the last, so host drift lands on both; each arm
+  // reports its median run.
   constexpr unsigned kRotations = 8;
+  constexpr int kModuleRepeats = 5;
   std::cout << "\nmodule-overhead ablation (" << kRotations
-            << " rotations mid-stream, all built-in modules):\n";
+            << " rotations mid-stream, all built-in modules, median of "
+            << kModuleRepeats << " alternating runs per arm):\n";
   std::vector<ModuleRow> module_rows;
   stats::TextTable mods({"producers", "no-modules Mpps", "modules Mpps",
                          "overhead"});
   for (unsigned producers : {1u, 2u}) {
-    const RunResult without = run_pipeline_with_modules(
-        producers, packets_per_producer, kRotations, false);
-    const RunResult with = run_pipeline_with_modules(
-        producers, packets_per_producer, kRotations, true);
+    std::vector<RunResult> without_runs;
+    std::vector<RunResult> with_runs;
+    for (int i = 0; i < kModuleRepeats; ++i) {
+      for (const bool with_modules : {i % 2 == 1, i % 2 == 0}) {
+        (with_modules ? with_runs : without_runs)
+            .push_back(run_pipeline_with_modules(
+                producers, packets_per_producer, kRotations, with_modules));
+      }
+    }
+    const RunResult without = median_run(without_runs);
+    const RunResult with = median_run(with_runs);
     module_rows.push_back({producers, kRotations, without, with});
     const double overhead = without.mpps > 0.0
                                 ? (without.mpps - with.mpps) / without.mpps

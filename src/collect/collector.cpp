@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bitset>
+#include <cstddef>
 #include <utility>
 
 #include "telemetry/registry.hpp"
@@ -221,9 +222,28 @@ void Collector::finalize_all() {
 }
 
 std::vector<GlobalEstimate> Collector::top_k(std::size_t k) const {
+  // Rank the keys by byte sum first; only the k winners get an interval
+  // and a site count.
+  struct Ranked {
+    double bytes;
+    const std::pair<const FiveTuple, KeyState>* entry;
+  };
+  std::vector<Ranked> ranked;
+  ranked.reserve(keys_.size());
+  for (const auto& entry : keys_) {
+    ranked.push_back({entry.second.bytes.sum(), &entry});
+  }
+  const std::size_t take = std::min(k, ranked.size());
+  std::partial_sort(ranked.begin(),
+                    ranked.begin() + static_cast<std::ptrdiff_t>(take),
+                    ranked.end(), [](const Ranked& a, const Ranked& b) {
+                      if (a.bytes != b.bytes) return a.bytes > b.bytes;
+                      return tuple_less(a.entry->first, b.entry->first);
+                    });
   std::vector<GlobalEstimate> out;
-  out.reserve(keys_.size());
-  for (const auto& [flow, key] : keys_) {
+  out.reserve(take);
+  for (std::size_t i = 0; i < take; ++i) {
+    const auto& [flow, key] = *ranked[i].entry;
     GlobalEstimate g;
     g.flow = flow;
     g.bytes = key.bytes.sum();
@@ -237,12 +257,6 @@ std::vector<GlobalEstimate> Collector::top_k(std::size_t k) const {
         std::bitset<64>(key.site_mask).count());
     out.push_back(g);
   }
-  std::sort(out.begin(), out.end(),
-            [](const GlobalEstimate& a, const GlobalEstimate& b) {
-              if (a.bytes != b.bytes) return a.bytes > b.bytes;
-              return tuple_less(a.flow, b.flow);
-            });
-  if (out.size() > k) out.resize(k);
   return out;
 }
 

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <list>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -248,14 +249,32 @@ struct ReportServer::Impl {
         }
         conn_fds_.push_back(fd);
         ++accepted_;
+        // Reap ended connections, so their threads and stacks do not
+        // outlive them until stop(); a done handler only closes its fd.
+        for (auto it = handlers_.begin(); it != handlers_.end();) {
+          if (!it->done) {
+            ++it;
+            continue;
+          }
+          it->thread.join();
+          it = handlers_.erase(it);
+        }
       }
       // The acceptor owns the handler threads; stop() joins the acceptor
       // first, so no handler is ever spawned after the join sweep starts.
-      handlers_.emplace_back([this, fd] { serve(fd); });
+      Handler& handler = handlers_.emplace_back();
+      handler.thread =
+          std::thread([this, fd, &handler] { serve(fd, handler); });
     }
   }
 
-  void serve(int fd) {
+  /// One connection's thread; `done` (under state_mutex_) once serve() ends.
+  struct Handler {
+    std::thread thread;
+    bool done = false;
+  };
+
+  void serve(int fd, Handler& self) {
     FdInBuf buf(fd);
     std::istream in(&buf);
     flowtable::ReportReader reader(in);
@@ -278,6 +297,7 @@ struct ReportServer::Impl {
           break;
         }
       }
+      self.done = true;
     }
     close_fd(fd);
   }
@@ -298,8 +318,8 @@ struct ReportServer::Impl {
     if (acceptor_.joinable()) acceptor_.join();
     close_fd(listen_fd_);
     listen_fd_ = -1;
-    for (auto& handler : handlers_) {
-      if (handler.joinable()) handler.join();
+    for (Handler& handler : handlers_) {
+      if (handler.thread.joinable()) handler.thread.join();
     }
   }
 
@@ -313,7 +333,9 @@ struct ReportServer::Impl {
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::thread acceptor_;
-  std::vector<std::thread> handlers_;  // touched by acceptor, joined by stop
+  /// Touched by the acceptor, then by stop() once it has joined it.  A
+  /// list, so a node stays put while its thread holds it.
+  std::list<Handler> handlers_;
 };
 
 ReportServer::ReportServer(Collector& collector, std::uint16_t port)

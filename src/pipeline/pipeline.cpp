@@ -69,24 +69,22 @@ struct PipelineMonitor::Command {
 };
 
 // One shard: a FlowMonitor owned exclusively by one thread, its input rings
-// (one per producer plus the command ring at index `producers`), and its
-// coalescer.  Only the owning worker thread touches `monitor` and
-// `coalescer` while the pipeline runs; after stop() the control plane
-// inherits them (the join is the handover).
+// (one per producer), its command ring, and its coalescer.  Only the owning
+// worker thread touches `monitor` and `coalescer` while the pipeline runs;
+// after stop() the control plane inherits them (the join is the handover).
 struct PipelineMonitor::Worker {
-  Worker(const flowtable::FlowMonitor::Config& monitor_config,
-         const BurstCoalescer::Config& coalescer_config, unsigned producers,
-         std::size_t ring_capacity)
-      : monitor(monitor_config), coalescer(coalescer_config) {
-    rings.reserve(producers + 1);
-    for (unsigned p = 0; p <= producers; ++p) {
+  Worker(const flowtable::FlowMonitor::Config& monitor_config, bool coalesce,
+         unsigned producers, std::size_t ring_capacity)
+      : monitor(monitor_config), coalescer(coalesce) {
+    rings.reserve(producers);
+    for (unsigned p = 0; p < producers; ++p) {
       rings.push_back(std::make_unique<SpscRing<Message>>(ring_capacity));
     }
   }
 
   /// Coalescer sink that appends each emitted burst to `bursts`.
   auto buffer() {
-    return [this](const BurstUpdate& burst) { bursts.push_back(burst); };
+    return [this](const flowtable::FlowBurst& b) { bursts.push_back(b); };
   }
 
   /// Closes every open burst and applies them with one ingest_batch call.
@@ -113,6 +111,8 @@ struct PipelineMonitor::Worker {
   /// own, apart from `bursts` and `merged_reported`, which the worker
   /// writes on every burst.
   alignas(kCacheLine) std::vector<std::unique_ptr<SpscRing<Message>>> rings;
+  /// Control calls: two slots, as control_mutex_ keeps one in flight.
+  SpscRing<Command*> command_ring{2};
   alignas(kCacheLine) bool stop_requested = false;  ///< worker-thread-local exit flag
   std::uint64_t merged_reported = 0;   ///< coalescer.merged() already exported
   /// Scratch buffer for one ring pop (config.pop_batch messages).
@@ -164,11 +164,10 @@ PipelineMonitor::PipelineMonitor(const Config& config)
     workers_.push_back(std::make_unique<Worker>(shard, config.coalescer,
                                                 producers_, config.ring_capacity));
     Worker& worker = *workers_.back();
-    // One coalescer add() emits at most two bursts (collision close + cap
-    // close), and a flush at most one per slot (slots round up to under
-    // twice the configured count), so the worker never reallocates.
-    worker.bursts.reserve(std::max<std::size_t>(
-        config.pop_batch * 2, 2 * std::size_t{config.coalescer.slots}));
+    // One coalescer add() emits at most one burst, a chunk holds at most
+    // pop_batch messages, and a flush emits at most one burst per slot, so
+    // the worker never reallocates.
+    worker.bursts.reserve(std::max(config.pop_batch, BurstCoalescer::kSlots));
     worker.batch.resize(config.pop_batch);
     const std::string& prefix = shard.telemetry_prefix;
     worker.occupancy = &registry.gauge(prefix + ".ring_occupancy");
@@ -176,15 +175,6 @@ PipelineMonitor::PipelineMonitor(const Config& config)
     worker.coalesced = &registry.counter(prefix + ".coalesced_total");
     worker.commands = &registry.counter(prefix + ".commands_total");
   }
-  // Runs honour the caps as the coalescer applies them, so a run never
-  // holds more than a burst may.
-  const BurstCoalescer& coalescer = workers_.front()->coalescer;
-  constexpr std::uint64_t kField = ~std::uint32_t{0};
-  run_packets_ = config.coalescer.slots == 0
-                     ? 1
-                     : static_cast<std::uint32_t>(
-                           std::min(coalescer.max_packets(), kField));
-  run_bytes_ = static_cast<std::uint32_t>(std::min(coalescer.max_bytes(), kField));
   producer_stats_.reserve(producers_);
   for (unsigned p = 0; p < producers_; ++p) {
     producer_stats_.push_back(std::make_unique<ProducerStats>());
@@ -216,24 +206,24 @@ std::size_t PipelineMonitor::ingest_batch(unsigned producer,
   const unsigned workers = static_cast<unsigned>(workers_.size());
 
   // A run: the packets from packets[i] on while they share its flow and
-  // fit the run caps.  Built in locals and returned as one message, with
-  // `i` advanced past it.  Every packet's timestamp passes the clock-skew
-  // fault point; the message keeps the last.
+  // fit the burst caps (one packet with coalescing off).  Built in locals
+  // and returned as one message, with `i` advanced past it.  Every packet's
+  // timestamp passes the clock-skew fault point; the message keeps the last.
+  const std::uint32_t max_run =
+      config_.coalescer ? BurstCoalescer::kMaxPackets : 1;
   const auto next_run = [&](std::size_t& i) {
     const PacketEvent& first = packets[i];
     std::uint64_t bytes = first.length;
     std::uint32_t count = 1;
     std::uint64_t now_ns = util::fault::skew_clock(first.now_ns);
-    while (++i < n && count < run_packets_ && packets[i].flow == first.flow &&
-           bytes + packets[i].length <= run_bytes_) {
+    while (++i < n && count < max_run && packets[i].flow == first.flow &&
+           bytes + packets[i].length <= BurstCoalescer::kMaxBytes) {
       bytes += packets[i].length;
       ++count;
       now_ns = util::fault::skew_clock(packets[i].now_ns);
     }
-    Message msg{first.flow, static_cast<std::uint32_t>(bytes), count, now_ns,
-                {}};
-    msg.hash = hash_tuple(first.flow);
-    return msg;
+    return Message{first.flow, static_cast<std::uint32_t>(bytes), count,
+                   now_ns, hash_tuple(first.flow)};
   };
 
   // Phase 1 -- form the batch's runs up front and bucket them by owning
@@ -337,8 +327,8 @@ std::size_t PipelineMonitor::apply_chunk(Worker& worker, const Message* batch,
   std::size_t i = 0;
   std::size_t packets = 0;
   do {
-    // Packet-ring messages carry the producer's hash (see Message): the
-    // coalescer reuses it instead of rehashing the tuple per run.
+    // Messages carry the producer's hash: the coalescer reuses it instead
+    // of rehashing the tuple per run.
     const Message& msg = batch[i];
     packets += msg.packets;
     worker.coalescer.add(msg.flow, msg.hash, msg.length, msg.packets,
@@ -370,9 +360,9 @@ void PipelineMonitor::handle_command(Worker& worker, Command& command) {
 }
 
 PipelineMonitor::Command* PipelineMonitor::next_command(Worker& worker) {
-  Message msg;
-  return worker.rings[producers_]->pop_batch(&msg, 1) == 1 ? msg.command
-                                                            : nullptr;
+  Command* command = nullptr;
+  worker.command_ring.pop_batch(&command, 1);
+  return command;
 }
 
 void PipelineMonitor::apply_pop(Worker& worker, std::size_t n) {
@@ -450,10 +440,8 @@ void PipelineMonitor::post(unsigned w, Command& command) {
     handle_command(worker, command);
     return;
   }
-  Message msg;
-  msg.command = &command;
   unsigned spins = 0;
-  while (!worker.rings[producers_]->try_push(msg)) backoff(spins);
+  while (!worker.command_ring.try_push(&command)) backoff(spins);
 }
 
 template <typename Fn>

@@ -26,13 +26,14 @@
 //     and one reader -- the SPSC invariant -- the same way NIC RSS gives
 //     each (rx-queue, core) pair its own descriptor ring.
 //   * Control-plane operations (rotate, totals, query, top-k, drain, stop,
-//     ...) are closures over the worker's shard.  Each travels as an
-//     in-band command message through a dedicated per-worker command ring
-//     and runs ON the worker thread, so it never touches a shard from
-//     outside -- the shard has exactly one thread, ever.  The worker applies
-//     a ring pop in chunks of at most 64 packets (or one run) and serves its
-//     command ring between chunks, so a command waits for at most the rest
-//     of one chunk, not of the whole pop.  A command pauses only its own
+//     ...) are closures over the worker's shard.  Each travels as a pointer
+//     through the worker's own two-slot command ring (control_mutex_ keeps
+//     at most one command in flight per worker) and runs ON the worker
+//     thread, so it never touches a shard from outside -- the shard has
+//     exactly one thread, ever.  The worker applies a ring pop in chunks of
+//     at most 64 packets (or one run) and serves its command ring between
+//     chunks, so a command waits for at most the rest of one chunk, not of
+//     the whole pop.  A command pauses only its own
 //     worker while it runs; calls that visit every worker post to all of
 //     them before waiting, so the shards serve them (a rotate included)
 //     concurrently, and fold the answers in worker order on the calling
@@ -50,7 +51,7 @@
 // standard epoch-boundary trade of distributed monitors.  Every *accepted*
 // packet is counted in exactly one epoch.  A caller that needs an exact cut
 // (an offline replay, say) quiesces its producers and calls drain() before
-// rotate(): with one producer and no coalescing, the merged reports are
+// rotate(): with one producer and coalescing off, the merged reports are
 // then deterministic.
 //
 // Telemetry (docs/telemetry.md): per-worker ring occupancy gauges and
@@ -98,7 +99,9 @@ class PipelineMonitor {
     std::size_t ring_capacity = 1u << 14; ///< slots per (producer, worker) ring, power of two
     std::size_t pop_batch = 256;          ///< max messages popped per ring visit
     Backpressure backpressure = Backpressure::Block;
-    BurstCoalescer::Config coalescer;     ///< .slots = 0 disables coalescing
+    /// Section VI aggregation (producer runs, then each worker's
+    /// BurstCoalescer); false makes every packet its own DISCO update.
+    bool coalescer = true;
     std::string telemetry_prefix = "pipeline";
   };
 
@@ -138,10 +141,10 @@ class PipelineMonitor {
   /// Each maximal stretch of consecutive same-flow packets of the call is
   /// one run: one ring message carrying the run's bytes, packet count,
   /// last timestamp and one hash (Section VI's aggregation, done where the
-  /// packets arrive).  A run is cut where it would pass the coalescer's
-  /// max_burst_packets or max_burst_bytes (as the coalescer applies them)
-  /// or 2^32 - 1 bytes.  With coalescing off (`coalescer.slots == 0`) every
-  /// packet is its own run, so each packet stays one DISCO update.
+  /// packets arrive).  A run is cut where it would pass
+  /// BurstCoalescer::kMaxPackets or kMaxBytes, the caps a worker's burst
+  /// closes at.  With coalescing off (`coalescer = false`) every packet is
+  /// its own run, so each packet stays one DISCO update.
   ///
   /// The remaining per-message costs -- the accepting check, worker lookup,
   /// and above all the ring's release store -- are paid once per batch of
@@ -253,26 +256,20 @@ class PipelineMonitor {
       const Config& config, unsigned worker);
 
  private:
-  /// One slot of every ring: a run of same-flow packets, or (command rings
-  /// only) a borrowed pointer to a synchronous command the worker runs and
-  /// signals.  Which union member is live is decided by the ring, not the
-  /// message: packet rings carry `hash` (the producer already hashed the
-  /// tuple to route it, and the worker's coalescer reuses it instead of
-  /// rehashing; the flow table hashes each burst again), the command ring
-  /// carries `command`.
-  struct Command;
+  /// One slot of a packet ring: a run of same-flow packets.  It carries the
+  /// tuple's hash: the producer hashed it to route the run, and the worker's
+  /// coalescer reuses it instead of rehashing (the flow table hashes each
+  /// burst again).
   struct Message {
     FiveTuple flow{};
     std::uint32_t length = 0;   ///< the run's bytes
     std::uint32_t packets = 1;  ///< the run's packets (fills the padding)
     std::uint64_t now_ns = 0;   ///< the run's last packet's timestamp
-    union {
-      Command* command = nullptr;
-      std::uint64_t hash;
-    };
+    std::uint64_t hash = 0;     ///< hash_tuple(flow)
   };
   static_assert(sizeof(Message) == 40, "a run costs one packet's ring slot");
 
+  struct Command;
   struct Worker;
 
   void worker_loop(Worker& worker);
@@ -303,11 +300,6 @@ class PipelineMonitor {
 
   Config config_;
   unsigned producers_ = 1;
-  /// A producer run's caps: the coalescer's burst caps within the message's
-  /// 32-bit fields, and one packet with coalescing off.  Set before the
-  /// workers start, read-only after.
-  std::uint32_t run_packets_ = 1;
-  std::uint32_t run_bytes_ = 1;
 
   struct ProducerStats {
     /// Bumped with relaxed fetch_add and read with relaxed loads: a pure

@@ -4,14 +4,15 @@
 // InBandRotateBoundaryIsExact checks a property of SpscRing alone: a marker
 // pushed by the ring's single producer is delivered exactly between the
 // values pushed before and after it, in every schedule.  The pipeline does
-// not rely on it today: it posts every command on a dedicated per-worker
+// not rely on it today: it posts every command on a separate per-worker
 // command ring, read between data pops, so PipelineMonitor::rotate's cut is
 // not exact (pipeline.hpp, "Epoch semantics").  A marker-based rotation, in
 // which each producer stamps its own data ring, would rely on exactly this
 // property.
 //
 // The other drivers check the completion side (the worker fills a result the
-// issuer then reads): a publish/subscribe handshake on a flag.
+// issuer then reads): a publish/subscribe handshake on a flag, posted through
+// the pipeline's own command ring type, an SpscRing<Command*> of two slots.
 //
 // Compiled with DISCO_MODELCHECK=1; see test_modelcheck_ring.cpp for the
 // harness conventions.
@@ -92,9 +93,10 @@ namespace {
 
 /// The synchronous command handshake from pipeline.cpp, reduced to its
 /// memory protocol: the issuer stack-allocates the command, passes a
-/// POINTER through the ring, and polls a completion flag; the worker runs
-/// the command's closure, which writes the result into the issuer's frame,
-/// and releases the flag.  The issuer's read of `result` is only safe
+/// POINTER through the ring (two slots, as a pipeline worker's command
+/// ring), and polls a completion flag; the worker runs the command's
+/// closure, which writes the result into the issuer's frame, and releases
+/// the flag.  The issuer's read of `result` is only safe
 /// because of that release/acquire pair, and once it sees the flag it
 /// reuses the command's storage at once (writes `arg`), as the real
 /// caller's stack frame is reused when the control call returns -- so the

@@ -27,6 +27,7 @@ namespace disco::pipeline {
 namespace {
 
 using flowtable::FiveTuple;
+using flowtable::FlowBurst;
 using flowtable::FlowMonitor;
 
 FiveTuple tuple(std::uint32_t i) {
@@ -144,16 +145,16 @@ TEST(SpscRing, TwoThreadStress) {
 
 // --- BurstCoalescer ---------------------------------------------------------
 
-std::vector<BurstUpdate> collect_flush(BurstCoalescer& c) {
-  std::vector<BurstUpdate> out;
-  c.flush([&](const BurstUpdate& b) { out.push_back(b); });
+std::vector<FlowBurst> collect_flush(BurstCoalescer& c) {
+  std::vector<FlowBurst> out;
+  c.flush([&](const FlowBurst& b) { out.push_back(b); });
   return out;
 }
 
 TEST(BurstCoalescer, MergesConsecutiveSameFlowPackets) {
-  BurstCoalescer c({.slots = 16});
-  std::vector<BurstUpdate> emitted;
-  auto sink = [&](const BurstUpdate& b) { emitted.push_back(b); };
+  BurstCoalescer c;
+  std::vector<FlowBurst> emitted;
+  auto sink = [&](const FlowBurst& b) { emitted.push_back(b); };
   for (int i = 0; i < 5; ++i) c.add(tuple(1), 100, 10 + i, sink);
   EXPECT_TRUE(emitted.empty());  // the burst is still open
   EXPECT_EQ(c.open_bursts(), 1u);
@@ -168,9 +169,9 @@ TEST(BurstCoalescer, MergesConsecutiveSameFlowPackets) {
 }
 
 TEST(BurstCoalescer, InterleavedFlowsMergeIndependently) {
-  BurstCoalescer c({.slots = 64});
-  std::vector<BurstUpdate> emitted;
-  auto sink = [&](const BurstUpdate& b) { emitted.push_back(b); };
+  BurstCoalescer c;
+  std::vector<FlowBurst> emitted;
+  auto sink = [&](const FlowBurst& b) { emitted.push_back(b); };
   // a b a b a b -- with a table, both runs coalesce despite interleaving.
   for (int i = 0; i < 3; ++i) {
     c.add(tuple(1), 100, 0, sink);
@@ -188,48 +189,54 @@ TEST(BurstCoalescer, InterleavedFlowsMergeIndependently) {
 }
 
 TEST(BurstCoalescer, CapsCloseTheBurst) {
-  BurstCoalescer c({.slots = 4, .max_burst_packets = 3});
-  std::vector<BurstUpdate> emitted;
-  auto sink = [&](const BurstUpdate& b) { emitted.push_back(b); };
-  for (int i = 0; i < 7; ++i) c.add(tuple(9), 10, 0, sink);
-  ASSERT_EQ(emitted.size(), 2u);  // closed at 3 packets, twice
-  EXPECT_EQ(emitted[0].packets, 3u);
-  EXPECT_EQ(emitted[1].packets, 3u);
+  constexpr std::uint64_t kCap = BurstCoalescer::kMaxPackets;
+  BurstCoalescer c;
+  std::vector<FlowBurst> emitted;
+  auto sink = [&](const FlowBurst& b) { emitted.push_back(b); };
+  for (std::uint64_t i = 0; i < 2 * kCap + 1; ++i) c.add(tuple(9), 10, 0, sink);
+  ASSERT_EQ(emitted.size(), 2u);  // closed at the packet cap, twice
+  EXPECT_EQ(emitted[0].packets, kCap);
+  EXPECT_EQ(emitted[0].bytes, 10 * kCap);
+  EXPECT_EQ(emitted[1].packets, kCap);
   const auto flushed = collect_flush(c);
   ASSERT_EQ(flushed.size(), 1u);
   EXPECT_EQ(flushed[0].packets, 1u);
 
-  // A run merges whole: runs of 2 and 2 bring the burst past the 3-packet
-  // cap, to 4, and it closes there.
+  // A run merges whole: runs of kCap - 1 and 2 packets bring the burst past
+  // the cap, to kCap + 1, and it closes there.
   const FiveTuple f = tuple(9);
   emitted.clear();
-  c.add(f, flowtable::hash_tuple(f), 20, 2, 1, sink);
+  c.add(f, flowtable::hash_tuple(f), 10 * (kCap - 1), kCap - 1, 1, sink);
   EXPECT_TRUE(emitted.empty());
   c.add(f, flowtable::hash_tuple(f), 20, 2, 2, sink);
   ASSERT_EQ(emitted.size(), 1u);
-  EXPECT_EQ(emitted[0].packets, 4u);
-  EXPECT_EQ(emitted[0].bytes, 40u);
+  EXPECT_EQ(emitted[0].packets, kCap + 1);
+  EXPECT_EQ(emitted[0].bytes, 10 * (kCap + 1));
   EXPECT_EQ(emitted[0].last_ns, 2u);
   EXPECT_EQ(c.open_bursts(), 0u);
-  EXPECT_EQ(c.merged(), 4u + 3u);  // 4 packets above, 1 + 1 + 1 here
+  // 2 kCap - 2 above (every packet after its burst's first), then
+  // kCap - 2 + 1 + 1 here.
+  EXPECT_EQ(c.merged(), (2 * kCap - 2) + kCap);
 }
 
 // Below the caps, a run leaves the coalescer exactly as its packets fed one
 // by one would: the same bursts, in the same order, with the same merged().
+// 300 flows share the 64 slots, so runs collide, interleave and repeat, and
+// no flow reaches a cap (checked as the runs are drawn).
 TEST(BurstCoalescer, RunsEmitWhatTheirPacketsEmit) {
-  const BurstCoalescer::Config config{.slots = 16,
-                                      .max_burst_packets = 1u << 20,
-                                      .max_burst_bytes = std::uint64_t{1} << 40};
-  BurstCoalescer by_packet(config);
-  BurstCoalescer by_run(config);
-  std::vector<BurstUpdate> expected, actual;
-  auto expect = [&](const BurstUpdate& b) { expected.push_back(b); };
-  auto act = [&](const BurstUpdate& b) { actual.push_back(b); };
+  constexpr std::uint32_t kFlows = 300;
+  BurstCoalescer by_packet;
+  BurstCoalescer by_run;
+  std::vector<FlowBurst> expected, actual;
+  auto expect = [&](const FlowBurst& b) { expected.push_back(b); };
+  auto act = [&](const FlowBurst& b) { actual.push_back(b); };
   util::Rng rng(31);
   std::uint64_t now = 0;
+  std::uint64_t within_runs = 0;  // packets after the first of each run
+  std::vector<std::uint64_t> flow_packets(kFlows), flow_bytes(kFlows);
   for (int run = 0; run < 3000; ++run) {
-    // 40 flows in 16 slots: runs collide, interleave and repeat.
-    const FiveTuple flow = tuple(static_cast<std::uint32_t>(rng.uniform_u64(0, 39)));
+    const auto id = static_cast<std::uint32_t>(rng.uniform_u64(0, kFlows - 1));
+    const FiveTuple flow = tuple(id);
     const std::uint64_t packets = 1 + rng.uniform_u64(0, 15);
     std::uint64_t bytes = 0;
     for (std::uint64_t p = 0; p < packets; ++p) {
@@ -238,6 +245,11 @@ TEST(BurstCoalescer, RunsEmitWhatTheirPacketsEmit) {
       by_packet.add(flow, len, ++now, expect);
     }
     by_run.add(flow, flowtable::hash_tuple(flow), bytes, packets, now, act);
+    within_runs += packets - 1;
+    flow_packets[id] += packets;
+    flow_bytes[id] += bytes;
+    ASSERT_LT(flow_packets[id], BurstCoalescer::kMaxPackets) << "flow " << id;
+    ASSERT_LT(flow_bytes[id], BurstCoalescer::kMaxBytes) << "flow " << id;
   }
   by_packet.flush(expect);
   by_run.flush(act);
@@ -249,24 +261,35 @@ TEST(BurstCoalescer, RunsEmitWhatTheirPacketsEmit) {
     ASSERT_EQ(actual[i].last_ns, expected[i].last_ns) << "burst " << i;
   }
   EXPECT_EQ(by_run.merged(), by_packet.merged());
+  EXPECT_GT(by_run.merged(), within_runs);  // the table merged runs too
   EXPECT_EQ(by_run.merged() + expected.size(), now);  // one update per burst
 }
 
 TEST(BurstCoalescer, ByteCapClosesTheBurst) {
-  BurstCoalescer c({.slots = 4, .max_burst_bytes = 1000});
-  std::vector<BurstUpdate> emitted;
-  auto sink = [&](const BurstUpdate& b) { emitted.push_back(b); };
-  c.add(tuple(9), 600, 0, sink);
+  constexpr std::uint32_t kHalf = BurstCoalescer::kMaxBytes / 2;
+  BurstCoalescer c;
+  std::vector<FlowBurst> emitted;
+  auto sink = [&](const FlowBurst& b) { emitted.push_back(b); };
+  c.add(tuple(9), kHalf, 0, sink);
+  c.add(tuple(9), kHalf - 1, 0, sink);  // one byte short of the cap: open
   EXPECT_TRUE(emitted.empty());
-  c.add(tuple(9), 600, 0, sink);  // 1200 >= 1000: closed
+  c.add(tuple(9), 1, 0, sink);  // exactly at the cap: closed
   ASSERT_EQ(emitted.size(), 1u);
-  EXPECT_EQ(emitted[0].bytes, 1200u);
+  EXPECT_EQ(emitted[0].bytes, BurstCoalescer::kMaxBytes);
+  EXPECT_EQ(emitted[0].packets, 3u);
+  c.add(tuple(9), 600'000, 0, sink);
+  EXPECT_EQ(emitted.size(), 1u);
+  c.add(tuple(9), 600'000, 0, sink);  // 1.2 MB passes the cap: closed
+  ASSERT_EQ(emitted.size(), 2u);
+  EXPECT_EQ(emitted[1].bytes, 1'200'000u);
+  EXPECT_EQ(emitted[1].packets, 2u);
+  EXPECT_EQ(c.open_bursts(), 0u);
 }
 
-TEST(BurstCoalescer, ZeroSlotsPassesThrough) {
-  BurstCoalescer c({.slots = 0});
-  std::vector<BurstUpdate> emitted;
-  auto sink = [&](const BurstUpdate& b) { emitted.push_back(b); };
+TEST(BurstCoalescer, DisabledPassesThrough) {
+  BurstCoalescer c(false);
+  std::vector<FlowBurst> emitted;
+  auto sink = [&](const FlowBurst& b) { emitted.push_back(b); };
   for (int i = 0; i < 4; ++i) c.add(tuple(1), 100, i, sink);
   ASSERT_EQ(emitted.size(), 4u);
   for (const auto& b : emitted) {
@@ -280,9 +303,8 @@ TEST(BurstCoalescer, ZeroSlotsPassesThrough) {
 // flush_flow, what a one-flow query applies: only the named flow's open
 // burst, once, and only when its slot really holds that flow.
 TEST(BurstCoalescer, FlushFlowEmitsOnlyThatFlow) {
-  constexpr unsigned kSlots = 16;
   const auto slot = [](const FiveTuple& f) {
-    return flowtable::hash_tuple(f) & (kSlots - 1);
+    return flowtable::hash_tuple(f) & (BurstCoalescer::kSlots - 1);
   };
   // a and b open bursts in different slots; c shares a's slot.
   const FiveTuple a = tuple(1);
@@ -293,9 +315,9 @@ TEST(BurstCoalescer, FlushFlowEmitsOnlyThatFlow) {
   while (slot(tuple(i)) != slot(a)) ++i;
   const FiveTuple c = tuple(i);
 
-  BurstCoalescer coalescer({.slots = kSlots});
-  std::vector<BurstUpdate> emitted;
-  auto sink = [&](const BurstUpdate& u) { emitted.push_back(u); };
+  BurstCoalescer coalescer;
+  std::vector<FlowBurst> emitted;
+  auto sink = [&](const FlowBurst& u) { emitted.push_back(u); };
   for (int n = 0; n < 3; ++n) coalescer.add(a, 100, n, sink);
   for (int n = 0; n < 2; ++n) coalescer.add(b, 200, n, sink);
   ASSERT_TRUE(emitted.empty());
@@ -315,7 +337,7 @@ TEST(BurstCoalescer, FlushFlowEmitsOnlyThatFlow) {
   EXPECT_EQ(rest[0].flow, b);
   EXPECT_EQ(rest[0].packets, 2u);
 
-  BurstCoalescer off({.slots = 0});
+  BurstCoalescer off(false);
   emitted.clear();
   off.add(a, 100, 0, sink);
   ASSERT_EQ(emitted.size(), 1u);  // passed straight through
@@ -332,9 +354,9 @@ TEST(BurstCoalescer, DeterministicAcrossRuns) {
                          static_cast<std::uint32_t>(rng.uniform_u64(64, 1500)));
   }
   auto run = [&packets] {
-    BurstCoalescer c({.slots = 8, .max_burst_packets = 16});
-    std::vector<BurstUpdate> emitted;
-    auto sink = [&](const BurstUpdate& b) { emitted.push_back(b); };
+    BurstCoalescer c;
+    std::vector<FlowBurst> emitted;
+    auto sink = [&](const FlowBurst& b) { emitted.push_back(b); };
     for (const auto& [f, len] : packets) c.add(tuple(f), len, 0, sink);
     c.flush(sink);
     return emitted;
@@ -351,13 +373,14 @@ TEST(BurstCoalescer, DeterministicAcrossRuns) {
 
 // The acceptance property for coalesced counting: grouping packets into
 // bursts keeps DISCO's estimate unbiased, with per-flow relative error
-// governed by Theorem 2.  >= 1000 trials (one independent flow each); the
-// mean relative error must sit within the CV bound scaled for the sample
-// size (4.5 sigma of the sample mean -- comfortably deterministic with a
-// fixed seed, impossible if coalescing introduced bias).
+// governed by Theorem 2.  >= 1000 trials (one independent flow each, in
+// eleven bursts: ten closed at the packet cap, one flushed); the mean
+// relative error must sit within the CV bound scaled for the sample size
+// (4.5 sigma of the sample mean -- comfortably deterministic with a fixed
+// seed, impossible if coalescing introduced bias).
 TEST(BurstCoalescer, CoalescedUpdatesStayUnbiased) {
   constexpr int kTrials = 1200;
-  constexpr int kPacketsPerTrial = 300;
+  constexpr int kPacketsPerTrial = 10 * BurstCoalescer::kMaxPackets + 44;
   const int bits = 12;
   const std::uint64_t max_flow = 1 << 26;
   const core::DiscoParams params = core::DiscoParams::for_budget(max_flow, bits);
@@ -366,10 +389,10 @@ TEST(BurstCoalescer, CoalescedUpdatesStayUnbiased) {
 
   double sum_rel_err = 0.0;
   for (int trial = 0; trial < kTrials; ++trial) {
-    BurstCoalescer coalescer({.slots = 8, .max_burst_packets = 32});
+    BurstCoalescer coalescer;
     std::uint64_t counter = 0;
     std::uint64_t truth = 0;
-    auto sink = [&](const BurstUpdate& b) {
+    auto sink = [&](const FlowBurst& b) {
       counter = params.update(counter, b.bytes, counter_rng);
     };
     for (int i = 0; i < kPacketsPerTrial; ++i) {
@@ -414,7 +437,7 @@ TEST(PipelineMonitor, RejectsBadConfig) {
 // pipeline adds concurrency, not approximation.
 TEST(PipelineMonitor, EstimateParityWithFlowMonitor) {
   auto config = pipeline_config(4, 1);
-  config.coalescer.slots = 0;  // per-packet updates, deterministic RNG stream
+  config.coalescer = false;  // per-packet updates, deterministic RNG stream
   // Hot flows (about 770 KB each) outgrow their volume counters, so
   // pressure() has saturations to fold.
   config.base.max_flow_bytes = 1 << 18;
@@ -576,7 +599,7 @@ TEST(PipelineMonitor, EstimateParityWithFlowMonitor) {
 // path.  Multiple workers so the bucketing step actually routes.
 TEST(PipelineMonitor, BatchedIngestMatchesPerPacketIngest) {
   auto config = pipeline_config(4, 1);
-  config.coalescer.slots = 0;  // deterministic per-packet RNG stream
+  config.coalescer = false;  // deterministic per-packet RNG stream
   config.telemetry_prefix = "pipeline_batched_a";
 
   util::Rng rng(4242);
@@ -625,19 +648,19 @@ TEST(PipelineMonitor, BatchedIngestMatchesPerPacketIngest) {
 // with hash_tuple already in hand) must emit exactly what the hashing
 // overload emits.
 TEST(BurstCoalescer, ExplicitHashOverloadMatchesImplicit) {
-  BurstCoalescer a({.slots = 16});
-  BurstCoalescer b({.slots = 16});
-  std::vector<BurstUpdate> ea, eb;
+  BurstCoalescer a;
+  BurstCoalescer b;
+  std::vector<FlowBurst> ea, eb;
   util::Rng rng(777);
   for (int i = 0; i < 5000; ++i) {
     const auto f = tuple(static_cast<std::uint32_t>(rng.uniform_u64(0, 39)));
     const auto len = static_cast<std::uint32_t>(rng.uniform_u64(64, 1500));
-    a.add(f, len, i, [&](const BurstUpdate& u) { ea.push_back(u); });
+    a.add(f, len, i, [&](const FlowBurst& u) { ea.push_back(u); });
     b.add(f, flowtable::hash_tuple(f), len, i,
-          [&](const BurstUpdate& u) { eb.push_back(u); });
+          [&](const FlowBurst& u) { eb.push_back(u); });
   }
-  a.flush([&](const BurstUpdate& u) { ea.push_back(u); });
-  b.flush([&](const BurstUpdate& u) { eb.push_back(u); });
+  a.flush([&](const FlowBurst& u) { ea.push_back(u); });
+  b.flush([&](const FlowBurst& u) { eb.push_back(u); });
   ASSERT_EQ(ea.size(), eb.size());
   for (std::size_t i = 0; i < ea.size(); ++i) {
     EXPECT_EQ(ea[i].flow, eb[i].flow);
@@ -653,7 +676,7 @@ TEST(PipelineMonitor, CoalescedPipelineTracksTruth) {
   // land near the exact truth, and the coalescer must have merged something
   // on this bursty input.
   auto config = pipeline_config(2, 1);
-  config.coalescer.slots = 64;
+  config.coalescer = true;
   PipelineMonitor pipeline(config);
 
   util::Rng rng(1234);
@@ -688,7 +711,7 @@ TEST(PipelineMonitor, QueryAppliesItsOwnOpenBurst) {
   for (const bool one_call : {false, true}) {
     SCOPED_TRACE(one_call ? "one ingest_batch call" : "five ingest calls");
     auto config = pipeline_config(1, 1);
-    config.coalescer.slots = 64;
+    config.coalescer = true;
     PipelineMonitor pipeline(config);
     if (one_call) {
       const std::vector<PipelineMonitor::PacketEvent> run(5, {tuple(3), 300, 0});
@@ -735,15 +758,16 @@ TEST(PipelineMonitor, RunsSplitAcrossUnevenCallsCountEveryPacket) {
   }
 }
 
-// A producer cuts a run where it would pass the coalescer's packet cap or
-// the message's 32-bit byte field.  The bursts that follow are checked bit
-// for bit against a shard fed them.
+// A producer cuts a run where it would pass a burst cap, so a worker's
+// coalescer sees runs of at most BurstCoalescer::kMaxPackets packets and
+// kMaxBytes bytes.  The bursts that follow are checked bit for bit against
+// a shard fed them.
 TEST(PipelineMonitor, RunsAreCutAtTheCaps) {
+  using Packets = std::vector<PipelineMonitor::PacketEvent>;
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   const auto expect_bursts =
-      [&](const PipelineMonitor::Config& config,
-          const std::vector<PipelineMonitor::PacketEvent>& packets,
-          const std::vector<flowtable::FlowBurst>& bursts, std::uint64_t merged) {
+      [&](const PipelineMonitor::Config& config, const Packets& packets,
+          const std::vector<FlowBurst>& bursts, std::uint64_t merged) {
         PipelineMonitor pipeline(config);
         ASSERT_EQ(pipeline.ingest_batch(0, packets.data(), packets.size()),
                   packets.size());
@@ -760,22 +784,29 @@ TEST(PipelineMonitor, RunsAreCutAtTheCaps) {
         EXPECT_EQ(bits(actual->bytes), bits(expected->bytes));
         EXPECT_EQ(bits(actual->packets), bits(expected->packets));
       };
-
-  // Ten packets under a 4-packet cap: runs of 4, 4 and 2.  The second run
-  // closes the first one's burst at 8 packets; the third stays open until
-  // the drain.
   auto config = pipeline_config(1, 1);
-  config.coalescer.max_burst_packets = 4;
-  expect_bursts(config, std::vector<PipelineMonitor::PacketEvent>(10, {tuple(5), 100, 0}),
-                {{tuple(5), 800, 8, 0}, {tuple(5), 200, 2, 0}}, 8);
 
-  // Two 3 GiB packets under a byte cap past 32 bits: two runs, which the
-  // coalescer merges into one 6 GiB burst.
-  config = pipeline_config(1, 1);
+  // 2 kCap + 88 packets of 100 B: runs of kCap, kCap and 88 packets.  The
+  // second run closes the first one's burst at 2 kCap packets; the third
+  // stays open until the drain.
+  constexpr std::uint64_t kCap = BurstCoalescer::kMaxPackets;
+  expect_bursts(config, Packets(2 * kCap + 88, {tuple(5), 100, 0}),
+                {{tuple(5), 200 * kCap, 2 * kCap, 0}, {tuple(5), 8800, 88, 0}},
+                2 * kCap + 86);
+
+  // 9000 B packets reach the byte cap first: runs of kMaxBytes / 9000 = 116
+  // packets, 116 and the 68 left, merged into bursts as above.
+  constexpr std::uint64_t kPerRun = BurstCoalescer::kMaxBytes / 9000;
+  static_assert(kPerRun < kCap);
+  expect_bursts(config, Packets(2 * kPerRun + 68, {tuple(7), 9000, 0}),
+                {{tuple(7), 2 * kPerRun * 9000, 2 * kPerRun, 0},
+                 {tuple(7), 68 * 9000, 68, 0}},
+                2 * kPerRun + 66);
+
+  // A packet past the byte cap is a run of its own: two 3 GiB packets make
+  // two runs, which the coalescer merges into one 6 GiB burst.
   config.base.max_flow_bytes = std::uint64_t{1} << 40;
-  config.coalescer.max_burst_bytes = std::uint64_t{1} << 40;
-  expect_bursts(config,
-                std::vector<PipelineMonitor::PacketEvent>(2, {tuple(6), 3u << 30, 0}),
+  expect_bursts(config, Packets(2, {tuple(6), 3u << 30, 0}),
                 {{tuple(6), std::uint64_t{6} << 30, 2, 0}}, 1);
 }
 
@@ -786,7 +817,7 @@ TEST(PipelineMonitor, RunsAreCutAtTheCaps) {
 // of the querier's calls arrive mid-pop.
 TEST(PipelineMonitor, ReadOnlyCallsServedMidPopKeepParity) {
   auto config = pipeline_config(1, 1);
-  config.coalescer.slots = 0;  // one update per packet: one RNG stream
+  config.coalescer = false;  // one update per packet: one RNG stream
   config.telemetry_prefix = "pipeline_mid_pop";
   constexpr std::size_t kSpan = 256;
   constexpr std::size_t kPackets = 800 * kSpan;
@@ -848,7 +879,7 @@ TEST(PipelineMonitor, ReadOnlyCallsServedMidPopKeepParity) {
 // while the worker is still working through full 256-message pops.
 TEST(PipelineMonitor, DrainAndStopMetMidPopApplyTheRest) {
   auto config = pipeline_config(1, 1);
-  config.coalescer.slots = 0;
+  config.coalescer = false;
   config.telemetry_prefix = "pipeline_mid_pop_drain";
   std::vector<PipelineMonitor::PacketEvent> fill(config.ring_capacity);
   for (std::size_t i = 0; i < fill.size(); ++i) {
@@ -922,7 +953,7 @@ TEST(PipelineMonitor, DropBackpressureCountsEveryLostPacket) {
   auto config = pipeline_config(1, 1);
   config.ring_capacity = 8;  // absurdly small: force drops
   config.backpressure = Backpressure::Drop;
-  config.coalescer.slots = 0;
+  config.coalescer = false;
   PipelineMonitor pipeline(config);
 
   constexpr std::uint64_t kAttempted = 50000;
@@ -986,9 +1017,58 @@ TEST(PipelineMonitor, QueriesRunConcurrentlyWithIngest) {
   EXPECT_EQ(top.size(), 3u);
 }
 
+// Control calls from three threads at once: two callers loop read-only
+// calls and the main thread rotates, all while a producer ingests 256-packet
+// spans into four workers.  control_mutex_ lets one call at a time post its
+// commands, so a worker never holds more than one, which is what its
+// two-slot command ring relies on.  Every call returns, and every packet
+// ingest_batch accepted is counted once.
+TEST(PipelineMonitor, ConcurrentControlCallersAllReturn) {
+  auto config = pipeline_config(4, 1);
+  config.telemetry_prefix = "pipeline_concurrent_control";
+  constexpr std::size_t kSpan = 256;
+  const auto trace = run_trace(64 * kSpan, 4245);
+  PipelineMonitor pipeline(config);
+
+  std::atomic<bool> stop{false};
+  std::uint64_t accepted = 0;
+  std::thread producer([&] {
+    for (std::size_t off = 0; !stop.load(std::memory_order_relaxed);
+         off = (off + kSpan) % trace.size()) {
+      accepted += pipeline.ingest_batch(0, trace.data() + off, kSpan);
+    }
+  });
+  std::atomic<std::uint64_t> calls{0};
+  std::vector<std::thread> callers;
+  for (std::uint32_t t = 0; t < 2; ++t) {
+    callers.emplace_back([&, t] {
+      for (std::uint32_t f = t; !stop.load(std::memory_order_relaxed); f += 2) {
+        (void)pipeline.query(tuple(f % 64));
+        (void)pipeline.totals();
+        (void)pipeline.top_k(5);
+        (void)pipeline.packets_seen();
+        calls.fetch_add(4, std::memory_order_relaxed);
+      }
+    });
+  }
+  std::uint64_t rotations = 0;
+  while (rotations < 20 || calls.load(std::memory_order_relaxed) < 400) {
+    (void)pipeline.rotate();
+    ++rotations;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  producer.join();
+  for (auto& caller : callers) caller.join();
+
+  pipeline.drain();
+  EXPECT_GT(accepted, 0u);
+  EXPECT_EQ(accepted % kSpan, 0u);  // Block backpressure drops nothing
+  EXPECT_EQ(pipeline.packets_seen(), accepted);
+}
+
 TEST(PipelineMonitor, TopKMergesAcrossWorkers) {
   auto config = pipeline_config(4, 1);
-  config.coalescer.slots = 0;  // one update per packet: deterministic estimates
+  config.coalescer = false;  // one update per packet: deterministic estimates
   PipelineMonitor pipeline(config);
   // Volumes grow quadratically across 8 flows owned by several workers, so
   // the global top-k has to be merged from more than one shard.

@@ -96,7 +96,7 @@ disco::pipeline::PipelineMonitor::Config replay_config(
   config.base = base;
   config.workers = 4;
   config.producers = 1;
-  config.coalescer.slots = 0;
+  config.coalescer = false;
   config.telemetry_prefix = telemetry_prefix;
   return config;
 }
