@@ -280,8 +280,7 @@ void BM_AdditiveArrayBatch(benchmark::State& state) {
 template <bool UseSimd>
 void BM_TagProbeFind(benchmark::State& state) {
   constexpr std::size_t kCapacity = 8192;
-  disco::flowtable::BasicFlowTable<disco::flowtable::FiveTuple, UseSimd> table(
-      kCapacity);
+  disco::flowtable::BasicFlowTable<UseSimd> table(kCapacity);
   const auto tuples = sample_tuples(8192);
   for (std::size_t i = 0; i < kCapacity * 3 / 4; ++i) {
     (void)table.insert_or_get(tuples[i]);
@@ -301,8 +300,7 @@ void BM_TagProbeChurn(benchmark::State& state) {
   // Insert/erase churn at capacity: every erase backward-shifts a cluster,
   // every insert probes to a fresh slot -- the worst case for tag upkeep.
   constexpr std::size_t kCapacity = 4096;
-  disco::flowtable::BasicFlowTable<disco::flowtable::FiveTuple, UseSimd> table(
-      kCapacity);
+  disco::flowtable::BasicFlowTable<UseSimd> table(kCapacity);
   const auto tuples = sample_tuples(8192);
   for (std::size_t i = 0; i < kCapacity; ++i) {
     (void)table.insert_or_get(tuples[i]);

@@ -78,6 +78,29 @@ std::uint64_t DiscoParams::merge(std::uint64_t c1, std::uint64_t c2,
   return c1 + d.delta + (rng.bernoulli(d.p_d) ? 1 : 0);
 }
 
+namespace {
+
+/// Randomized rounding of the f-value `x` into `scale`: the counter value
+/// lo = floor(f^-1(x)) and the chance `up` of lo + 1 instead, so that
+/// E[f(lo + Bernoulli(up))] = x.  The caller draws the coin (the RNG
+/// call-site rule keeps draws in the canonical update functions); lo + 1
+/// may exceed the array's width.
+struct Rounding {
+  std::uint64_t lo = 0;
+  double up = 0.0;
+};
+
+Rounding rounding_into(const util::GeometricScale& scale, double x) noexcept {
+  double lo = std::floor(scale.f_inv(x));
+  if (lo < 0.0) lo = 0.0;
+  const double f_lo = scale.f(lo);
+  const double width = scale.step(lo);  // f(lo+1) - f(lo)
+  return Rounding{static_cast<std::uint64_t>(lo),
+                  std::clamp((x - f_lo) / width, 0.0, 1.0)};
+}
+
+}  // namespace
+
 void DiscoArray::saturate_or_rescale(std::size_t i, std::uint64_t next,
                                      util::Rng& rng) noexcept {
   // The f-value the realised (oversized) counter stands for in the scale
@@ -88,14 +111,8 @@ void DiscoArray::saturate_or_rescale(std::size_t i, std::uint64_t next,
   const double x = params_.scale().f(static_cast<double>(next));
   while (rescale_enabled_ && rescales_ < max_rescales_) {
     if (!rescale_once(rng)) break;
-    const util::GeometricScale& ns = params_.scale();
-    double lo = std::floor(ns.f_inv(x));
-    if (lo < 0.0) lo = 0.0;
-    const double f_lo = ns.f(lo);
-    const double width = ns.step(lo);  // f(lo+1) - f(lo)
-    const double frac = std::clamp((x - f_lo) / width, 0.0, 1.0);
-    const std::uint64_t mapped = static_cast<std::uint64_t>(lo) +
-                                 (rng.bernoulli(frac) ? 1 : 0);
+    const Rounding r = rounding_into(params_.scale(), x);
+    const std::uint64_t mapped = r.lo + (rng.bernoulli(r.up) ? 1 : 0);
     if (mapped <= store_.max_value()) {
       store_.set(i, mapped);
       return;
@@ -124,24 +141,17 @@ bool DiscoArray::rescale_once(util::Rng& rng) noexcept {
   }
   const util::GeometricScale old_scale = params_.scale();
   DiscoParams new_params(new_b);
-  const util::GeometricScale& ns = new_params.scale();
-  // Remap every live counter into the new scale with randomized rounding:
-  // c' = floor(f_new^-1(f_old(c))) + Bernoulli(frac), so conditional on the
-  // old value E[f_new(c')] = f_old(c) and the estimator stays unbiased
-  // through any number of rescales (tower property).
+  // Remap every live counter into the new scale with randomized rounding,
+  // so conditional on the old value E[f_new(c')] = f_old(c) and the
+  // estimator stays unbiased through any number of rescales (tower
+  // property).
   for (std::size_t j = 0; j < store_.size(); ++j) {
     const std::uint64_t c = store_.get(j);
     if (c == 0) continue;
-    const double x = old_scale.f(static_cast<double>(c));
-    double lo = std::floor(ns.f_inv(x));
-    if (lo < 0.0) lo = 0.0;
-    const double f_lo = ns.f(lo);
-    const double width = ns.step(lo);  // f(lo+1) - f(lo)
-    const double frac = std::clamp((x - f_lo) / width, 0.0, 1.0);
-    std::uint64_t mapped = static_cast<std::uint64_t>(lo) +
-                           (rng.bernoulli(frac) ? 1 : 0);
-    if (mapped > store_.max_value()) mapped = store_.max_value();
-    store_.set(j, mapped);
+    const Rounding r = rounding_into(new_params.scale(),
+                                     old_scale.f(static_cast<double>(c)));
+    const std::uint64_t mapped = r.lo + (rng.bernoulli(r.up) ? 1 : 0);
+    store_.set(j, std::min(mapped, store_.max_value()));
   }
   const bool had_table = params_.decision_table() != nullptr;
   params_ = new_params;

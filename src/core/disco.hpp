@@ -225,19 +225,6 @@ class DiscoArray {
   }
   [[nodiscard]] std::uint64_t rescale_count() const noexcept { return rescales_; }
 
-  /// Restores a rescaled deployment's effective base (checkpoint/restore
-  /// path): rebuilds params for `b` (re-deriving the attached decision
-  /// table, if any) and resets the rescale-event count.  The raw counter
-  /// values restored afterwards are interpreted under this b.
-  void restore_scale(double b, std::uint64_t rescales) {
-    if (b != params_.b()) {
-      const bool had_table = params_.decision_table() != nullptr;
-      params_ = DiscoParams(b);
-      if (had_table) params_.attach_table(store_.max_value());
-    }
-    rescales_ = rescales;
-  }
-
   void add(std::size_t i, std::uint64_t l, util::Rng& rng) noexcept {
     const std::uint64_t c = store_.get(i);
     const std::uint64_t next = params_.update(c, l, rng);
@@ -253,8 +240,8 @@ class DiscoArray {
     return params_.estimate(store_.get(i));
   }
 
-  /// Restores a raw counter value (checkpoint/restore path).  The value must
-  /// fit the configured width.
+  /// Overwrites a raw counter value (eviction and admission reset slots to
+  /// 0).  The value must fit the configured width.
   void set_value(std::size_t i, std::uint64_t v) {
     if (v > store_.max_value()) {
       throw std::out_of_range("DiscoArray::set_value: value exceeds counter width");

@@ -4,7 +4,7 @@
 //
 //   * EstimatorKind::Disco (default): core::DiscoArray, the paper's
 //     logarithmic counters -- multiplicative error bounded by Theorem 2,
-//     snapshot/restore, RescaleB, and always the decision-table fast path.
+//     RescaleB, and always the decision-table fast path.
 //   * EstimatorKind::AdditiveError: core::AdditiveErrorArray -- cheaper
 //     shift-and-round updates with an additive error envelope
 //     (core/additive.hpp), for workloads that tolerate a noise floor on
@@ -12,8 +12,8 @@
 //
 // The bank is a tagged union with branch dispatch: the kind is fixed at
 // construction, so the branch in add() is perfectly predicted and costs
-// nothing next to the counter update itself.  Methods that only exist for
-// one family (RescaleB, scale restore) are documented no-ops for the other,
+// nothing next to the counter update itself.  The one method that only
+// exists for one family (RescaleB) is a documented no-op for the other,
 // which keeps FlowMonitor free of kind checks.
 #pragma once
 
@@ -50,18 +50,8 @@ class CounterBank {
     }
   }
 
-  [[nodiscard]] EstimatorKind kind() const noexcept { return kind_; }
   [[nodiscard]] bool is_disco() const noexcept {
     return kind_ == EstimatorKind::Disco;
-  }
-
-  /// The wrapped DiscoArray (Disco kind only -- tests and the snapshot
-  /// path use it; nullptr for the additive family).
-  [[nodiscard]] const core::DiscoArray* disco() const noexcept {
-    return disco_ ? &*disco_ : nullptr;
-  }
-  [[nodiscard]] const core::AdditiveErrorArray* additive() const noexcept {
-    return additive_ ? &*additive_ : nullptr;
   }
 
   // --- hot path --------------------------------------------------------------
@@ -135,11 +125,6 @@ class CounterBank {
   /// rescales natively (halve-all), so this is a no-op for it.
   void enable_rescale(double growth, unsigned max_rescales) noexcept {
     if (is_disco()) disco_->enable_rescale(growth, max_rescales);
-  }
-
-  /// Disco only (snapshot/restore is DISCO-mode-only; monitor.cpp guards).
-  void restore_scale(double b, std::uint64_t rescales) {
-    if (is_disco()) disco_->restore_scale(b, rescales);
   }
 
  private:

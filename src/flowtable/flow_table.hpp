@@ -1,4 +1,4 @@
-// Fixed-capacity open-addressing flow table, generic over the key type.
+// Fixed-capacity open-addressing flow table for IPv4 5-tuples.
 //
 // A line card allocates its flow table once; there is no rehashing at line
 // rate.  BasicFlowTable maps keys to dense counter slots with linear
@@ -22,11 +22,8 @@
 //
 // The UseSimd template knob exists for the differential suite, which runs
 // the SSE2 and scalar engines side by side in one binary and requires
-// bit-identical tables; production code uses the default.
-//
-// Key requirements: equality-comparable, hashable via std::hash<Key>, and
-// cheap to copy (keys are stored twice: bucket array + slot-ordered list).
-// `FlowTable` is the IPv4 5-tuple instantiation.
+// bit-identical tables; production code uses the default, `FlowTable`.
+// Keys are stored twice: bucket array + slot-ordered list.
 #pragma once
 
 #include <bit>
@@ -44,27 +41,22 @@
 
 namespace disco::flowtable {
 
-template <typename Key, bool UseSimd = tagprobe::kHaveSimd>
+template <bool UseSimd = tagprobe::kHaveSimd>
 class BasicFlowTable {
  public:
   /// `capacity` is the number of flows the table can hold; the bucket array
-  /// is sized to the next power of two of capacity / max_load.
-  explicit BasicFlowTable(std::size_t capacity, double max_load = 0.75)
-      : capacity_(capacity) {
+  /// is sized to the next power of two of capacity / kMaxLoad.
+  explicit BasicFlowTable(std::size_t capacity) : capacity_(capacity) {
     if (capacity == 0) throw std::invalid_argument("FlowTable: zero capacity");
     if (capacity > (std::size_t{1} << 32)) {
-      // Also guards next_pow2 against overflow on absurd (e.g. corrupted
-      // snapshot) capacities.
+      // Also guards next_pow2 against overflow on absurd capacities.
       throw std::invalid_argument("FlowTable: capacity beyond 2^32 flows");
-    }
-    if (!(max_load > 0.0) || max_load > 0.95) {
-      throw std::invalid_argument("FlowTable: max_load must be in (0, 0.95]");
     }
     // At least one probe group of buckets, so the group scan's wrap-around
     // mirror (below) is always a full group.  Sizing guarantees
     // buckets > capacity, so a probe can always terminate at an empty tag.
     std::size_t buckets = next_pow2(
-        static_cast<std::size_t>(static_cast<double>(capacity) / max_load) + 1);
+        static_cast<std::size_t>(static_cast<double>(capacity) / kMaxLoad) + 1);
     if (buckets < tagprobe::kGroupWidth) buckets = tagprobe::kGroupWidth;
     buckets_.resize(buckets);
     // kGroupWidth extra tags mirror tags_[0..kGroupWidth): a group read
@@ -83,8 +75,8 @@ class BasicFlowTable {
   /// The hash this table probes with -- exposed so batch callers can hash
   /// once, prefetch(), then probe with the insert_or_get/find overloads
   /// below without hashing twice.
-  [[nodiscard]] static std::uint64_t hash_of(const Key& key) noexcept {
-    return static_cast<std::uint64_t>(std::hash<Key>{}(key));
+  [[nodiscard]] static std::uint64_t hash_of(const FiveTuple& key) noexcept {
+    return static_cast<std::uint64_t>(std::hash<FiveTuple>{}(key));
   }
 
   /// Pulls the tag group and bucket line for `hash` toward the cache --
@@ -97,13 +89,14 @@ class BasicFlowTable {
 
   /// Returns the dense slot of `key`, inserting it if new.  nullopt when the
   /// table is at capacity and `key` is not present.
-  [[nodiscard]] std::optional<std::uint32_t> insert_or_get(const Key& key) {
+  [[nodiscard]] std::optional<std::uint32_t> insert_or_get(
+      const FiveTuple& key) {
     return insert_or_get(key, hash_of(key));
   }
 
   /// insert_or_get with a caller-supplied hash (must equal hash_of(key)).
   [[nodiscard]] std::optional<std::uint32_t> insert_or_get(
-      const Key& key, std::uint64_t hash) {
+      const FiveTuple& key, std::uint64_t hash) {
     const Probe p = probe(key, hash);
     account(p.length);
     if (p.found) return buckets_[p.index].slot;
@@ -137,13 +130,14 @@ class BasicFlowTable {
   }
 
   /// Lookup without insertion.
-  [[nodiscard]] std::optional<std::uint32_t> find(const Key& key) const noexcept {
+  [[nodiscard]] std::optional<std::uint32_t> find(
+      const FiveTuple& key) const noexcept {
     return find(key, hash_of(key));
   }
 
   /// find with a caller-supplied hash (must equal hash_of(key)).
   [[nodiscard]] std::optional<std::uint32_t> find(
-      const Key& key, std::uint64_t hash) const noexcept {
+      const FiveTuple& key, std::uint64_t hash) const noexcept {
     const Probe p = probe(key, hash);
     account(p.length);
     if (!p.found) return std::nullopt;
@@ -154,7 +148,7 @@ class BasicFlowTable {
   /// monitor's idle-eviction path).  Uses backward-shift deletion so probe
   /// sequences stay intact without tombstones.  Returns the freed slot, or
   /// nullopt if the key was absent.
-  std::optional<std::uint32_t> erase(const Key& key) noexcept {
+  std::optional<std::uint32_t> erase(const FiveTuple& key) noexcept {
     const Probe p = probe(key, hash_of(key));
     account(p.length);
     if (!p.found) return std::nullopt;
@@ -198,7 +192,9 @@ class BasicFlowTable {
 
   /// Keys in slot order; entries of freed slots are stale -- pair with
   /// for_each()/slot_used() when erase() is in play.
-  [[nodiscard]] const std::vector<Key>& keys() const noexcept { return keys_; }
+  [[nodiscard]] const std::vector<FiveTuple>& keys() const noexcept {
+    return keys_;
+  }
   [[nodiscard]] bool slot_used(std::uint32_t slot) const noexcept {
     return slot < slot_used_.size() && slot_used_[slot];
   }
@@ -214,7 +210,7 @@ class BasicFlowTable {
 
   /// SRAM footprint of the table structure itself (keys + slot ids + tags).
   [[nodiscard]] std::size_t storage_bits() const noexcept {
-    return (buckets_.size() * (sizeof(Key) + 4) + tags_.size()) * 8;
+    return (buckets_.size() * (sizeof(FiveTuple) + 4) + tags_.size()) * 8;
   }
 
   /// Removes all flows (start of a new measurement epoch).  Capacity and
@@ -233,7 +229,7 @@ class BasicFlowTable {
   /// Meaningful only while its tag is non-empty: an emptied bucket keeps
   /// its stale contents until an insert reuses it.
   struct Bucket {
-    Key key{};
+    FiveTuple key{};
     std::uint32_t slot = 0;
   };
   /// Probe-length histogram sampling: 1 in 64 lookups (starting with the
@@ -244,6 +240,10 @@ class BasicFlowTable {
   /// per-lookup path while keeping the distribution shape; the measured
   /// before/after is in docs/telemetry.md.
   static constexpr std::uint64_t kProbeSampleMask = 63;
+
+  /// Largest flows-to-buckets ratio at capacity: short linear probes, and
+  /// always an empty bucket to end one.
+  static constexpr double kMaxLoad = 0.75;
 
   static std::size_t next_pow2(std::size_t v) noexcept {
     std::size_t p = 1;
@@ -261,7 +261,8 @@ class BasicFlowTable {
     bool found = false;
   };
 
-  [[nodiscard]] Probe probe(const Key& key, std::uint64_t hash) const noexcept {
+  [[nodiscard]] Probe probe(const FiveTuple& key,
+                            std::uint64_t hash) const noexcept {
     const std::uint8_t tag = tagprobe::make_tag(hash);
     const std::size_t start = static_cast<std::size_t>(hash) & mask_;
     std::size_t base = start;
@@ -312,7 +313,7 @@ class BasicFlowTable {
   std::size_t mask_ = 0;
   std::vector<Bucket> buckets_;
   std::vector<std::uint8_t> tags_;
-  std::vector<Key> keys_;
+  std::vector<FiveTuple> keys_;
   std::vector<bool> slot_used_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t size_ = 0;
@@ -324,7 +325,7 @@ class BasicFlowTable {
   telemetry::LatencyHistogram* probe_hist_ = nullptr;
 };
 
-/// The IPv4 5-tuple table used by FlowMonitor.
-using FlowTable = BasicFlowTable<FiveTuple>;
+/// The table FlowMonitor uses.
+using FlowTable = BasicFlowTable<>;
 
 }  // namespace disco::flowtable

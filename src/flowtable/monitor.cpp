@@ -1,10 +1,6 @@
 #include "flowtable/monitor.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <istream>
-#include <ostream>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -12,15 +8,6 @@
 
 namespace disco::flowtable {
 namespace {
-
-constexpr std::uint32_t kSnapshotMagic = 0x4e4f4d44;  // "DMON" LE
-// v3 adds the pressure block after the RNG state: pressure-stream RNG state,
-// cumulative PressureStats, and each counter array's effective base b with
-// its rescale count (so a RescaleB deployment restores to the scale its raw
-// counters are actually expressed in).  v2 snapshots (no pressure block) are
-// still readable.
-constexpr std::uint32_t kSnapshotVersion = 3;
-constexpr std::uint32_t kSnapshotVersionV2 = 2;
 
 // Stream-splitting constant for the pressure RNG (same golden-ratio constant
 // SplitMix64 uses): one user seed yields two decorrelated streams.
@@ -38,39 +25,6 @@ constexpr unsigned kVictimSamples = 8;
 // CV bound, so unbounded growth would silently trade all accuracy away).
 constexpr double kRescaleGrowth = 2.0;
 constexpr unsigned kMaxRescales = 16;
-
-template <typename T>
-void put(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-template <typename T>
-[[nodiscard]] T get(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(value));
-  if (!in) throw std::runtime_error("FlowMonitor::restore: truncated snapshot");
-  return value;
-}
-
-// FiveTuple is written field by field: the struct has padding bytes whose
-// content is indeterminate and must not leak into the snapshot.
-void put_tuple(std::ostream& out, const FiveTuple& t) {
-  put(out, t.src_ip);
-  put(out, t.dst_ip);
-  put(out, t.src_port);
-  put(out, t.dst_port);
-  put(out, t.protocol);
-}
-
-[[nodiscard]] FiveTuple get_tuple(std::istream& in) {
-  FiveTuple t;
-  t.src_ip = get<std::uint32_t>(in);
-  t.dst_ip = get<std::uint32_t>(in);
-  t.src_port = get<std::uint16_t>(in);
-  t.dst_port = get<std::uint16_t>(in);
-  t.protocol = get<std::uint8_t>(in);
-  return t;
-}
 
 }  // namespace
 
@@ -369,134 +323,6 @@ FlowMonitor::EpochReport FlowMonitor::rotate() {
   // subscriber observing telemetry or table state sees the new epoch.
   for (const auto& subscriber : subscribers_) subscriber(report);
   return report;
-}
-
-void FlowMonitor::snapshot(std::ostream& out) const {
-  if (config_.estimator != EstimatorKind::Disco) {
-    // The v3 format stores each array's effective base b -- a DISCO-mode
-    // notion.  Additive deployments are epoch-scoped (rotate() re-exacts
-    // the scale), so checkpointing them has no use case yet; fail loudly
-    // rather than write a snapshot restore() would misinterpret.
-    throw std::runtime_error(
-        "FlowMonitor::snapshot: additive-error estimator is not snapshotable");
-  }
-  put(out, kSnapshotMagic);
-  put(out, kSnapshotVersion);
-  put(out, static_cast<std::uint64_t>(config_.max_flows));
-  put(out, static_cast<std::int32_t>(config_.counter_bits));
-  put(out, config_.max_flow_bytes);
-  put(out, config_.max_flow_packets);
-  put(out, config_.seed);
-  put(out, epoch_);
-  put(out, packets_seen_);
-  put(out, rng_.state());
-  // v3 pressure block: stream state, cumulative stats, and the effective
-  // scale of each counter array (b drifts upward under RescaleB; the raw
-  // counter values below are only meaningful under the b they were written
-  // with).
-  put(out, pressure_rng_.state());
-  put(out, pressure_.flows_rejected);
-  put(out, pressure_.flows_evicted);
-  put(out, pressure_.counters_saturated);
-  put(out, pressure_.rescale_events);
-  put(out, volume_.effective_b());
-  put(out, volume_.rescale_count());
-  put(out, size_.effective_b());
-  put(out, size_.rescale_count());
-  put(out, static_cast<std::uint64_t>(table_.size()));
-  // Entries are keyed by flow, not slot: restore re-derives slot numbers, so
-  // snapshots are insensitive to the eviction history's slot fragmentation.
-  table_.for_each([&](std::uint32_t slot, const FiveTuple& key) {
-    put_tuple(out, key);
-    put(out, volume_.value(slot));
-    put(out, size_.value(slot));
-    put(out, last_seen_ns_[slot]);
-  });
-  if (!out) throw std::runtime_error("FlowMonitor::snapshot: write failed");
-}
-
-FlowMonitor FlowMonitor::restore(std::istream& in) {
-  if (get<std::uint32_t>(in) != kSnapshotMagic) {
-    throw std::runtime_error("FlowMonitor::restore: bad magic");
-  }
-  const auto version = get<std::uint32_t>(in);
-  if (version != kSnapshotVersion && version != kSnapshotVersionV2) {
-    throw std::runtime_error("FlowMonitor::restore: unsupported version");
-  }
-  Config config;
-  config.max_flows = static_cast<std::size_t>(get<std::uint64_t>(in));
-  if (config.max_flows == 0 || config.max_flows > (std::size_t{1} << 26)) {
-    // Sanity bound: a corrupted size field must not drive a multi-GB
-    // allocation.  64M flows is far beyond any monitored-link population.
-    throw std::runtime_error("FlowMonitor::restore: implausible max_flows");
-  }
-  config.counter_bits = get<std::int32_t>(in);
-  config.max_flow_bytes = get<std::uint64_t>(in);
-  config.max_flow_packets = get<std::uint64_t>(in);
-  config.seed = get<std::uint64_t>(in);
-
-  // The constructor owns the counter rules (width in [1, 62], a positive
-  // budget that b <= 4 can cover); a snapshot header it rejects is corrupt.
-  FlowMonitor monitor = [&] {
-    try {
-      return FlowMonitor(config);
-    } catch (const std::invalid_argument& e) {
-      throw std::runtime_error(
-          std::string("FlowMonitor::restore: implausible counter config: ") +
-          e.what());
-    }
-  }();
-  monitor.epoch_ = get<std::uint64_t>(in);
-  monitor.packets_seen_ = get<std::uint64_t>(in);
-  monitor.rng_.set_state(get<util::Rng::State>(in));
-
-  if (version >= 3) {
-    monitor.pressure_rng_.set_state(get<util::Rng::State>(in));
-    monitor.pressure_.flows_rejected = get<std::uint64_t>(in);
-    monitor.pressure_.flows_evicted = get<std::uint64_t>(in);
-    monitor.pressure_.counters_saturated = get<std::uint64_t>(in);
-    monitor.pressure_.rescale_events = get<std::uint64_t>(in);
-    const auto volume_b = get<double>(in);
-    const auto volume_rescales = get<std::uint64_t>(in);
-    const auto size_b = get<double>(in);
-    const auto size_rescales = get<std::uint64_t>(in);
-    if (!(volume_b > 1.0) || !(size_b > 1.0) || !std::isfinite(volume_b) ||
-        !std::isfinite(size_b)) {
-      throw std::runtime_error("FlowMonitor::restore: implausible base b");
-    }
-    monitor.volume_.restore_scale(volume_b, volume_rescales);
-    monitor.size_.restore_scale(size_b, size_rescales);
-    // Freshly constructed arrays have zero overflow tallies; rescale counts
-    // were just restored, so the sync watermarks start exactly there.
-    monitor.saturations_seen_ = 0;
-    monitor.rescales_seen_ = volume_rescales + size_rescales;
-  }
-
-  const auto flow_count = get<std::uint64_t>(in);
-  if (flow_count > config.max_flows) {
-    throw std::runtime_error("FlowMonitor::restore: snapshot exceeds capacity");
-  }
-  const std::uint64_t counter_max =
-      (std::uint64_t{1} << config.counter_bits) - 1;
-  for (std::uint64_t i = 0; i < flow_count; ++i) {
-    const auto key = get_tuple(in);
-    const auto volume_value = get<std::uint64_t>(in);
-    const auto size_value = get<std::uint64_t>(in);
-    const auto last_seen = get<std::uint64_t>(in);
-    if (volume_value > counter_max || size_value > counter_max) {
-      throw std::runtime_error(
-          "FlowMonitor::restore: counter value exceeds counter width");
-    }
-    const auto slot = monitor.table_.insert_or_get(key);
-    if (!slot) {
-      throw std::runtime_error("FlowMonitor::restore: corrupt key section");
-    }
-    monitor.volume_.set_value(*slot, volume_value);
-    monitor.size_.set_value(*slot, size_value);
-    monitor.last_seen_ns_[*slot] = last_seen;
-  }
-  monitor.metrics_.occupancy->set(static_cast<std::int64_t>(monitor.table_.size()));
-  return monitor;
 }
 
 }  // namespace disco::flowtable

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <optional>
 #include <span>
 #include <string>
@@ -43,22 +42,17 @@ class FlowMonitor {
     std::uint64_t seed = 0x5eed;
     /// Registry prefix for this monitor's metrics (docs/telemetry.md).
     /// Instances sharing a prefix share counters; PipelineMonitor gives
-    /// each worker's shard its own.  Not persisted by snapshot()/restore().
+    /// each worker's shard its own.
     std::string telemetry_prefix = "flow_monitor";
     /// What to do when the flow table fills or a counter would overflow
     /// (flowtable/pressure.hpp, docs/robustness.md).  The default -- reject
     /// new flows, clamp saturating counters -- is the seed behaviour and
     /// consumes no randomness, so it is bit-identical to builds that predate
-    /// the policy layer.  Like telemetry_prefix this is runtime deployment
-    /// config, not measurement state: snapshot()/restore() does not persist
-    /// it (restore() preserves the *effects* -- the effective base b after
-    /// RescaleB events and the cumulative PressureStats -- but the restoring
-    /// process chooses its own policies).
+    /// the policy layer.
     PressureConfig pressure{};
     /// Estimator family for the volume/size counters (counter_bank.hpp):
     /// DISCO logarithmic counters (default, multiplicative error), or
     /// additive-error counters (cheaper updates, additive noise floor).
-    /// snapshot()/restore() is DISCO-only; additive mode throws there.
     /// Under AdditiveError the pressure saturation policy is moot (those
     /// counters rescale natively by halving; events surface through the
     /// usual rescale telemetry).
@@ -174,9 +168,7 @@ class FlowMonitor {
 
   /// Registers a subscriber for every future rotate().  Subscribers are
   /// invoked in registration order and may not call back into this monitor
-  /// from inside the callback.  Like telemetry_prefix, subscriptions are
-  /// runtime wiring, not measurement state: snapshot()/restore() does not
-  /// persist them.
+  /// from inside the callback.
   void subscribe(EpochSubscriber subscriber);
 
   /// Number of registered epoch subscribers.
@@ -191,19 +183,9 @@ class FlowMonitor {
     return pressure_;
   }
 
-  // --- checkpoint / restore ----------------------------------------------------
-  /// Serialises the complete monitor state (config, flow table, counters,
-  /// RNG stream position) so monitoring can resume bit-exactly after a
-  /// restart.  Throws std::runtime_error on I/O failure.
-  void snapshot(std::ostream& out) const;
-
-  /// Rebuilds a monitor from a snapshot.  Throws std::runtime_error on
-  /// malformed input.
-  [[nodiscard]] static FlowMonitor restore(std::istream& in);
-
  private:
   /// Registry-owned metrics under config_.telemetry_prefix; plain pointers
-  /// keep the monitor movable (restore() returns by value).
+  /// keep the monitor movable.
   struct Metrics {
     telemetry::Counter* ingests = nullptr;
     telemetry::Counter* rejects = nullptr;

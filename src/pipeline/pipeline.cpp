@@ -151,9 +151,6 @@ PipelineMonitor::PipelineMonitor(const Config& config)
   if (config.producers == 0 || config.producers > 256) {
     throw std::invalid_argument("PipelineMonitor: producers must be in [1, 256]");
   }
-  if (config.pop_batch == 0) {
-    throw std::invalid_argument("PipelineMonitor: pop_batch must be >= 1");
-  }
   auto& registry = telemetry::Registry::global();
   dropped_metric_ = &registry.counter(config.telemetry_prefix + ".dropped_total");
   blocked_metric_ = &registry.counter(config.telemetry_prefix + ".blocked_total");

@@ -97,7 +97,9 @@ class PipelineMonitor {
     unsigned workers = 4;                 ///< shard-owning consumer threads
     unsigned producers = 1;               ///< registered ingest threads
     std::size_t ring_capacity = 1u << 14; ///< slots per (producer, worker) ring, power of two
-    std::size_t pop_batch = 256;          ///< max messages popped per ring visit
+    /// Max messages a worker pops per ring visit.  A constant; replays of
+    /// the worker loop size their pop buffers from it.
+    static constexpr std::size_t pop_batch = 256;
     Backpressure backpressure = Backpressure::Block;
     /// Section VI aggregation (producer runs, then each worker's
     /// BurstCoalescer); false makes every packet its own DISCO update.

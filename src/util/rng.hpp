@@ -100,21 +100,6 @@ class Xoshiro256StarStar {
     return Xoshiro256StarStar(next());
   }
 
-  /// Full engine state, for checkpoint/restore of long-lived components
-  /// (e.g. FlowMonitor snapshots): restoring the state resumes the exact
-  /// random stream.
-  struct State {
-    std::uint64_t s[4];
-  };
-
-  [[nodiscard]] constexpr State state() const noexcept {
-    return State{{state_[0], state_[1], state_[2], state_[3]}};
-  }
-
-  constexpr void set_state(const State& s) noexcept {
-    for (int i = 0; i < 4; ++i) state_[i] = s.s[i];
-  }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

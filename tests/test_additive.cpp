@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -309,17 +308,6 @@ TEST(AdditiveMonitor, RotateReportsErrorUnitInsteadOfBase) {
   EXPECT_DOUBLE_EQ(report2.volume_error_unit, 1.0);
   ASSERT_EQ(report2.flows.size(), 1u);
   EXPECT_DOUBLE_EQ(report2.flows[0].bytes, 100.0);
-}
-
-TEST(AdditiveMonitor, SnapshotThrows) {
-  // The v3 snapshot format stores an effective DISCO base; additive mode
-  // has none and must refuse loudly rather than write a lying snapshot.
-  flowtable::FlowMonitor::Config config;
-  config.estimator = flowtable::EstimatorKind::AdditiveError;
-  flowtable::FlowMonitor monitor(config);
-  ASSERT_TRUE(monitor.ingest(tuple_of(0), 100));
-  std::ostringstream out;
-  EXPECT_THROW(monitor.snapshot(out), std::runtime_error);
 }
 
 }  // namespace

@@ -17,16 +17,29 @@
 //     single-process monitor that saw the whole trace: both estimates of
 //     the same truth, their 99.9% intervals must overlap.
 //
+// A monitor keeps no checkpoint, so a crash costs the site its open epoch
+// and every later one.  One case SIGKILLs a site mid-run and asserts the
+// collector counts that loss (epoch gaps, a lagging site, a torn tail)
+// instead of merging a silent undercount.
+//
 // Everything is seeded; failures reproduce exactly.  Runtime is bounded:
-// the traces are small (hundreds of flows) and the processes run
-// concurrently.
+// the traces are small (hundreds of flows; 10,000 in the kill case) and the
+// processes run concurrently.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <spawn.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -120,18 +133,28 @@ std::unique_ptr<Collector> single_process_reference(std::uint64_t seed) {
   return reference;
 }
 
+std::vector<std::string> monitor_args(std::uint64_t seed, int site,
+                                      std::uint32_t flows, std::uint32_t epochs,
+                                      const std::string& transport_flag,
+                                      const std::string& transport_value) {
+  return {std::string(DISCO_TOOLS_DIR) + "/disco_monitor",
+          "--site", std::to_string(site),
+          "--sites", std::to_string(kSites),
+          "--flows", std::to_string(flows),
+          "--epochs", std::to_string(epochs),
+          "--seed", std::to_string(seed),
+          transport_flag, transport_value};
+}
+
 std::string monitor_command(std::uint64_t seed, int site,
                             const std::string& transport_flag,
                             const std::string& transport_value) {
-  std::string cmd = std::string(DISCO_TOOLS_DIR) + "/disco_monitor";
-  cmd += " --site " + std::to_string(site);
-  cmd += " --sites " + std::to_string(kSites);
-  cmd += " --flows " + std::to_string(kFlows);
-  cmd += " --epochs " + std::to_string(kEpochs);
-  cmd += " --seed " + std::to_string(seed);
-  cmd += " " + transport_flag + " " + transport_value;
-  cmd += " > /dev/null 2>&1";
-  return cmd;
+  std::string cmd;
+  for (const std::string& arg : monitor_args(seed, site, kFlows, kEpochs,
+                                             transport_flag, transport_value)) {
+    cmd += arg + " ";
+  }
+  return cmd + "> /dev/null 2>&1";
 }
 
 /// Runs the N monitor processes concurrently; returns every exit status.
@@ -146,6 +169,84 @@ std::vector<int> spawn_fleet(const std::vector<std::string>& commands) {
   }
   for (auto& p : processes) p.join();
   return status;
+}
+
+/// Monitor processes started with posix_spawn, so the test holds their
+/// pids.  The destructor SIGKILLs and reaps every child not yet reaped: a
+/// failed assertion leaves no monitor running.
+class ChildProcesses {
+ public:
+  ChildProcesses() = default;
+  ChildProcesses(const ChildProcesses&) = delete;
+  ChildProcesses& operator=(const ChildProcesses&) = delete;
+  ~ChildProcesses() {
+    for (std::size_t i = 0; i < pids_.size(); ++i) {
+      if (pids_[i] > 0) {
+        send_sigkill(i);
+        (void)reap(i);
+      }
+    }
+  }
+
+  /// Starts `args` (args[0] is the binary's path) with stdout and stderr on
+  /// /dev/null.  Children are indexed in spawn order.
+  void spawn(const std::vector<std::string>& args) {
+    std::vector<char*> argv;
+    for (const std::string& arg : args) {
+      argv.push_back(const_cast<char*>(arg.c_str()));
+    }
+    argv.push_back(nullptr);
+    posix_spawn_file_actions_t actions;
+    posix_spawn_file_actions_init(&actions);
+    posix_spawn_file_actions_addopen(&actions, 1, "/dev/null", O_WRONLY, 0);
+    posix_spawn_file_actions_adddup2(&actions, 1, 2);
+    pid_t pid = -1;
+    const int rc =
+        posix_spawn(&pid, argv[0], &actions, nullptr, argv.data(), environ);
+    posix_spawn_file_actions_destroy(&actions);
+    if (rc != 0) throw std::runtime_error("posix_spawn failed: " + args[0]);
+    pids_.push_back(pid);
+  }
+
+  void send_sigkill(std::size_t i) { (void)::kill(pids_[i], SIGKILL); }
+
+  /// Waits for child `i` to end and returns its wait status.
+  int reap(std::size_t i) {
+    int status = 0;
+    while (::waitpid(pids_[i], &status, 0) < 0 && errno == EINTR) {
+    }
+    pids_[i] = -1;
+    return status;
+  }
+
+ private:
+  std::vector<pid_t> pids_;
+};
+
+/// What a spool file holds: its complete reports, the sums of their
+/// totals, and whether bytes of a torn report follow them.
+struct SpoolContents {
+  std::uint64_t reports = 0;
+  double bytes = 0.0;
+  double packets = 0.0;
+  bool torn = false;
+};
+
+SpoolContents read_spool(const std::string& path) {
+  SpoolContents contents;
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return contents;
+  flowtable::ReportReader reader(in);
+  try {
+    while (const auto item = reader.next()) {
+      ++contents.reports;
+      contents.bytes += item->report.totals.bytes;
+      contents.packets += item->report.totals.packets;
+    }
+  } catch (const std::runtime_error&) {
+    contents.torn = true;
+  }
+  return contents;
 }
 
 void check_interval(double low, double high, double truth,
@@ -307,6 +408,109 @@ TEST_F(CollectorSoak, LiveSocketFleetConverges) {
             static_cast<std::uint64_t>(kSites));
   EXPECT_EQ(server->truncated_streams(), 0u);
   check_convergence(collector, seed);
+}
+
+// What a crash costs.  A monitor keeps no checkpoint, so a site killed
+// mid-run loses its open epoch and every later one.  The collector must
+// count that loss, not merge a silent undercount: with R complete reports
+// out of E epochs, the site reads R reports and E - R epoch gaps, lags once
+// E - R exceeds the liveness window, and a torn last report shows up only
+// as a truncated tail -- none of its records merge.
+TEST_F(CollectorSoak, KilledSiteLossIsCountedNotMerged) {
+  constexpr std::uint64_t kSeed = 61;
+  constexpr std::size_t kVictim = 2;
+  // Sized so the kill lands long before the last epoch: on a 4-CPU host a
+  // Release site writes its first report about 60 ms in and its last about
+  // 290 ms later.
+  constexpr std::uint32_t kKillFlows = 10000;
+  constexpr std::uint64_t kKillEpochs = 40;
+
+  std::vector<std::string> spools;
+  ChildProcesses fleet;
+  for (int site = 0; site < kSites; ++site) {
+    spools.push_back(std::string(::testing::TempDir()) + "soak_kill_" +
+                     std::to_string(getpid()) + "_s" + std::to_string(site) +
+                     ".drpt");
+    std::remove(spools.back().c_str());
+    fleet.spawn(monitor_args(kSeed, site, kKillFlows, kKillEpochs, "--spool",
+                             spools.back()));
+  }
+
+  // write_report flushes each report whole, so one complete report in the
+  // spool means the site is past its first rotate.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (read_spool(spools[kVictim]).reports == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "site " << kVictim << " wrote no report in time";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  fleet.send_sigkill(kVictim);
+  for (std::size_t site = 0; site < spools.size(); ++site) {
+    const int status = fleet.reap(site);
+    if (site == kVictim) {
+      EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+          << "site " << site << " ended before the kill, status " << status;
+    } else {
+      EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+          << "site " << site << " status " << status;
+    }
+  }
+  // Every child is reaped: no monitor process is left running.
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+
+  const SpoolContents victim = read_spool(spools[kVictim]);
+  const std::uint64_t complete = victim.reports;
+  ASSERT_GE(complete, 1u);
+  ASSERT_LT(complete, kKillEpochs)
+      << "the kill landed after the last epoch; the run is too short";
+  SpoolContents expected;
+  for (std::size_t site = 0; site < spools.size(); ++site) {
+    const SpoolContents contents = read_spool(spools[site]);
+    if (site != kVictim) {
+      EXPECT_EQ(contents.reports, kKillEpochs) << site;
+      EXPECT_FALSE(contents.torn) << site;
+    }
+    expected.bytes += contents.bytes;
+    expected.packets += contents.packets;
+  }
+
+  const CollectorConfig config;
+  Collector collector(config);
+  for (int site = 0; site < kSites; ++site) {
+    collector.expect_site(static_cast<std::uint32_t>(site));
+  }
+  SpoolSource source(spools);
+  const auto stats = source.poll(collector);
+  EXPECT_EQ(stats.reports, (kSites - 1) * kKillEpochs + complete);
+  EXPECT_EQ(stats.truncated_tails, victim.torn ? 1u : 0u);
+  EXPECT_EQ(stats.unreadable, 0u);
+  collector.finalize_all();
+  EXPECT_EQ(collector.epochs_finalized(), kKillEpochs);
+
+  // Only complete reports merge: the totals are the sums of their totals.
+  const auto totals = collector.totals();
+  EXPECT_NEAR(totals.bytes, expected.bytes, 1e-9 * expected.bytes);
+  EXPECT_NEAR(totals.packets, expected.packets, 1e-9 * expected.packets);
+
+  const std::uint64_t lost = kKillEpochs - complete;
+  const auto sites = collector.sites();
+  ASSERT_EQ(sites.size(), static_cast<std::size_t>(kSites));
+  for (const auto& site : sites) {
+    if (site.site_id == kVictim) {
+      EXPECT_EQ(site.reports, complete);
+      EXPECT_EQ(site.epoch_gaps, lost);
+      EXPECT_EQ(site.lag_epochs, lost);
+      EXPECT_EQ(site.lagging, lost > config.liveness_window);
+    } else {
+      EXPECT_EQ(site.reports, kKillEpochs) << site.site_id;
+      EXPECT_EQ(site.epoch_gaps, 0u) << site.site_id;
+      EXPECT_FALSE(site.lagging) << site.site_id;
+    }
+  }
+  for (const auto& spool : spools) std::remove(spool.c_str());
 }
 
 }  // namespace

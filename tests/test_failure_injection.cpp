@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -17,6 +16,7 @@
 #include "counters/sac.hpp"
 #include "flowtable/flow_table.hpp"
 #include "flowtable/monitor.hpp"
+#include "flowtable/report_io.hpp"
 #include "trace/pcap.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/trace_io.hpp"
@@ -77,60 +77,43 @@ TEST(FailureInjection, PcapReaderSurvivesRandomCorruption) {
   SUCCEED();  // the contract is "no crash"; throws are fine
 }
 
-TEST(FailureInjection, SnapshotRestoreSurvivesBitFlips) {
+TEST(FailureInjection, ReportReaderSurvivesBitFlips) {
+  // DRPT is what a collector reads from disk or the wire, so it arrives
+  // untrusted.  Flip one bit in every 5th byte of a two-report v3 stream:
+  // the reader must return reports or throw std::runtime_error -- never
+  // crash, and never throw anything else.
   flowtable::FlowMonitor monitor({.max_flows = 64,
                                   .counter_bits = 10,
                                   .max_flow_bytes = 1 << 20,
                                   .max_flow_packets = 1 << 12,
                                   .seed = 3});
-  for (int i = 0; i < 500; ++i) {
-    (void)monitor.ingest({static_cast<std::uint32_t>(i % 9), 1, 2, 3, 6}, 500);
-  }
   std::stringstream buf;
-  monitor.snapshot(buf);
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    for (int i = 0; i < 500; ++i) {
+      (void)monitor.ingest({static_cast<std::uint32_t>(i % 9), 1, 2, 3, 6},
+                           500);
+    }
+    flowtable::write_report(buf, monitor.rotate());
+  }
   const std::string original = buf.str();
+
+  int threw = 0;
+  int parsed = 0;
   for (std::size_t pos = 0; pos < original.size(); pos += 5) {
     std::string corrupt = original;
     corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x80);
     std::stringstream in(corrupt);
+    flowtable::ReportReader reader(in);
     try {
-      const auto restored = flowtable::FlowMonitor::restore(in);
-      (void)restored;  // undetectable (counter-value) corruption: no crash
+      while (reader.next()) {
+      }
+      ++parsed;  // undetectable (estimate-value) corruption: no crash
     } catch (const std::runtime_error&) {
-      // structural corruption: loud failure, of the documented type
+      ++threw;  // structural corruption: loud failure, of the documented type
     }
   }
-
-  // Header values the counter arrays would refuse: restore reports them as
-  // malformed input, not as a bad argument.  Offsets are the v3 layout:
-  // magic, version, max_flows, then the three counter-config fields; the
-  // volume array's base b follows the seed, epoch, packet count, both RNG
-  // states and the four pressure counters.
-  constexpr std::size_t kCounterBits = 16;
-  constexpr std::size_t kMaxFlowBytes = 20;
-  constexpr std::size_t kMaxFlowPackets = 28;
-  constexpr std::size_t kVolumeB = 156;
-  const auto patched = [](std::string bytes, std::size_t offset, auto value) {
-    return bytes.replace(offset, sizeof(value),
-                         reinterpret_cast<const char*>(&value), sizeof(value));
-  };
-  const std::vector<std::pair<const char*, std::string>> headers = {
-      {"counter_bits 0", patched(original, kCounterBits, std::int32_t{0})},
-      {"counter_bits 99", patched(original, kCounterBits, std::int32_t{99})},
-      {"max_flow_bytes 0", patched(original, kMaxFlowBytes, std::uint64_t{0})},
-      {"max_flow_packets 0",
-       patched(original, kMaxFlowPackets, std::uint64_t{0})},
-      {"counter_bits 1, max_flow_bytes 2^62",
-       patched(patched(original, kCounterBits, std::int32_t{1}), kMaxFlowBytes,
-               std::uint64_t{1} << 62)},
-      {"volume_b inf",
-       patched(original, kVolumeB, std::numeric_limits<double>::infinity())},
-  };
-  for (const auto& [name, corrupt] : headers) {
-    std::stringstream in(corrupt);
-    EXPECT_THROW((void)flowtable::FlowMonitor::restore(in), std::runtime_error)
-        << name;
-  }
+  EXPECT_GT(threw, 0);   // header flips (the magic at byte 0) are detected
+  EXPECT_GT(parsed, 0);  // record payload flips parse
 }
 
 // --- overload and saturation ---------------------------------------------------

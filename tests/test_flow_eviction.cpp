@@ -151,25 +151,5 @@ TEST(MonitorEviction, NothingIdleNothingEvicted) {
   EXPECT_EQ(monitor.totals().flows, 5u);
 }
 
-TEST(MonitorEviction, SnapshotAfterEvictionRoundTrips) {
-  FlowMonitor monitor(monitor_config());
-  for (std::uint32_t i = 0; i < 10; ++i) {
-    for (int p = 0; p < 50; ++p) {
-      (void)monitor.ingest(tuple(i), 600, i < 5 ? 0 : 9'000'000'000ull);
-    }
-  }
-  (void)monitor.evict_idle(10'000'000'000ull, 5'000'000'000ull);  // drops 0-4
-  std::stringstream buf;
-  monitor.snapshot(buf);
-  const auto restored = FlowMonitor::restore(buf);
-  EXPECT_EQ(restored.totals().flows, 5u);
-  for (std::uint32_t i = 5; i < 10; ++i) {
-    const auto a = monitor.query(tuple(i));
-    const auto b = restored.query(tuple(i));
-    ASSERT_TRUE(a && b);
-    EXPECT_DOUBLE_EQ(a->bytes, b->bytes);
-  }
-}
-
 }  // namespace
 }  // namespace disco::flowtable

@@ -28,8 +28,6 @@ TEST(FiveTuple, EqualityAndHash) {
 
 TEST(FlowTable, RejectsBadConfig) {
   EXPECT_THROW(FlowTable(0), std::invalid_argument);
-  EXPECT_THROW(FlowTable(10, 0.99), std::invalid_argument);
-  EXPECT_THROW(FlowTable(10, 0.0), std::invalid_argument);
 }
 
 TEST(FlowTable, InsertAssignsDenseSequentialSlots) {
@@ -96,7 +94,7 @@ TEST(FlowTable, AgreesWithUnorderedMapUnderChurn) {
 }
 
 TEST(FlowTable, ProbeLengthStaysModestBelowMaxLoad) {
-  FlowTable table(10000, 0.75);
+  FlowTable table(10000);
   for (std::uint32_t i = 0; i < 10000; ++i) (void)table.insert_or_get(tuple(i));
   // At 75% load linear probing averages a handful of probes.
   EXPECT_LT(table.mean_probe_length(), 4.0);

@@ -25,8 +25,8 @@
 namespace disco::flowtable {
 namespace {
 
-using SimdTable = BasicFlowTable<FiveTuple, true>;
-using ScalarTable = BasicFlowTable<FiveTuple, false>;
+using SimdTable = BasicFlowTable<true>;
+using ScalarTable = BasicFlowTable<false>;
 
 FiveTuple make_tuple(std::uint32_t i) {
   return FiveTuple{0x0a000000u + i, 0xc0a80001u,
@@ -210,7 +210,7 @@ std::optional<std::uint32_t> apply_op(Table& table, double what,
   return table.erase(key);
 }
 
-// clear() must restore both engines to an identical pristine state (tags,
+// clear() must return both engines to an identical pristine state (tags,
 // mirror region, slot lists) while preserving the probe statistics.  It
 // resets only the tags, so erase churn first scrambles the bucket array it
 // leaves behind; afterwards each engine must answer a mixed sequence op for

@@ -1,10 +1,7 @@
-// Tests for FlowMonitor measurement epochs and checkpoint/restore.
+// Tests for FlowMonitor measurement epochs.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "flowtable/monitor.hpp"
-#include "trace/synthetic.hpp"
 
 namespace disco::flowtable {
 namespace {
@@ -64,69 +61,6 @@ TEST(MonitorEpochs, SuccessiveEpochsIndependent) {
   ASSERT_EQ(second.flows.size(), 1u);
   EXPECT_NEAR(first.flows[0].bytes, second.flows[0].bytes,
               first.flows[0].bytes * 0.3);
-}
-
-TEST(MonitorSnapshot, RoundTripPreservesEverything) {
-  FlowMonitor original(config());
-  util::Rng traffic(5);
-  for (int i = 0; i < 3000; ++i) {
-    (void)original.ingest(tuple(static_cast<std::uint32_t>(traffic.uniform_u64(0, 40))),
-                          static_cast<std::uint32_t>(traffic.uniform_u64(64, 1500)));
-  }
-
-  std::stringstream buf;
-  original.snapshot(buf);
-  FlowMonitor restored = FlowMonitor::restore(buf);
-
-  EXPECT_EQ(restored.packets_seen(), original.packets_seen());
-  EXPECT_EQ(restored.epoch(), original.epoch());
-  EXPECT_EQ(restored.table().size(), original.table().size());
-  for (std::uint32_t i = 0; i <= 40; ++i) {
-    const auto a = original.query(tuple(i));
-    const auto b = restored.query(tuple(i));
-    ASSERT_EQ(a.has_value(), b.has_value()) << i;
-    if (a) {
-      EXPECT_DOUBLE_EQ(a->bytes, b->bytes) << i;
-      EXPECT_DOUBLE_EQ(a->packets, b->packets) << i;
-    }
-  }
-}
-
-TEST(MonitorSnapshot, ResumedStreamIsBitExact) {
-  // A monitor restored from a snapshot must continue *identically* to the
-  // original (same RNG stream position), so monitoring survives restarts
-  // without statistical discontinuity.
-  FlowMonitor a(config());
-  for (int i = 0; i < 1000; ++i) (void)a.ingest(tuple(i % 7), 800);
-
-  std::stringstream buf;
-  a.snapshot(buf);
-  FlowMonitor b = FlowMonitor::restore(buf);
-
-  for (int i = 0; i < 1000; ++i) {
-    (void)a.ingest(tuple(i % 7), 800);
-    (void)b.ingest(tuple(i % 7), 800);
-  }
-  for (std::uint32_t i = 0; i < 7; ++i) {
-    EXPECT_DOUBLE_EQ(a.query(tuple(i))->bytes, b.query(tuple(i))->bytes) << i;
-  }
-}
-
-TEST(MonitorSnapshot, RejectsGarbage) {
-  std::stringstream buf;
-  buf << "this is not a snapshot";
-  EXPECT_THROW((void)FlowMonitor::restore(buf), std::runtime_error);
-}
-
-TEST(MonitorSnapshot, RejectsTruncated) {
-  FlowMonitor monitor(config());
-  for (int i = 0; i < 100; ++i) (void)monitor.ingest(tuple(i % 3), 500);
-  std::stringstream buf;
-  monitor.snapshot(buf);
-  std::string bytes = buf.str();
-  bytes.resize(bytes.size() / 2);
-  std::stringstream cut(bytes);
-  EXPECT_THROW((void)FlowMonitor::restore(cut), std::runtime_error);
 }
 
 }  // namespace

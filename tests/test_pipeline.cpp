@@ -425,9 +425,6 @@ TEST(PipelineMonitor, RejectsBadConfig) {
   c = pipeline_config(1, 1);
   c.ring_capacity = 100;  // not a power of two
   EXPECT_THROW(PipelineMonitor{c}, std::invalid_argument);
-  c = pipeline_config(1, 1);
-  c.pop_batch = 0;
-  EXPECT_THROW(PipelineMonitor{c}, std::invalid_argument);
 }
 
 // The tentpole acceptance test: with coalescing off, the pipeline (after
