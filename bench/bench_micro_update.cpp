@@ -21,9 +21,11 @@
 #include "counters/anls.hpp"
 #include "counters/sac.hpp"
 #include "counters/sd.hpp"
+#include "flowtable/burst.hpp"
 #include "flowtable/flow_table.hpp"
 #include "flowtable/monitor.hpp"
 #include "pipeline/packet_ring.hpp"
+#include "pipeline/pipeline.hpp"
 #include "telemetry/metrics.hpp"
 #include "trace/synthetic.hpp"
 #include "util/log_table.hpp"
@@ -419,6 +421,47 @@ void BM_MonitorIngest(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(i));
 }
 
+// --- probe path at a gated shard's size ------------------------------------
+// One FlowMonitor shard as perfbench's gated pipelines build it:
+// PipelineMonitor::shard_config at 2^20 provisioned flows over 2 workers
+// (655,360 flows, a 20 MiB bucket array on huge pages), holding 5*10^4 live
+// flows.  One-packet bursts that carry their hash, in random flow order,
+// go through ingest_batch in calls of 64, the chunk a worker applies
+// between two looks at its command ring.  One thread, so the TLB and cache
+// misses of the probe, and the hash it no longer computes, show without
+// the host phases that swamp a threaded run.
+
+void BM_MonitorIngestWideTable(benchmark::State& state) {
+  disco::pipeline::PipelineMonitor::Config config;
+  config.base.max_flows = std::size_t{1} << 20;
+  config.base.counter_bits = kBits;
+  config.workers = 2;
+  disco::flowtable::FlowMonitor monitor(
+      disco::pipeline::PipelineMonitor::shard_config(config, 0));
+  constexpr std::size_t kLiveFlows = 50'000;
+  constexpr std::size_t kChunk = 64;
+  const auto tuples = sample_tuples(kLiveFlows);
+  const auto lens = packet_lengths();
+  std::vector<disco::flowtable::FlowBurst> bursts(std::size_t{1} << 16);
+  disco::util::Rng rng(9);
+  for (std::size_t i = 0; i < bursts.size(); ++i) {
+    const auto& flow = tuples[rng.uniform_u64(0, kLiveFlows - 1)];
+    bursts[i] = disco::flowtable::FlowBurst{
+        flow, lens[i & 4095], 1, 0, disco::flowtable::hash_tuple(flow)};
+  }
+  // Admit every live flow before timing, so the loop measures lookups.
+  for (std::size_t i = 0; i < kLiveFlows; ++i) (void)monitor.ingest(tuples[i], 64);
+  std::size_t at = 0;
+  std::int64_t calls = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        monitor.ingest_batch({bursts.data() + at, kChunk}));
+    at = (at + kChunk) & (bursts.size() - 1);
+    ++calls;
+  }
+  state.SetItemsProcessed(calls * static_cast<std::int64_t>(kChunk));
+}
+
 BENCHMARK(BM_DiscoDouble);
 BENCHMARK(BM_DiscoTable);
 BENCHMARK(BM_DiscoTableMix);
@@ -439,6 +482,7 @@ BENCHMARK(BM_SpscRingAB<disco::pipeline::SpscRing<std::uint64_t>>)
     ->Name("BM_SpscRingShim");
 BENCHMARK(BM_SpscRingAB<RawSpscRing>)->Name("BM_SpscRingRaw");
 BENCHMARK(BM_MonitorIngest);
+BENCHMARK(BM_MonitorIngestWideTable);
 
 }  // namespace
 

@@ -37,6 +37,7 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/registry.hpp"
 #include "util/fault.hpp"
+#include "util/huge_pages.hpp"
 #include "util/prefetch.hpp"
 
 namespace disco::flowtable {
@@ -311,8 +312,11 @@ class BasicFlowTable {
 
   std::size_t capacity_;
   std::size_t mask_ = 0;
-  std::vector<Bucket> buckets_;
-  std::vector<std::uint8_t> tags_;
+  // Built in full by the constructor, so huge pages fit them
+  // (util/huge_pages.hpp); keys_ fills one insert at a time and stays on
+  // 4 KiB pages.
+  util::HugePageVector<Bucket> buckets_;
+  util::HugePageVector<std::uint8_t> tags_;
   std::vector<FiveTuple> keys_;
   std::vector<bool> slot_used_;
   std::vector<std::uint32_t> free_slots_;

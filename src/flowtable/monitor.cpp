@@ -1,6 +1,7 @@
 #include "flowtable/monitor.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <string>
 #include <utility>
 
@@ -101,16 +102,17 @@ std::size_t FlowMonitor::ingest_batch(std::span<const FlowBurst> bursts) {
 
     // Probe the window, keeping `depth` tag-group prefetches in flight
     // ahead of the probes, and pull each accepted slot's counter words
-    // toward the cache for the updates.
-    for (std::size_t j = 0; j < depth; ++j) {
-      hashes[j] = FlowTable::hash_of(window[j].flow);
+    // toward the cache for the updates.  A burst's carried hash is the
+    // one the table probes with; only a burst carrying 0 is hashed here.
+    const auto hash_ahead = [&](std::size_t j) {
+      const FlowBurst& burst = window[j];
+      assert(burst.hash == 0 || burst.hash == FlowTable::hash_of(burst.flow));
+      hashes[j] = burst.hash != 0 ? burst.hash : FlowTable::hash_of(burst.flow);
       table_.prefetch(hashes[j]);
-    }
+    };
+    for (std::size_t j = 0; j < depth; ++j) hash_ahead(j);
     for (std::size_t j = 0; j < n; ++j) {
-      if (j + depth < n) {
-        hashes[j + depth] = FlowTable::hash_of(window[j + depth].flow);
-        table_.prefetch(hashes[j + depth]);
-      }
+      if (j + depth < n) hash_ahead(j + depth);
       auto slot = table_.insert_or_get(window[j].flow, hashes[j]);
       if (!slot && config_.pressure.admission != AdmissionPolicy::Drop) {
         // Admission reads and resets counters, so every earlier burst's

@@ -28,6 +28,7 @@
 #include "flowtable/pressure.hpp"
 #include "telemetry/metrics.hpp"
 #include "trace/packet.hpp"
+#include "util/huge_pages.hpp"
 #include "util/rng.hpp"
 
 namespace disco::flowtable {
@@ -78,8 +79,10 @@ class FlowMonitor {
   /// large update replaces several small ones (Theorem 2).  A batch gives
   /// the same estimates, RNG streams and rejections as the same bursts fed
   /// one per call, under every admission and saturation policy; a burst of
-  /// one packet consumes the same randomness as ingest().  Returns the
-  /// number of bursts accepted into the flow table.
+  /// one packet consumes the same randomness as ingest().  A burst's
+  /// non-zero `hash` must equal hash_tuple(flow): the table probes with it
+  /// instead of hashing the tuple again (a debug assertion checks it).
+  /// Returns the number of bursts accepted into the flow table.
   std::size_t ingest_batch(std::span<const FlowBurst> bursts);
 
   /// Per-flow on-line estimates.
@@ -219,7 +222,7 @@ class FlowMonitor {
   FlowTable table_;
   CounterBank volume_;
   CounterBank size_;
-  std::vector<std::uint64_t> last_seen_ns_;
+  util::HugePageVector<std::uint64_t> last_seen_ns_;
   util::Rng rng_;
   /// Dedicated stream for pressure decisions (victim sampling, RAP coins):
   /// keeping it apart from rng_ means enabling a pressure policy never

@@ -62,18 +62,20 @@ class BurstCoalescer {
   }
 
   /// Adds a run of `packets` (>= 1) packets of `flow` holding `bytes` bytes,
-  /// the newest stamped `now_ns`; `hash` must equal hash_tuple(flow).
-  /// Invokes `sink(const flowtable::FlowBurst&)` at most once: when the
-  /// run's slot holds a different flow's burst (it is closed first), or when
-  /// a merge brings the run's burst to a cap.  Deterministic: the emitted
-  /// sequence is a pure function of the run sequence.
+  /// the newest stamped `now_ns`; `hash` must equal hash_tuple(flow).  The
+  /// burst the run opens or passes through carries `hash` on to the flow
+  /// table's probe.  Invokes `sink(const flowtable::FlowBurst&)` at most
+  /// once: when the run's slot holds a different flow's burst (it is closed
+  /// first), or when a merge brings the run's burst to a cap.
+  /// Deterministic: the emitted sequence is a pure function of the run
+  /// sequence.
   template <typename Sink>
   void add(const flowtable::FiveTuple& flow, std::uint64_t hash,
            std::uint64_t bytes, std::uint64_t packets, std::uint64_t now_ns,
            Sink&& sink) {
     merged_ += packets - 1;  // the run's own packets after its first
     if (table_.empty()) {  // coalescing disabled: pass through
-      sink(flowtable::FlowBurst{flow, bytes, packets, now_ns});
+      sink(flowtable::FlowBurst{flow, bytes, packets, now_ns, hash});
       return;
     }
     Entry& e = table_[hash & (kSlots - 1)];
@@ -93,7 +95,7 @@ class BurstCoalescer {
       sink(e.burst);  // collision: close the resident burst
       --open_;
     }
-    e.burst = flowtable::FlowBurst{flow, bytes, packets, now_ns};
+    e.burst = flowtable::FlowBurst{flow, bytes, packets, now_ns, hash};
     e.open = true;
     ++open_;
   }

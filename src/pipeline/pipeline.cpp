@@ -225,11 +225,10 @@ std::size_t PipelineMonitor::ingest_batch(unsigned producer,
 
   // Phase 1 -- form the batch's runs up front and bucket them by owning
   // worker (high hash bits, as worker_of).  One hash per run serves
-  // routing and the worker's coalescer slot: it rides in the message so
-  // the coalescer does not rehash.  The flow table still hashes every
-  // burst the coalescer emits (FlowMonitor::ingest_batch; a FlowBurst
-  // carries no hash).  With one worker the bucket step is skipped and runs
-  // are formed straight into the ring span.
+  // routing, the worker's coalescer slot and the flow table's probe: it
+  // rides in the message, and the coalescer hands it on in every burst it
+  // emits, so nothing downstream rehashes.  With one worker the bucket step
+  // is skipped and runs are formed straight into the ring span.
   if (stats.buckets.size() != workers) stats.buckets.resize(workers);
   if (workers > 1) {
     for (auto& bucket : stats.buckets) bucket.clear();

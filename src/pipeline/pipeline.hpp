@@ -154,11 +154,11 @@ class PipelineMonitor {
   /// buckets them by owning worker, and writes each bucket into a reserved
   /// span of ring slots (SpscRing::push_prepare/push_commit); one worker
   /// gets its runs formed straight into the span.  The hash travels in the
-  /// message, so the worker's coalescer does not rehash the tuple; the flow
-  /// table does, once per coalesced burst (FlowMonitor::ingest_batch).
-  /// This is the producer half of the batched-prefetch ingest design
-  /// (docs/architecture.md); a few hundred packets per call amortises best,
-  /// e.g. one NIC rx-burst.
+  /// message and on in the coalescer's bursts, so neither the worker's
+  /// coalescer nor the flow table's probe (FlowMonitor::ingest_batch)
+  /// rehashes the tuple.  This is the producer half of the batched-prefetch
+  /// ingest design (docs/architecture.md); a few hundred packets per call
+  /// amortises best, e.g. one NIC rx-burst.
   std::size_t ingest_batch(unsigned producer, const PacketEvent* packets,
                            std::size_t n);
 
@@ -260,8 +260,7 @@ class PipelineMonitor {
  private:
   /// One slot of a packet ring: a run of same-flow packets.  It carries the
   /// tuple's hash: the producer hashed it to route the run, and the worker's
-  /// coalescer reuses it instead of rehashing (the flow table hashes each
-  /// burst again).
+  /// coalescer and flow table reuse it instead of rehashing.
   struct Message {
     FiveTuple flow{};
     std::uint32_t length = 0;   ///< the run's bytes

@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/huge_pages.hpp"
 #include "util/prefetch.hpp"
 
 namespace disco::util {
@@ -101,7 +102,7 @@ class BitPackedArray {
   std::size_t size_;
   int width_;
   std::uint64_t mask_;
-  std::vector<std::uint64_t> words_;
+  HugePageVector<std::uint64_t> words_;  ///< zero-filled when built
 };
 
 }  // namespace disco::util

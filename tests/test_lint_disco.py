@@ -108,6 +108,20 @@ class BadFixtures(unittest.TestCase):
         self.assertTrue(any("atomic_thread_fence" in l for l in hits),
                         self.out)
 
+    def test_madvise_confined_fires(self):
+        self.assert_finding("madvise-confined",
+                            "src/flowtable/raw_madvise.cpp:11")
+
+    def test_huge_pages_header_is_exempt(self):
+        # good/src/util/huge_pages.hpp calls madvise and the good tree is
+        # clean (test_good_tree_is_clean); this pins that the call is really
+        # there, so the exemption is actually tested.
+        fixture = os.path.join(FIXTURES, "good", "src", "util",
+                               "huge_pages.hpp")
+        with open(fixture, encoding="utf-8") as f:
+            text = f.read()
+        self.assertIn("madvise(p, bytes, MADV_HUGEPAGE)", text)
+
     def test_shim_header_and_verify_dir_are_exempt(self):
         # good/src/util/atomic.hpp and good/src/verify/model.hpp hold raw
         # std::atomic (+ a raw fence) and the good tree is clean
@@ -144,6 +158,7 @@ class RuleSelection(unittest.TestCase):
         self.assertNotIn("[atomic-memory-order]", out)
         self.assertNotIn("[header-self-contained]", out)
         self.assertNotIn("[atomic-shim-confined]", out)
+        self.assertNotIn("[madvise-confined]", out)
 
     def test_unknown_rule_is_usage_error(self):
         code, _, err = run_linter("--rules", "no-such-rule",
@@ -156,7 +171,8 @@ class RuleSelection(unittest.TestCase):
         self.assertEqual(code, 0)
         for rule in ("hot-path-transcendental", "atomic-memory-order",
                      "rng-call-site", "header-self-contained",
-                     "simd-intrinsics-confined", "atomic-shim-confined"):
+                     "simd-intrinsics-confined", "atomic-shim-confined",
+                     "madvise-confined"):
             self.assertIn(rule, out)
 
 

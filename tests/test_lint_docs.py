@@ -41,10 +41,13 @@ def make_good_tree(root):
           '// usage: --bits N --modules a,b\nint main() {}\n')
     write(root, "src/core/disco.hpp",
           "#pragma once\nclass DiscoParams { double b() const; };\n")
+    write(root, "src/core/disco.cpp",
+          "double DiscoParams::b() const { return 2.0; }\n"
+          "double DiscoParams::cv() { return 0.1; }\n")
     write(root, "docs/guide.md",
           "See [the readme](../README.md) and `src/core/disco.hpp`.\n"
           "Symbols that exist pass: `core::DiscoParams`, "
-          "`DiscoParams::b()`.\n"
+          "`DiscoParams::b()`, `DiscoParams::cv` (spelled out of line).\n"
           "Run `disco_analyze trace.dtrc --bits 4 --modules all`.\n"
           "Template paths like src/<area>/file.cpp and docs/*.md are fine.\n"
           "Suppressed: [old](gone.md) "
@@ -71,6 +74,10 @@ def make_bad_tree(root):
     write(root, "CMakeLists.txt", 'option(DISCO_SIMD "SSE2 tag probes" ON)\n')
     write(root, "tools/disco_analyze.cpp", '// usage: --bits N\nint main() {}\n')
     write(root, "src/core/disco.hpp", "#pragma once\nclass DiscoParams {};\n")
+    write(root, "src/flowtable/monitor.hpp",
+          "#pragma once\nclass FlowMonitor { void rotate(); };\n")
+    write(root, "src/telemetry/registry.hpp",
+          "#pragma once\nstruct Registry { int snapshot() const; };\n")
     write(root, "README.md",
           "Broken: [missing doc](docs/nope.md).\n"
           "Stale ref: see src/core/vanished.hpp for details.\n"
@@ -78,6 +85,8 @@ def make_bad_tree(root):
           "Dropped flag: disco_analyze trace.dtrc --frobnicate.\n"
           "Dropped option: cmake -B b -DDISCO_SIMD=OFF -DDISCO_VANISHED=OFF.\n"
           "Dropped symbol: `core::DiscoParams` stays, `core::Vanished` went.\n"
+          "Dropped member: `FlowMonitor::rotate` stays, "
+          "`FlowMonitor::snapshot` went (`Registry::snapshot` stays).\n"
           "\n"
           "<!-- docs-lint: flags(disco_analyze) -->\n"
           "| `--bits N` | still real |\n"
@@ -120,15 +129,18 @@ class FixtureTrees(unittest.TestCase):
         self.assert_finding(out, "stale-cli-flag", "disco_vanished")
         self.assert_finding(out, "stale-build-option", "DISCO_VANISHED")
         self.assert_finding(out, "stale-symbol", "core::Vanished")
+        # A member name that survives in another class does not hide it.
+        self.assert_finding(out, "stale-symbol", "FlowMonitor::snapshot")
 
     def test_finding_count_is_exact(self):
-        # Exactly the eight seeded violations -- no overfiring on the rest of
+        # Exactly the nine seeded violations -- no overfiring on the rest of
         # the fixture text (in particular `--bits` inside the annotated flag
-        # block, the declared -DDISCO_SIMD and the existing
-        # `core::DiscoParams` must pass).
+        # block, the declared -DDISCO_SIMD, the existing
+        # `core::DiscoParams`, `FlowMonitor::rotate` and `Registry::snapshot`
+        # must pass).
         make_bad_tree(self.tmp.name)
         _, out, _ = run_linter(self.tmp.name)
-        self.assertEqual(len(out.strip().splitlines()), 8, out)
+        self.assertEqual(len(out.strip().splitlines()), 9, out)
 
     def test_suppression_is_honoured(self):
         make_good_tree(self.tmp.name)

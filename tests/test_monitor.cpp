@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -192,6 +193,49 @@ TEST_P(IngestBatch, MatchesSequentialBursts) {
     EXPECT_EQ(eb->bytes, es->bytes);
   }
   EXPECT_EQ(batched.pressure().flows_evicted, sequential.pressure().flows_evicted);
+}
+
+// A burst's carried hash only saves the probe a hash: bursts that carry
+// hash_tuple(flow) and the same bursts carrying 0 (hashed by the monitor)
+// must give bit-equal estimates, packet counts and rejections, after one
+// batch and after a second.  A tight table makes rejections happen.
+TEST(FlowMonitor, CarriedHashesMatchRecomputedHashes) {
+  auto config = small_config();
+  config.max_flows = 300;
+  constexpr std::uint32_t kFlows = 400;  // > max_flows: some are rejected
+  std::vector<FlowBurst> plain;
+  util::Rng source(17);
+  for (int i = 0; i < 4000; ++i) {
+    plain.push_back(FlowBurst{
+        tuple(static_cast<std::uint32_t>(source.uniform_u64(0, kFlows - 1))),
+        source.uniform_u64(64, 9'000), source.uniform_u64(1, 6), 0});
+  }
+  std::vector<FlowBurst> carried = plain;
+  for (FlowBurst& b : carried) b.hash = hash_tuple(b.flow);
+
+  FlowMonitor with(config);
+  FlowMonitor without(config);
+  const std::span<const FlowBurst> all_carried(carried);
+  const std::span<const FlowBurst> all_plain(plain);
+  const std::size_t half = plain.size() / 2;
+  for (std::size_t from = 0; from < plain.size(); from += half) {
+    EXPECT_EQ(with.ingest_batch(all_carried.subspan(from, half)),
+              without.ingest_batch(all_plain.subspan(from, half)));
+    EXPECT_EQ(with.packets_seen(), without.packets_seen());
+    EXPECT_EQ(with.table().rejected_flows(), without.table().rejected_flows());
+    EXPECT_EQ(with.pressure().flows_rejected,
+              without.pressure().flows_rejected);
+    for (std::uint32_t i = 0; i < kFlows; ++i) {
+      const auto a = with.query(tuple(i));
+      const auto b = without.query(tuple(i));
+      ASSERT_EQ(a.has_value(), b.has_value()) << "flow " << i;
+      if (a) {
+        ASSERT_EQ(a->bytes, b->bytes) << "flow " << i;
+        ASSERT_EQ(a->packets, b->packets) << "flow " << i;
+      }
+    }
+  }
+  EXPECT_GT(with.table().rejected_flows(), 0u);
 }
 
 std::string ingest_case_name(const ::testing::TestParamInfo<IngestCase>& info) {

@@ -259,6 +259,9 @@ TEST(BurstCoalescer, RunsEmitWhatTheirPacketsEmit) {
     ASSERT_EQ(actual[i].bytes, expected[i].bytes) << "burst " << i;
     ASSERT_EQ(actual[i].packets, expected[i].packets) << "burst " << i;
     ASSERT_EQ(actual[i].last_ns, expected[i].last_ns) << "burst " << i;
+    // Every burst carries its flow's hash on to the flow table's probe.
+    ASSERT_EQ(actual[i].hash, flowtable::hash_tuple(actual[i].flow)) << i;
+    ASSERT_EQ(expected[i].hash, actual[i].hash) << "burst " << i;
   }
   EXPECT_EQ(by_run.merged(), by_packet.merged());
   EXPECT_GT(by_run.merged(), within_runs);  // the table merged runs too
@@ -341,6 +344,7 @@ TEST(BurstCoalescer, FlushFlowEmitsOnlyThatFlow) {
   emitted.clear();
   off.add(a, 100, 0, sink);
   ASSERT_EQ(emitted.size(), 1u);  // passed straight through
+  EXPECT_EQ(emitted[0].hash, flowtable::hash_tuple(a));
   off.flush_flow(a, flowtable::hash_tuple(a), sink);
   EXPECT_EQ(emitted.size(), 1u);
 }
@@ -663,6 +667,7 @@ TEST(BurstCoalescer, ExplicitHashOverloadMatchesImplicit) {
     EXPECT_EQ(ea[i].flow, eb[i].flow);
     EXPECT_EQ(ea[i].bytes, eb[i].bytes);
     EXPECT_EQ(ea[i].packets, eb[i].packets);
+    EXPECT_EQ(ea[i].hash, eb[i].hash);
   }
   EXPECT_EQ(a.merged(), b.merged());
 }

@@ -56,6 +56,16 @@ atomic-shim-confined
     legal everywhere -- the shim deliberately keeps the standard ordering
     vocabulary.
 
+madvise-confined
+    Raw madvise / mmap / munmap calls may appear only in
+    src/util/huge_pages.hpp, the allocator that advises huge pages for
+    the big flat arrays.  Memory from anywhere else comes from operator
+    new, so the sanitizers keep their redzones and leak checks, and the
+    one place that tells the kernel how to back memory is the one place
+    that knows which arrays are written in full when built (advising an
+    array that grows one element at a time would grow its resident size
+    2 MiB at a time).
+
 Suppressions
 ------------
 A finding can be suppressed with a justification on the same line or the
@@ -89,9 +99,10 @@ RULE_RNG = "rng-call-site"
 RULE_HEADER = "header-self-contained"
 RULE_SIMD = "simd-intrinsics-confined"
 RULE_ATOMIC_SHIM = "atomic-shim-confined"
+RULE_MADVISE = "madvise-confined"
 
 ALL_RULES = (RULE_TRANSCENDENTAL, RULE_MEMORY_ORDER, RULE_RNG, RULE_HEADER,
-             RULE_SIMD, RULE_ATOMIC_SHIM)
+             RULE_SIMD, RULE_ATOMIC_SHIM, RULE_MADVISE)
 
 # Hot-path files -> functions allowed to call transcendentals.  These are
 # the cold-path helpers inside otherwise-hot translation units.
@@ -167,6 +178,11 @@ ATOMIC_SHIM_RE = re.compile(
     r"\bstd\s*::\s*(atomic_thread_fence|atomic_signal_fence|atomic_flag|"
     r"atomic_ref|atomic)\b"
 )
+
+# The one file allowed to call madvise/mmap/munmap: the huge-page
+# allocator.  Suffix-matched so fixture trees exercise the rule.
+MADVISE_ALLOWED_FILES = ("src/util/huge_pages.hpp",)
+MADVISE_CALL_RE = re.compile(r"\b(madvise|mmap|mmap64|munmap)\s*\(")
 
 # std:: vocabulary type -> standard header that must be directly included.
 HEADER_REQUIREMENTS: Sequence[Tuple[re.Pattern, str]] = [
@@ -617,6 +633,23 @@ def check_atomic_shim_confined(rel: str, code_lines: Sequence[str],
                 f"(docs/static-analysis.md)"))
 
 
+def check_madvise_confined(rel: str, code_lines: Sequence[str],
+                           findings: List[Finding]) -> None:
+    if not rel.startswith("src/") and "/src/" not in "/" + rel:
+        return
+    if match_suffix(rel, MADVISE_ALLOWED_FILES):
+        return
+    for idx, line in enumerate(code_lines):
+        m = MADVISE_CALL_RE.search(line)
+        if m:
+            findings.append(Finding(
+                rel, idx + 1, RULE_MADVISE,
+                f"raw {m.group(1)}() outside src/util/huge_pages.hpp; "
+                f"allocate through util::HugePageAllocator (or plain "
+                f"operator new) so the sanitizers keep their redzones and "
+                f"huge-page advice stays with the arrays built in full"))
+
+
 def check_header_self_contained(rel: str, code: str,
                                 directives: Sequence[str],
                                 findings: List[Finding]) -> None:
@@ -706,6 +739,8 @@ def lint_files(paths: Sequence[str], root: str,
             check_simd_confined(rel, code_lines[rel], file_findings)
         if RULE_ATOMIC_SHIM in rules:
             check_atomic_shim_confined(rel, code_lines[rel], file_findings)
+        if RULE_MADVISE in rules:
+            check_madvise_confined(rel, code_lines[rel], file_findings)
         for f in file_findings:
             if f.rule in suppressions[rel].get(f.line, set()):
                 continue

@@ -15,9 +15,13 @@ linter walks the repo's markdown and flags five classes of rot:
   stale-build-option
                    a `-DDISCO_<NAME>` that names neither an option(...) nor
                    a set(... CACHE ...) in the top-level CMakeLists.txt
-  stale-symbol     a backticked qualified C++ name (`ns::Name`,
-                   `Class::member`) whose last identifier appears nowhere in
+  stale-symbol     a backticked qualified C++ name whose last identifier
                    the code (src, tools, bench, tests, examples, perfbench)
+                   no longer has.  In `Class::member`, where the code
+                   defines a class or struct `Class`, `member` must occur
+                   in a file that defines `Class` or in a `Class::member`
+                   token somewhere in the code; a name qualified by a
+                   namespace (`ns::Name`) must occur anywhere in the code
 
 CLI reference sections usually list one flag per line with no binary name
 in sight, which the stale-cli-flag rule cannot attribute.  Open a flag
@@ -89,13 +93,20 @@ CMAKE_OPTION_RE = re.compile(
     r"^\s*(?:option\(\s*(DISCO_[A-Z0-9_]+)\b"
     r"|set\(\s*(DISCO_[A-Z0-9_]+)\s[^)\n]*\bCACHE\b)", re.M)
 
-# Inline code spans, and qualified names inside them; group 1 is the last
-# identifier, the one that must still exist.
+# Inline code spans, and qualified names inside them.
 CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
-QUALIFIED_RE = re.compile(r"(?<![\w:])(?:[A-Za-z_]\w*::)+([A-Za-z_]\w*)")
+QUALIFIED_RE = re.compile(r"(?<![\w:])(?:[A-Za-z_]\w*::)+[A-Za-z_]\w*")
 IDENTIFIER_RE = re.compile(r"[A-Za-z_]\w*")
 SYMBOL_DIRS = ("src", "tools", "bench", "tests", "examples", "perfbench")
 SYMBOL_EXTS = (".cpp", ".hpp", ".h", ".py")
+CPP_EXTS = (".cpp", ".hpp", ".h")
+# A C++ class or struct definition (not a forward declaration); group 1 is
+# the defined name, the last one of an out-of-line `struct Outer::Inner {`.
+CLASS_DEF_RE = re.compile(
+    r"\b(?:class|struct)\s+(?:alignas\s*\([^)]*\)\s*)?"
+    r"(?:[A-Za-z_]\w*::)*([A-Za-z_]\w*)\s*(?:final\s*)?(?::(?!:)|\{)")
+# Every `A::b` pair in the code, overlapping (`a::B::c` yields both pairs).
+SCOPED_PAIR_RE = re.compile(r"(?<!\w)(?=([A-Za-z_]\w*)::([A-Za-z_]\w*))")
 
 SUPPRESS_RE = re.compile(r"docs-lint:\s*allow\(([a-z\-]+(?:\s*,\s*[a-z\-]+)*)\)")
 
@@ -138,16 +149,42 @@ def build_options(root: str) -> set[str]:
     return {a or b for a, b in CMAKE_OPTION_RE.findall(text)}
 
 
-def code_identifiers(root: str) -> set[str]:
-    """Every identifier in the repo's code, for the stale-symbol rule."""
-    out = set()
-    for top in SYMBOL_DIRS:
-        for path in glob.glob(os.path.join(root, top, "**", "*"),
-                              recursive=True):
-            if path.endswith(SYMBOL_EXTS) and os.path.isfile(path):
+class CodeIndex:
+    """What the stale-symbol rule looks names up in: every identifier in
+    the repo's code, the identifiers of the files that define each C++
+    class or struct, and every `A::b` pair the code spells."""
+
+    def __init__(self, root: str):
+        self.identifiers: set[str] = set()
+        self.class_members: dict[str, set[str]] = {}
+        self.scoped_pairs: set[tuple[str, str]] = set()
+        for top in SYMBOL_DIRS:
+            for path in glob.glob(os.path.join(root, top, "**", "*"),
+                                  recursive=True):
+                if not path.endswith(SYMBOL_EXTS) or not os.path.isfile(path):
+                    continue
                 with open(path, encoding="utf-8", errors="replace") as f:
-                    out.update(IDENTIFIER_RE.findall(f.read()))
-    return out
+                    text = f.read()
+                names = set(IDENTIFIER_RE.findall(text))
+                self.identifiers |= names
+                self.scoped_pairs.update(SCOPED_PAIR_RE.findall(text))
+                if path.endswith(CPP_EXTS):
+                    for cls in set(CLASS_DEF_RE.findall(text)):
+                        self.class_members.setdefault(cls, set()).update(names)
+
+    def stale(self, qualified: str) -> str | None:
+        """Why `qualified` names nothing the code has, or None."""
+        *scope, name = qualified.split("::")
+        owner = scope[-1]
+        if owner in self.class_members:
+            if (name in self.class_members[owner]
+                    or (owner, name) in self.scoped_pairs):
+                return None
+            return (f"'{qualified}': no file that defines {owner} mentions "
+                    f"'{name}', and no code spells '{owner}::{name}'")
+        if name in self.identifiers:
+            return None
+        return f"'{qualified}' names an identifier the code no longer has"
 
 
 def suppressed_rules(line: str) -> set[str]:
@@ -163,7 +200,7 @@ class Linter:
         self.root = root
         self.binaries = known_binaries(root)
         self.build_options = build_options(root)
-        self.identifiers: set[str] | None = None  # built on first use
+        self.code: CodeIndex | None = None  # built on first use
         self.source_cache: dict[str, str] = {}
         self.findings: list[str] = []
 
@@ -277,12 +314,11 @@ class Linter:
     def check_symbols(self, path: str, lineno: int, line: str):
         for span in CODE_SPAN_RE.findall(line):
             for match in QUALIFIED_RE.finditer(span):
-                if self.identifiers is None:
-                    self.identifiers = code_identifiers(self.root)
-                if match.group(1) not in self.identifiers:
-                    self.report(path, lineno, "stale-symbol",
-                                f"'{match.group(0)}' names an identifier "
-                                "the code no longer has")
+                if self.code is None:
+                    self.code = CodeIndex(self.root)
+                why = self.code.stale(match.group(0))
+                if why:
+                    self.report(path, lineno, "stale-symbol", why)
 
 
 def main(argv: list[str]) -> int:
