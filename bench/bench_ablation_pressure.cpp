@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
   bursts.reserve(trace.size());
   for (const auto& pkt : trace) {
     truth[pkt.flow] += pkt.length;
-    bursts.push_back(FlowBurst{tuple(pkt.flow), pkt.length, 1, 0});
+    bursts.push_back(FlowBurst{tuple(pkt.flow), pkt.length, 1});
   }
   const std::size_t active = static_cast<std::size_t>(
       std::count_if(truth.begin(), truth.end(), [](double v) { return v > 0; }));

@@ -400,24 +400,18 @@ void BM_SpscRingAB(benchmark::State& state) {
 // --- full monitor path ------------------------------------------------------
 // Flow table lookup + volume update + size update per packet: what one
 // ingest costs end to end, and the workload that feeds the telemetry
-// snapshot (ingest/eviction counters, occupancy, probe-length histogram).
+// snapshot (ingest counters, occupancy, probe-length histogram).
 
 void BM_MonitorIngest(benchmark::State& state) {
   disco::flowtable::FlowMonitor monitor(
       {.max_flows = 8192, .counter_bits = kBits, .max_flow_bytes = kMaxFlow});
   const auto lens = packet_lengths();
   const auto tuples = sample_tuples(4096);
-  std::uint64_t now_ns = 0;
   std::size_t i = 0;
   for (auto _ : state) {
-    now_ns += 1000;
-    benchmark::DoNotOptimize(monitor.ingest(tuples[i & 4095], lens[i & 4095], now_ns));
-    // Periodic idle eviction, as a monitoring appliance would run it; the
-    // 2 ms timeout against the 4 ms tuple-cycle period guarantees churn.
-    if ((++i & 0xffff) == 0) monitor.evict_idle(now_ns, 2'000'000);
+    benchmark::DoNotOptimize(monitor.ingest(tuples[i & 4095], lens[i & 4095]));
+    ++i;
   }
-  // Evict the survivors so eviction totals are populated even on short runs.
-  monitor.evict_idle(now_ns + 1'000'000, 0);
   state.SetItemsProcessed(static_cast<std::int64_t>(i));
 }
 
@@ -446,8 +440,10 @@ void BM_MonitorIngestWideTable(benchmark::State& state) {
   disco::util::Rng rng(9);
   for (std::size_t i = 0; i < bursts.size(); ++i) {
     const auto& flow = tuples[rng.uniform_u64(0, kLiveFlows - 1)];
-    bursts[i] = disco::flowtable::FlowBurst{
-        flow, lens[i & 4095], 1, 0, disco::flowtable::hash_tuple(flow)};
+    bursts[i] = disco::flowtable::FlowBurst{.flow = flow,
+                                            .bytes = lens[i & 4095],
+                                            .packets = 1,
+                                            .hash = disco::flowtable::hash_tuple(flow)};
   }
   // Admit every live flow before timing, so the loop measures lookups.
   for (std::size_t i = 0; i < kLiveFlows; ++i) (void)monitor.ingest(tuples[i], 64);

@@ -116,7 +116,7 @@ std::uint64_t ingest_batched(
         std::min<std::uint64_t>(kIngestBatch, packets - done));
     for (std::size_t j = 0; j < n; ++j) {
       const auto pkt = source.next();
-      batch[j] = {pkt.flow, pkt.length, 0};
+      batch[j] = {pkt.flow, pkt.length};
       bytes += pkt.length;
     }
     (void)monitor.ingest_batch(producer, batch.data(), n);

@@ -18,7 +18,9 @@ struct FlowBurst {
   FiveTuple flow{};
   std::uint64_t bytes = 0;
   std::uint64_t packets = 0;
-  std::uint64_t last_ns = 0;  ///< newest packet's timestamp (idle eviction)
+  /// Unread.  It holds its place so that a positional initialiser that still
+  /// sets it (perfbench/cpp/fleet_run.cpp) cannot put a timestamp in `hash`.
+  std::uint64_t last_ns = 0;
   /// hash_tuple(flow), or 0 when the caller did not compute it: the
   /// monitor probes with a carried hash and hashes a burst that carries 0
   /// (exact even for a tuple whose hash is 0).

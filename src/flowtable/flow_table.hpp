@@ -146,9 +146,9 @@ class BasicFlowTable {
   }
 
   /// Removes a flow, freeing its slot for reuse by later inserts (the
-  /// monitor's idle-eviction path).  Uses backward-shift deletion so probe
-  /// sequences stay intact without tombstones.  Returns the freed slot, or
-  /// nullopt if the key was absent.
+  /// monitor's admission under table pressure evicts its victim this way).
+  /// Uses backward-shift deletion so probe sequences stay intact without
+  /// tombstones.  Returns the freed slot, or nullopt if the key was absent.
   std::optional<std::uint32_t> erase(const FiveTuple& key) noexcept {
     const Probe p = probe(key, hash_of(key));
     account(p.length);

@@ -36,7 +36,6 @@ FlowMonitor::FlowMonitor(const Config& config)
               config.max_flow_bytes),
       size_(config.estimator, config.max_flows, config.counter_bits,
             config.max_flow_packets),
-      last_seen_ns_(config.max_flows, 0),
       rng_(config.seed),
       pressure_rng_(config.seed ^ kPressureSeedSalt) {
   if (config_.pressure.saturation == SaturationPolicy::RescaleB) {
@@ -47,7 +46,6 @@ FlowMonitor::FlowMonitor(const Config& config)
   const std::string& prefix = config_.telemetry_prefix;
   metrics_.ingests = &registry.counter(prefix + ".ingest_total");
   metrics_.rejects = &registry.counter(prefix + ".ingest_rejected_total");
-  metrics_.evictions = &registry.counter(prefix + ".evictions_total");
   metrics_.queries = &registry.counter(prefix + ".queries_total");
   metrics_.occupancy = &registry.gauge(prefix + ".table_occupancy");
   metrics_.flows_rejected = &registry.counter(prefix + ".flows_rejected_total");
@@ -56,9 +54,8 @@ FlowMonitor::FlowMonitor(const Config& config)
   metrics_.rescales = &registry.counter(prefix + ".rescale_events_total");
 }
 
-bool FlowMonitor::ingest(const FiveTuple& flow, std::uint32_t length,
-                         std::uint64_t now_ns) {
-  const FlowBurst burst{flow, length, 1, now_ns};
+bool FlowMonitor::ingest(const FiveTuple& flow, std::uint32_t length) {
+  const FlowBurst burst{.flow = flow, .bytes = length, .packets = 1};
   return ingest_batch({&burst, 1}) == 1;
 }
 
@@ -94,7 +91,6 @@ std::size_t FlowMonitor::ingest_batch(std::span<const FlowBurst> bursts) {
         }
         volume_.add(slot, burst.bytes, rng_);
         size_.add(slot, burst.packets, rng_);
-        last_seen_ns_[slot] = burst.last_ns;
         accepted_packets += burst.packets;
         ++accepted;
       }
@@ -173,7 +169,6 @@ std::optional<std::uint32_t> FlowMonitor::admit_under_pressure(
     // so no admitted traffic is ever under-counted (the RAP invariant).
     volume_.set_value(*slot, 0);
     size_.set_value(*slot, 0);
-    last_seen_ns_[*slot] = 0;
   }
   ++pressure_.flows_evicted;
   metrics_.flows_evicted->inc();
@@ -196,8 +191,9 @@ std::optional<std::uint32_t> FlowMonitor::select_victim() {
     }
   }
   if (best) return best;
-  // Every sample hit a freed slot (only possible right after heavy idle
-  // eviction); fall back to the first occupied one.
+  // Every sample hit a freed slot.  A slot stays free only when an injected
+  // kAllocFailure (util/fault.hpp) failed the re-insert after an admission
+  // erase; fall back to the first occupied one.
   for (std::uint32_t i = 0; i < slots; ++i) {
     if (table_.slot_used(i)) return i;
   }
@@ -221,31 +217,6 @@ void FlowMonitor::sync_pressure_counters() {
     metrics_.rescales->inc(d);
     rescales_seen_ = rescales;
   }
-}
-
-std::vector<FlowMonitor::FlowEstimate> FlowMonitor::evict_idle(
-    std::uint64_t now_ns, std::uint64_t idle_timeout_ns) {
-  std::vector<FlowEstimate> evicted;
-  std::vector<FiveTuple> victims;
-  table_.for_each([&](std::uint32_t slot, const FiveTuple& key) {
-    const std::uint64_t seen = last_seen_ns_[slot];
-    if (now_ns >= seen && now_ns - seen > idle_timeout_ns) {
-      evicted.push_back(
-          FlowEstimate{key, volume_.estimate(slot), size_.estimate(slot)});
-      victims.push_back(key);
-    }
-  });
-  for (const FiveTuple& key : victims) {
-    const auto slot = table_.erase(key);
-    if (slot) {
-      volume_.set_value(*slot, 0);
-      size_.set_value(*slot, 0);
-      last_seen_ns_[*slot] = 0;
-    }
-  }
-  metrics_.evictions->inc(evicted.size());
-  metrics_.occupancy->set(static_cast<std::int64_t>(table_.size()));
-  return evicted;
 }
 
 std::optional<FlowMonitor::FlowEstimate> FlowMonitor::query(const FiveTuple& flow) const {
@@ -308,8 +279,8 @@ FlowMonitor::EpochReport FlowMonitor::rotate() {
     report.totals.bytes += flow.bytes;
     report.totals.packets += flow.packets;
   });
-  // The table hands out slots densely from 0, so every counter word and
-  // timestamp this epoch wrote lies below `used`; the rest are still zero.
+  // The table hands out slots densely from 0, so every counter word this
+  // epoch wrote lies below `used`; the rest are still zero.
   const std::size_t used = table_.keys().size();
   table_.clear();
   volume_.reset(used);
@@ -318,7 +289,6 @@ FlowMonitor::EpochReport FlowMonitor::rotate() {
   // rescaled scale (a deployment property); realign the sync watermarks.
   saturations_seen_ = 0;
   rescales_seen_ = volume_.rescale_count() + size_.rescale_count();
-  std::fill_n(last_seen_ns_.begin(), used, 0);
   ++epoch_;
   metrics_.occupancy->set(0);
   // Notify after the monitor is fully reset for the next epoch, so a

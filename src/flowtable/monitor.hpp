@@ -28,7 +28,6 @@
 #include "flowtable/pressure.hpp"
 #include "telemetry/metrics.hpp"
 #include "trace/packet.hpp"
-#include "util/huge_pages.hpp"
 #include "util/rng.hpp"
 
 namespace disco::flowtable {
@@ -65,10 +64,8 @@ class FlowMonitor {
   /// Counts one packet: a one-element ingest_batch.  Returns false if the
   /// packet's flow was rejected because the flow table is full (the packet
   /// is then unaccounted, and the rejection is visible in
-  /// table().rejected_flows()).  `now_ns` stamps the flow's last activity
-  /// for idle eviction; pass 0 when not using timers.
-  bool ingest(const FiveTuple& flow, std::uint32_t length,
-              std::uint64_t now_ns = 0);
+  /// table().rejected_flows()).
+  bool ingest(const FiveTuple& flow, std::uint32_t length);
 
   /// Counts a batch of pre-aggregated bursts in order -- the one ingest
   /// implementation.  Each burst of `packets` same-flow packets totalling
@@ -93,13 +90,6 @@ class FlowMonitor {
   };
 
   [[nodiscard]] std::optional<FlowEstimate> query(const FiveTuple& flow) const;
-
-  /// NetFlow-style inactive timeout: exports and removes every flow idle for
-  /// longer than `idle_timeout_ns` as of `now_ns`, freeing table slots and
-  /// counters for new flows mid-epoch.  Returns the evicted flows' final
-  /// estimates.
-  std::vector<FlowEstimate> evict_idle(std::uint64_t now_ns,
-                                       std::uint64_t idle_timeout_ns);
 
   /// The k flows with the largest estimated byte volume, descending.
   [[nodiscard]] std::vector<FlowEstimate> top_k(std::size_t k) const;
@@ -192,7 +182,6 @@ class FlowMonitor {
   struct Metrics {
     telemetry::Counter* ingests = nullptr;
     telemetry::Counter* rejects = nullptr;
-    telemetry::Counter* evictions = nullptr;
     telemetry::Counter* queries = nullptr;
     telemetry::Gauge* occupancy = nullptr;
     telemetry::Counter* flows_rejected = nullptr;
@@ -222,7 +211,6 @@ class FlowMonitor {
   FlowTable table_;
   CounterBank volume_;
   CounterBank size_;
-  util::HugePageVector<std::uint64_t> last_seen_ns_;
   util::Rng rng_;
   /// Dedicated stream for pressure decisions (victim sampling, RAP coins):
   /// keeping it apart from rng_ means enabling a pressure policy never

@@ -71,7 +71,7 @@ struct PressureConfig {
 /// degraded, not just what it contains.
 struct PressureStats {
   std::uint64_t flows_rejected = 0;     ///< bursts refused at a full table
-  std::uint64_t flows_evicted = 0;      ///< pressure evictions (not idle/rotate)
+  std::uint64_t flows_evicted = 0;      ///< admission victims (not rotate)
   std::uint64_t counters_saturated = 0; ///< updates clamped at counter max
   std::uint64_t rescale_events = 0;     ///< RescaleB re-derivations applied
 

@@ -14,9 +14,9 @@
 // large update replaces several small ones.
 //
 // Runs arrive merged: the pipeline's producers already add up each stretch
-// of back-to-back same-flow packets of an ingest call into one run (bytes,
-// packet count, newest timestamp), and add() takes a run.  A single packet
-// is the one-packet run.  The table then merges runs of a flow that other
+// of back-to-back same-flow packets of an ingest call into one run (bytes
+// and packet count), and add() takes a run.  A single packet is the
+// one-packet run.  The table then merges runs of a flow that other
 // flows interleave, or that two calls split.
 //
 // Caps: a burst closes once a merge brings it to kMaxPackets or kMaxBytes,
@@ -61,21 +61,22 @@ class BurstCoalescer {
     if (enabled) table_.resize(kSlots);
   }
 
-  /// Adds a run of `packets` (>= 1) packets of `flow` holding `bytes` bytes,
-  /// the newest stamped `now_ns`; `hash` must equal hash_tuple(flow).  The
-  /// burst the run opens or passes through carries `hash` on to the flow
-  /// table's probe.  Invokes `sink(const flowtable::FlowBurst&)` at most
-  /// once: when the run's slot holds a different flow's burst (it is closed
-  /// first), or when a merge brings the run's burst to a cap.
-  /// Deterministic: the emitted sequence is a pure function of the run
-  /// sequence.
+  /// Adds a run of `packets` (>= 1) packets of `flow` holding `bytes` bytes;
+  /// `hash` must equal hash_tuple(flow).  The burst the run opens or passes
+  /// through carries `hash` on to the flow table's probe.  Invokes
+  /// `sink(const flowtable::FlowBurst&)` at most once: when the run's slot
+  /// holds a different flow's burst (it is closed first), or when a merge
+  /// brings the run's burst to a cap.  Deterministic: the emitted sequence
+  /// is a pure function of the run sequence.  The unnamed argument, in every
+  /// overload, is a packet timestamp the coalescer does not read.
   template <typename Sink>
   void add(const flowtable::FiveTuple& flow, std::uint64_t hash,
-           std::uint64_t bytes, std::uint64_t packets, std::uint64_t now_ns,
+           std::uint64_t bytes, std::uint64_t packets, std::uint64_t,
            Sink&& sink) {
     merged_ += packets - 1;  // the run's own packets after its first
     if (table_.empty()) {  // coalescing disabled: pass through
-      sink(flowtable::FlowBurst{flow, bytes, packets, now_ns, hash});
+      sink(flowtable::FlowBurst{
+          .flow = flow, .bytes = bytes, .packets = packets, .hash = hash});
       return;
     }
     Entry& e = table_[hash & (kSlots - 1)];
@@ -83,7 +84,6 @@ class BurstCoalescer {
       if (e.burst.flow == flow) {
         e.burst.bytes += bytes;
         e.burst.packets += packets;
-        e.burst.last_ns = now_ns;
         ++merged_;
         if (e.burst.packets >= kMaxPackets || e.burst.bytes >= kMaxBytes) {
           sink(e.burst);
@@ -95,7 +95,11 @@ class BurstCoalescer {
       sink(e.burst);  // collision: close the resident burst
       --open_;
     }
-    e.burst = flowtable::FlowBurst{flow, bytes, packets, now_ns, hash};
+    // Each burst is built where it is used.  Built once up front, before
+    // the calls to `sink`, it cost about 4 ns more a run on one-packet
+    // traffic (perfbench's `pipeline.coalesce_ns`).
+    e.burst = flowtable::FlowBurst{
+        .flow = flow, .bytes = bytes, .packets = packets, .hash = hash};
     e.open = true;
     ++open_;
   }
@@ -103,15 +107,15 @@ class BurstCoalescer {
   /// Adds one packet: the one-packet run.
   template <typename Sink>
   void add(const flowtable::FiveTuple& flow, std::uint32_t length,
-           std::uint64_t now_ns, Sink&& sink) {
-    add(flow, hash_tuple(flow), length, 1, now_ns, std::forward<Sink>(sink));
+           std::uint64_t, Sink&& sink) {
+    add(flow, hash_tuple(flow), length, 1, 0, std::forward<Sink>(sink));
   }
 
   /// Same, with the tuple hash already in hand (must equal hash_tuple(flow)).
   template <typename Sink>
   void add(const flowtable::FiveTuple& flow, std::uint64_t hash,
-           std::uint32_t length, std::uint64_t now_ns, Sink&& sink) {
-    add(flow, hash, length, 1, now_ns, std::forward<Sink>(sink));
+           std::uint32_t length, std::uint64_t, Sink&& sink) {
+    add(flow, hash, length, 1, 0, std::forward<Sink>(sink));
   }
 
   /// Closes every open burst in slot order (deterministic), emptying the

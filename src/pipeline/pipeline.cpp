@@ -186,8 +186,8 @@ PipelineMonitor::PipelineMonitor(const Config& config)
 PipelineMonitor::~PipelineMonitor() { stop(); }
 
 bool PipelineMonitor::ingest(unsigned producer, const FiveTuple& flow,
-                             std::uint32_t length, std::uint64_t now_ns) {
-  const PacketEvent packet{flow, length, now_ns};
+                             std::uint32_t length) {
+  const PacketEvent packet{.flow = flow, .length = length};
   return ingest_batch(producer, &packet, 1) == 1;
 }
 
@@ -204,23 +204,20 @@ std::size_t PipelineMonitor::ingest_batch(unsigned producer,
 
   // A run: the packets from packets[i] on while they share its flow and
   // fit the burst caps (one packet with coalescing off).  Built in locals
-  // and returned as one message, with `i` advanced past it.  Every packet's
-  // timestamp passes the clock-skew fault point; the message keeps the last.
+  // and returned as one message, with `i` advanced past it.
   const std::uint32_t max_run =
       config_.coalescer ? BurstCoalescer::kMaxPackets : 1;
   const auto next_run = [&](std::size_t& i) {
     const PacketEvent& first = packets[i];
     std::uint64_t bytes = first.length;
     std::uint32_t count = 1;
-    std::uint64_t now_ns = util::fault::skew_clock(first.now_ns);
     while (++i < n && count < max_run && packets[i].flow == first.flow &&
            bytes + packets[i].length <= BurstCoalescer::kMaxBytes) {
       bytes += packets[i].length;
       ++count;
-      now_ns = util::fault::skew_clock(packets[i].now_ns);
     }
     return Message{first.flow, static_cast<std::uint32_t>(bytes), count,
-                   now_ns, hash_tuple(first.flow)};
+                   hash_tuple(first.flow)};
   };
 
   // Phase 1 -- form the batch's runs up front and bucket them by owning
@@ -244,12 +241,11 @@ std::size_t PipelineMonitor::ingest_batch(unsigned producer,
   // slot per remaining packet, and only the slots the runs fill are
   // committed; otherwise they count the bucket's runs.  Accepted and
   // dropped count packets either way.
-  // Fault points (compile to nothing without DISCO_FAULTS): kClockSkew
-  // perturbs the timestamps feeding burst-boundary decisions downstream;
-  // kRingFull fails a span's reservation as if the worker had fallen
-  // behind, exercising the real Drop/Block backpressure paths.  The Block
-  // retry loop is deliberately un-faulted, or an always-firing plan would
-  // spin the producer forever.
+  // Fault point (compiles to nothing without DISCO_FAULTS): kRingFull fails
+  // a span's reservation as if the worker had fallen behind, exercising the
+  // real Drop/Block backpressure paths.  The Block retry loop is
+  // deliberately un-faulted, or an always-firing plan would spin the
+  // producer forever.
   std::size_t accepted = 0;
   for (unsigned w = 0; w < workers; ++w) {
     const Message* bucket = nullptr;
@@ -327,8 +323,8 @@ std::size_t PipelineMonitor::apply_chunk(Worker& worker, const Message* batch,
     // of rehashing the tuple per run.
     const Message& msg = batch[i];
     packets += msg.packets;
-    worker.coalescer.add(msg.flow, msg.hash, msg.length, msg.packets,
-                         msg.now_ns, buffer);
+    worker.coalescer.add(msg.flow, msg.hash, msg.length, msg.packets, 0,
+                         buffer);
   } while (++i < n && packets + batch[i].packets <= kCommandChunk);
   (void)worker.monitor.ingest_batch(worker.bursts);
   const std::uint64_t merged = worker.coalescer.merged();
@@ -561,18 +557,6 @@ std::uint64_t PipelineMonitor::packets_seen() {
     total += part;
   }
   return total;
-}
-
-std::vector<PipelineMonitor::FlowEstimate> PipelineMonitor::evict_idle(
-    std::uint64_t now_ns, std::uint64_t idle_timeout_ns) {
-  const util::MutexLock lock(control_mutex_);
-  std::vector<FlowEstimate> merged;
-  for (const auto& part : on_all([now_ns, idle_timeout_ns](Worker& worker) {
-         return worker.monitor.evict_idle(now_ns, idle_timeout_ns);
-       })) {
-    merged.insert(merged.end(), part.begin(), part.end());
-  }
-  return merged;
 }
 
 void PipelineMonitor::drain() {

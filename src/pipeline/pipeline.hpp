@@ -124,14 +124,13 @@ class PipelineMonitor {
   /// backpressure on a full ring, or the pipeline is stopping).
   /// Flow-table-full rejections happen later, on the worker, and are
   /// visible in `pipeline.worker_<w>.ingest_rejected_total`.
-  bool ingest(unsigned producer, const FiveTuple& flow, std::uint32_t length,
-              std::uint64_t now_ns = 0);
+  bool ingest(unsigned producer, const FiveTuple& flow, std::uint32_t length);
 
   /// One packet of the batched ingest path.
   struct PacketEvent {
     FiveTuple flow{};
     std::uint32_t length = 0;
-    std::uint64_t now_ns = 0;
+    std::uint64_t now_ns = 0;  ///< unread: nothing in the monitor keeps time
   };
 
   /// Enqueues `n` packets from producer `producer` and returns how many
@@ -141,9 +140,8 @@ class PipelineMonitor {
   /// implementation.
   ///
   /// Each maximal stretch of consecutive same-flow packets of the call is
-  /// one run: one ring message carrying the run's bytes, packet count,
-  /// last timestamp and one hash (Section VI's aggregation, done where the
-  /// packets arrive).  A run is cut where it would pass
+  /// one run: one ring message carrying the run's bytes, packet count and
+  /// one hash (Section VI's aggregation, done where the packets arrive).  A run is cut where it would pass
   /// BurstCoalescer::kMaxPackets or kMaxBytes, the caps a worker's burst
   /// closes at.  With coalescing off (`coalescer = false`) every packet is
   /// its own run, so each packet stays one DISCO update.
@@ -207,9 +205,6 @@ class PipelineMonitor {
   /// signal -- dropped() -- because they happen before any shard sees the
   /// packet.
   [[nodiscard]] PressureStats pressure() DISCO_EXCLUDES(control_mutex_);
-  std::vector<FlowEstimate> evict_idle(std::uint64_t now_ns,
-                                       std::uint64_t idle_timeout_ns)
-      DISCO_EXCLUDES(control_mutex_);
 
   /// Blocks until every packet enqueued BEFORE this call has been applied
   /// and all open bursts are flushed: a worker met mid-pop first applies
@@ -265,10 +260,9 @@ class PipelineMonitor {
     FiveTuple flow{};
     std::uint32_t length = 0;   ///< the run's bytes
     std::uint32_t packets = 1;  ///< the run's packets (fills the padding)
-    std::uint64_t now_ns = 0;   ///< the run's last packet's timestamp
     std::uint64_t hash = 0;     ///< hash_tuple(flow)
   };
-  static_assert(sizeof(Message) == 40, "a run costs one packet's ring slot");
+  static_assert(sizeof(Message) == 32, "a run costs one packet's ring slot");
 
   struct Command;
   struct Worker;

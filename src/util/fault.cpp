@@ -88,14 +88,6 @@ bool fires(Point p) noexcept {
   return true;
 }
 
-std::uint64_t skew_clock(std::uint64_t now_ns) noexcept {
-  if (!fires(Point::kClockSkew)) return now_ns;
-  const std::int64_t skew = state(Point::kClockSkew).plan.skew_ns;
-  if (skew >= 0) return now_ns + static_cast<std::uint64_t>(skew);
-  const auto back = static_cast<std::uint64_t>(-skew);
-  return now_ns >= back ? now_ns - back : 0;
-}
-
 }  // namespace disco::util::fault
 
 #else  // DISCO_FAULTS == 0

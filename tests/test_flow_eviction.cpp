@@ -1,12 +1,11 @@
-// Tests for flow-table deletion (backward-shift) and the monitor's
-// NetFlow-style idle eviction.
+// Tests for flow-table deletion (backward-shift), which the monitor's
+// admission under table pressure uses to evict its victim.
 #include <gtest/gtest.h>
 
 #include <unordered_map>
 #include <unordered_set>
 
 #include "flowtable/flow_table.hpp"
-#include "flowtable/monitor.hpp"
 #include "util/rng.hpp"
 
 namespace disco::flowtable {
@@ -99,56 +98,6 @@ TEST(FlowTableErase, ForEachSkipsFreedSlots) {
   EXPECT_EQ(seen.size(), 3u);
   EXPECT_FALSE(seen.contains(1));
   EXPECT_FALSE(seen.contains(3));
-}
-
-// --- monitor idle eviction ----------------------------------------------------
-
-FlowMonitor::Config monitor_config() {
-  FlowMonitor::Config c;
-  c.max_flows = 16;
-  c.counter_bits = 12;
-  c.max_flow_bytes = 1 << 24;
-  c.max_flow_packets = 1 << 16;
-  c.seed = 1;
-  return c;
-}
-
-TEST(MonitorEviction, IdleFlowsExportedAndRemoved) {
-  FlowMonitor monitor(monitor_config());
-  // Flow 0 active at t = 0 only; flow 1 active through t = 10s.
-  for (int i = 0; i < 100; ++i) (void)monitor.ingest(tuple(0), 500, 0);
-  for (int i = 0; i < 100; ++i) {
-    (void)monitor.ingest(tuple(1), 500, static_cast<std::uint64_t>(i) * 100'000'000);
-  }
-  const auto evicted = monitor.evict_idle(10'000'000'000ull, 5'000'000'000ull);
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0].flow, tuple(0));
-  EXPECT_NEAR(evicted[0].bytes, 50000.0, 50000.0 * 0.3);
-  EXPECT_FALSE(monitor.query(tuple(0)).has_value());
-  EXPECT_TRUE(monitor.query(tuple(1)).has_value());
-}
-
-TEST(MonitorEviction, EvictedSlotReusedCleanly) {
-  auto config = monitor_config();
-  config.max_flows = 2;
-  FlowMonitor monitor(config);
-  (void)monitor.ingest(tuple(0), 1000, 0);
-  (void)monitor.ingest(tuple(1), 1000, 0);
-  EXPECT_FALSE(monitor.ingest(tuple(2), 1000, 1));  // full
-  (void)monitor.evict_idle(10'000'000'000ull, 1'000'000'000ull);
-  // Both idle flows evicted; new flows start from zero counters.
-  ASSERT_TRUE(monitor.ingest(tuple(2), 700, 10'000'000'001ull));
-  const auto est = monitor.query(tuple(2));
-  ASSERT_TRUE(est.has_value());
-  EXPECT_NEAR(est->bytes, 700.0, 700.0 * 0.5);
-  EXPECT_NEAR(est->packets, 1.0, 0.6);
-}
-
-TEST(MonitorEviction, NothingIdleNothingEvicted) {
-  FlowMonitor monitor(monitor_config());
-  for (std::uint32_t i = 0; i < 5; ++i) (void)monitor.ingest(tuple(i), 100, 1000);
-  EXPECT_TRUE(monitor.evict_idle(1500, 1000).empty());
-  EXPECT_EQ(monitor.totals().flows, 5u);
 }
 
 }  // namespace

@@ -140,8 +140,7 @@ TEST_P(IngestBatch, MatchesSequentialBursts) {
   for (int i = 0; i < 3000; ++i) {
     bursts.push_back(FlowBurst{
         tuple(static_cast<std::uint32_t>(source.uniform_u64(0, kFlows - 1))),
-        source.uniform_u64(64, 90'000), source.uniform_u64(1, 60),
-        static_cast<std::uint64_t>(i) * 1000});
+        source.uniform_u64(64, 90'000), source.uniform_u64(1, 60)});
   }
 
   FlowMonitor batched(config);
@@ -208,7 +207,7 @@ TEST(FlowMonitor, CarriedHashesMatchRecomputedHashes) {
   for (int i = 0; i < 4000; ++i) {
     plain.push_back(FlowBurst{
         tuple(static_cast<std::uint32_t>(source.uniform_u64(0, kFlows - 1))),
-        source.uniform_u64(64, 9'000), source.uniform_u64(1, 6), 0});
+        source.uniform_u64(64, 9'000), source.uniform_u64(1, 6)});
   }
   std::vector<FlowBurst> carried = plain;
   for (FlowBurst& b : carried) b.hash = hash_tuple(b.flow);

@@ -36,7 +36,7 @@ FiveTuple tuple(std::uint32_t i) {
 }
 
 /// `packets` packets in runs of 1-16 back-to-back packets of one of 64
-/// flows, stamped 1, 2, ...: the shape producers merge into runs.
+/// flows: the shape producers merge into runs.
 std::vector<PipelineMonitor::PacketEvent> run_trace(std::size_t packets,
                                                     std::uint64_t seed) {
   util::Rng rng(seed);
@@ -46,8 +46,7 @@ std::vector<PipelineMonitor::PacketEvent> run_trace(std::size_t packets,
     const FiveTuple flow = tuple(static_cast<std::uint32_t>(rng.uniform_u64(0, 63)));
     for (std::uint64_t left = 1 + rng.uniform_u64(0, 15);
          left > 0 && trace.size() < packets; --left) {
-      trace.push_back({flow, static_cast<std::uint32_t>(rng.uniform_u64(40, 1500)),
-                       trace.size() + 1});
+      trace.push_back({flow, static_cast<std::uint32_t>(rng.uniform_u64(40, 1500))});
     }
   }
   return trace;
@@ -164,7 +163,6 @@ TEST(BurstCoalescer, MergesConsecutiveSameFlowPackets) {
   EXPECT_EQ(flushed[0].flow, tuple(1));
   EXPECT_EQ(flushed[0].bytes, 500u);
   EXPECT_EQ(flushed[0].packets, 5u);
-  EXPECT_EQ(flushed[0].last_ns, 14u);
   EXPECT_EQ(c.open_bursts(), 0u);
 }
 
@@ -212,7 +210,6 @@ TEST(BurstCoalescer, CapsCloseTheBurst) {
   ASSERT_EQ(emitted.size(), 1u);
   EXPECT_EQ(emitted[0].packets, kCap + 1);
   EXPECT_EQ(emitted[0].bytes, 10 * (kCap + 1));
-  EXPECT_EQ(emitted[0].last_ns, 2u);
   EXPECT_EQ(c.open_bursts(), 0u);
   // 2 kCap - 2 above (every packet after its burst's first), then
   // kCap - 2 + 1 + 1 here.
@@ -258,7 +255,6 @@ TEST(BurstCoalescer, RunsEmitWhatTheirPacketsEmit) {
     ASSERT_EQ(actual[i].flow, expected[i].flow) << "burst " << i;
     ASSERT_EQ(actual[i].bytes, expected[i].bytes) << "burst " << i;
     ASSERT_EQ(actual[i].packets, expected[i].packets) << "burst " << i;
-    ASSERT_EQ(actual[i].last_ns, expected[i].last_ns) << "burst " << i;
     // Every burst carries its flow's hash on to the flow table's probe.
     ASSERT_EQ(actual[i].hash, flowtable::hash_tuple(actual[i].flow)) << i;
     ASSERT_EQ(expected[i].hash, actual[i].hash) << "burst " << i;
@@ -443,7 +439,7 @@ TEST(PipelineMonitor, EstimateParityWithFlowMonitor) {
   // pressure() has saturations to fold.
   config.base.max_flow_bytes = 1 << 18;
 
-  // One deterministic trace, some flows hot, some cold, one packet per ns.
+  // One deterministic trace, some flows hot, some cold.
   util::Rng rng(99);
   std::vector<PipelineMonitor::PacketEvent> trace;
   trace.reserve(20000);
@@ -451,8 +447,7 @@ TEST(PipelineMonitor, EstimateParityWithFlowMonitor) {
     const auto f = static_cast<std::uint32_t>(rng.uniform_u64(0, 199));
     const auto hot = static_cast<std::uint32_t>(rng.uniform_u64(0, 9));
     trace.push_back({tuple(rng.bernoulli(0.5) ? hot : f),
-                     static_cast<std::uint32_t>(rng.uniform_u64(40, 1500)),
-                     i + 1});
+                     static_cast<std::uint32_t>(rng.uniform_u64(40, 1500))});
   }
 
   // Reference: one FlowMonitor per shard, fed that shard's subsequence.
@@ -465,8 +460,8 @@ TEST(PipelineMonitor, EstimateParityWithFlowMonitor) {
   const auto replay = [&] {
     for (const auto& pkt : trace) {
       ASSERT_TRUE(reference[PipelineMonitor::worker_of(pkt.flow, config.workers)]
-                      .ingest(pkt.flow, pkt.length, pkt.now_ns));
-      ASSERT_TRUE(pipeline.ingest(0, pkt.flow, pkt.length, pkt.now_ns));
+                      .ingest(pkt.flow, pkt.length));
+      ASSERT_TRUE(pipeline.ingest(0, pkt.flow, pkt.length));
     }
   };
 
@@ -549,21 +544,10 @@ TEST(PipelineMonitor, EstimateParityWithFlowMonitor) {
   EXPECT_EQ(pipeline.packets_seen(), 20000u);
   expect_read_only_parity("after drain");
 
-  // The calls that mutate state come last.  evict_idle: cold flows last
-  // seen more than 400 ns before the end of the trace go, hot flows stay.
-  std::vector<FlowMonitor::FlowEstimate> evicted;
-  for (auto& shard : reference) {
-    const auto part = shard.evict_idle(20001, 400);
-    evicted.insert(evicted.end(), part.begin(), part.end());
-  }
-  EXPECT_GT(evicted.size(), 0u);
-  EXPECT_LT(evicted.size(), 200u);
-  expect_same_flows(pipeline.evict_idle(20001, 400), evicted);
-
-  // Two epochs, the trace replayed between them: each merged report is the
-  // reference shards' rotate() reports concatenated in worker order, bit
-  // for bit, with totals summed in that order -- although the shards now
-  // rotate concurrently.
+  // The calls that mutate state come last.  Two epochs, the trace replayed
+  // between them: each merged report is the reference shards' rotate()
+  // reports concatenated in worker order, bit for bit, with totals summed in
+  // that order -- although the shards now rotate concurrently.
   for (std::uint64_t epoch = 0; epoch < 2; ++epoch) {
     if (epoch == 1) {
       replay();
@@ -609,7 +593,7 @@ TEST(PipelineMonitor, BatchedIngestMatchesPerPacketIngest) {
   for (int i = 0; i < 20000; ++i) {
     const auto f = static_cast<std::uint32_t>(rng.uniform_u64(0, 199));
     trace.push_back({tuple(f),
-                     static_cast<std::uint32_t>(rng.uniform_u64(40, 1500)), 0});
+                     static_cast<std::uint32_t>(rng.uniform_u64(40, 1500))});
   }
 
   PipelineMonitor per_packet(config);
@@ -716,7 +700,7 @@ TEST(PipelineMonitor, QueryAppliesItsOwnOpenBurst) {
     config.coalescer = true;
     PipelineMonitor pipeline(config);
     if (one_call) {
-      const std::vector<PipelineMonitor::PacketEvent> run(5, {tuple(3), 300, 0});
+      const std::vector<PipelineMonitor::PacketEvent> run(5, {tuple(3), 300});
       ASSERT_EQ(pipeline.ingest_batch(0, run.data(), run.size()), 5u);
     } else {
       for (int i = 0; i < 5; ++i) ASSERT_TRUE(pipeline.ingest(0, tuple(3), 300));
@@ -831,8 +815,7 @@ TEST(PipelineMonitor, ReadOnlyCallsServedMidPopKeepParity) {
   for (std::size_t i = 0; i < kPackets; ++i) {
     const auto f = static_cast<std::uint32_t>(rng.uniform_u64(0, kFlows - 1));
     trace.push_back({tuple(f),
-                     static_cast<std::uint32_t>(rng.uniform_u64(40, 1500)),
-                     i + 1});
+                     static_cast<std::uint32_t>(rng.uniform_u64(40, 1500))});
   }
 
   PipelineMonitor pipeline(config);
@@ -857,7 +840,7 @@ TEST(PipelineMonitor, ReadOnlyCallsServedMidPopKeepParity) {
 
   FlowMonitor reference(PipelineMonitor::shard_config(config, 0));
   for (const auto& pkt : trace) {
-    ASSERT_TRUE(reference.ingest(pkt.flow, pkt.length, pkt.now_ns));
+    ASSERT_TRUE(reference.ingest(pkt.flow, pkt.length));
   }
   EXPECT_EQ(pipeline.packets_seen(), kPackets);
   for (std::uint32_t f = 0; f < kFlows; ++f) {
@@ -1112,19 +1095,6 @@ TEST(PipelineMonitor, StopIsIdempotentAndAllowsPostMortemQueries) {
   EXPECT_TRUE(pipeline.query(tuple(1)).has_value());
   const auto report = pipeline.rotate();
   EXPECT_EQ(report.totals.flows, 8u);
-}
-
-TEST(PipelineMonitor, EvictIdleRemovesStaleFlows) {
-  auto config = pipeline_config(2, 1);
-  PipelineMonitor pipeline(config);
-  ASSERT_TRUE(pipeline.ingest(0, tuple(1), 500, 1'000));
-  ASSERT_TRUE(pipeline.ingest(0, tuple(2), 500, 900'000));
-  pipeline.drain();
-  const auto evicted = pipeline.evict_idle(1'000'000, 100'000);
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0].flow, tuple(1));
-  EXPECT_FALSE(pipeline.query(tuple(1)).has_value());
-  EXPECT_TRUE(pipeline.query(tuple(2)).has_value());
 }
 
 }  // namespace

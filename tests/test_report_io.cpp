@@ -238,18 +238,5 @@ TEST(PipelineLifecycle, RotateMergesShardsAndClears) {
   EXPECT_EQ(read_report(buf).flows.size(), 20u);
 }
 
-TEST(PipelineLifecycle, EvictIdleSpansWorkers) {
-  const auto config = pipeline_config();
-  PipelineMonitor monitor(config);
-  ASSERT_GT(workers_spanned(0, 8, config.workers), 1u);
-  for (std::uint32_t i = 0; i < 16; ++i) {
-    (void)monitor.ingest(0, tuple(i), 400, i < 8 ? 0 : 5'000'000'000ull);
-  }
-  monitor.drain();
-  const auto evicted = monitor.evict_idle(6'000'000'000ull, 2'000'000'000ull);
-  EXPECT_EQ(evicted.size(), 8u);
-  EXPECT_EQ(monitor.totals().flows, 8u);
-}
-
 }  // namespace
 }  // namespace disco::flowtable

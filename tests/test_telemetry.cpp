@@ -262,7 +262,7 @@ TEST_F(TelemetryTest, PipelineMonitorPerWorkerCountersSumToTotal) {
       util::Rng rng(900 + p);
       for (std::uint64_t i = 0; i < kPacketsPerProducer; ++i) {
         const auto& tuple = pool[rng.uniform_u64(0, pool.size() - 1)];
-        ASSERT_TRUE(monitor.ingest(p, tuple, 100, i));  // Block: lossless
+        ASSERT_TRUE(monitor.ingest(p, tuple, 100));  // Block: lossless
       }
     });
   }
@@ -288,11 +288,9 @@ TEST_F(TelemetryTest, MonitorStackPopulatesGlobalSnapshot) {
   pipeline::PipelineMonitor monitor(config);
   util::Rng rng(77);
   for (int i = 0; i < 2000; ++i) {
-    (void)monitor.ingest(0, random_tuple(rng), 64,
-                         static_cast<std::uint64_t>(i));
+    (void)monitor.ingest(0, random_tuple(rng), 64);
   }
   monitor.drain();
-  (void)monitor.evict_idle(10'000'000, 0);
 
   const Snapshot snap = Registry::global().snapshot();
   auto value_of = [&](const std::string& name) -> std::int64_t {
@@ -304,9 +302,6 @@ TEST_F(TelemetryTest, MonitorStackPopulatesGlobalSnapshot) {
   };
   EXPECT_GT(value_of("pipeline.worker_0.ingest_total") +
                 value_of("pipeline.worker_1.ingest_total"),
-            0);
-  EXPECT_GT(value_of("pipeline.worker_0.evictions_total") +
-                value_of("pipeline.worker_1.evictions_total"),
             0);
   // The flow-table probe histogram fills as a side effect of ingest.
   bool found_probe_hist = false;

@@ -125,25 +125,20 @@ TEST(Tools, AnalyzeMetricsEmitsParsableTelemetrySnapshot) {
   ASSERT_NE(marker, std::string::npos);
   const auto snapshot = disco::telemetry::snapshot_from_json(
       output.substr(marker + std::string("telemetry snapshot:\n").size()));
-  // The replay must surface the operational signals: per-worker ingests,
-  // evictions, and the probe-length histogram.
+  // The replay must surface the operational signals: per-worker ingests
+  // and the probe-length histogram.
   std::uint64_t ingests = 0;
-  std::uint64_t evictions = 0;
   bool probe_hist = false;
   for (const auto& m : snapshot.metrics) {
     if (m.name.find(".worker_") != std::string::npos &&
         m.name.ends_with(".ingest_total")) {
       ingests += static_cast<std::uint64_t>(m.value);
     }
-    if (m.name.ends_with(".evictions_total")) {
-      evictions += static_cast<std::uint64_t>(m.value);
-    }
     if (m.name == "flow_table.probe_length") {
       probe_hist = m.histogram.count > 0;
     }
   }
   EXPECT_GT(ingests, 0u);
-  EXPECT_GT(evictions, 0u);
   EXPECT_TRUE(probe_hist);
   std::remove(trace_path.c_str());
   std::remove(out_path.c_str());

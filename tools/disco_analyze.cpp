@@ -87,8 +87,8 @@ std::vector<std::string> split_csv(const std::string& csv) {
 
 /// The online monitor both replays drive: four shard-owning workers fed by
 /// one producer, coalescing off so every packet is its own DISCO update.
-/// Callers drain() before each rotate() and evict_idle(), so each cut falls
-/// exactly where the replay puts it and the output is deterministic.
+/// Callers drain() before each rotate(), so each cut falls exactly where
+/// the replay puts it and the output is deterministic.
 disco::pipeline::PipelineMonitor::Config replay_config(
     const disco::flowtable::FlowMonitor::Config& base,
     const std::string& telemetry_prefix) {
@@ -265,20 +265,16 @@ int main(int argc, char** argv) {
     if (with_metrics) {
       // Replay the trace through the online monitor stack so the snapshot
       // carries the operational signals too (per-worker ingest, rings,
-      // evictions, probe lengths), not just the offline error analysis.
+      // probe lengths), not just the offline error analysis.
       pipeline::PipelineMonitor monitor(replay_config(
           {.max_flows = static_cast<std::size_t>(max_flow_id) + 1,
            .counter_bits = bits},
           "pipeline"));
-      std::uint64_t now_ns = 0;
-      for (std::size_t i = 0; i < packets.size(); ++i) {
-        const auto& p = packets[i];
-        now_ns = p.timestamp_ns != 0 ? p.timestamp_ns
-                                     : static_cast<std::uint64_t>(i + 1) * 1000;
-        (void)monitor.ingest(0, tuple_for_flow(p.flow_id), p.length, now_ns);
+      for (const auto& p : packets) {
+        (void)monitor.ingest(0, tuple_for_flow(p.flow_id), p.length);
       }
       monitor.drain();
-      monitor.evict_idle(now_ns + 1, 0);  // export everything as evictions
+      (void)monitor.rotate();  // closes the replay's one epoch
       std::cout << "\ntelemetry snapshot:\n"
                 << telemetry::to_json(telemetry::Registry::global().snapshot())
                 << "\n";
