@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
     flowtable::write_report(wire, tap_monitors[tap]->rotate(), tap);
     flowtable::ReportReader reader(wire);
     while (auto item = reader.next()) {
-      (void)collector.ingest(item->site_id, item->version, item->report);
+      (void)collector.ingest(*item);
     }
   }
   collector.finalize_all();
@@ -127,8 +127,7 @@ int main(int argc, char** argv) {
     merged_err.add(util::relative_error(est.bytes, true_bytes));
     central_err.add(util::relative_error(central_estimate[flow_id],
                                          true_bytes));
-    if (est.interval_valid && est.bytes_low <= true_bytes &&
-        true_bytes <= est.bytes_high) {
+    if (est.bytes_low <= true_bytes && true_bytes <= est.bytes_high) {
       ++covered;
     }
     if (flow_id < 5) {

@@ -58,10 +58,10 @@ bool Collector::site_lagging(const SiteState& site) const {
 }
 
 void Collector::fold_report(SiteState& site, const EpochReport& report) {
-  const core::ErrorModel volume = core::error_model(
-      report.volume_b, report.volume_error_unit, config_.fallback_b);
-  const core::ErrorModel size = core::error_model(
-      report.size_b, report.size_error_unit, config_.fallback_b);
+  const core::ErrorModel volume =
+      core::error_model(report.volume_b, report.volume_error_unit);
+  const core::ErrorModel size =
+      core::error_model(report.size_b, report.size_error_unit);
   const std::uint64_t site_bit =
       site.index < 64 ? (std::uint64_t{1} << site.index) : 0;
   for (const FlowEstimate& flow : report.flows) {
@@ -97,10 +97,8 @@ void Collector::fold_report(SiteState& site, const EpochReport& report) {
 }
 
 Collector::IngestResult Collector::ingest(std::uint32_t site_id,
-                                          std::uint32_t version,
                                           const EpochReport& report) {
   SiteState& site = site_state(site_id);
-  site.status.last_version = version;
   if (site.epochs.count(report.epoch) != 0) {
     ++site.status.duplicates;
     site.duplicates_metric->inc();
@@ -108,7 +106,6 @@ Collector::IngestResult Collector::ingest(std::uint32_t site_id,
   }
   const bool late =
       any_finalized_ && report.epoch < next_epoch_to_finalize_;
-  if (version < 3) ++site.status.legacy;
   if (!site.status.seen) {
     site.status.seen = true;
     site.status.highwater_epoch = report.epoch;
@@ -168,17 +165,11 @@ void Collector::try_finalize() {
 void Collector::finalize_epoch(std::uint64_t epoch) {
   auto it = pending_.find(epoch);
   if (it != pending_.end() && !it->second.empty()) {
-    // The epoch's reports in site order, folded into one report.  An axis
-    // that declares no error model (a v1/v2 report) takes the fallback
-    // base first, so subscribers fold its records as fold_report does.
+    // The epoch's reports in site order, folded into one report.
     std::vector<EpochReport> reports;
     reports.reserve(it->second.size());
     for (auto& [site_id, report] : it->second) {
       (void)site_id;
-      report.volume_b = core::effective_b(
-          report.volume_b, report.volume_error_unit, config_.fallback_b);
-      report.size_b = core::effective_b(report.size_b, report.size_error_unit,
-                                        config_.fallback_b);
       reports.push_back(std::move(report));
     }
     EpochReport merged = flowtable::fold_reports(reports);
@@ -252,7 +243,6 @@ std::vector<GlobalEstimate> Collector::top_k(std::size_t k) const {
         key.bytes.interval(config_.confidence);
     g.bytes_low = interval.low;
     g.bytes_high = interval.high;
-    g.interval_valid = interval.valid;
     g.sites = static_cast<std::uint32_t>(
         std::bitset<64>(key.site_mask).count());
     out.push_back(g);
@@ -268,7 +258,6 @@ Collector::GlobalTotals Collector::totals() const {
       total_bytes_.interval(config_.confidence);
   totals.bytes_low = interval.low;
   totals.bytes_high = interval.high;
-  totals.interval_valid = interval.valid;
   totals.flows = keys_.size();
   return totals;
 }

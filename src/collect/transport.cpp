@@ -197,9 +197,8 @@ ReportClient::~ReportClient() = default;
 ReportClient::ReportClient(ReportClient&&) noexcept = default;
 ReportClient& ReportClient::operator=(ReportClient&&) noexcept = default;
 
-void ReportClient::send(const EpochReport& report, std::uint32_t site_id,
-                        std::uint32_t version) {
-  flowtable::write_report(impl_->out_, report, site_id, version);
+void ReportClient::send(const EpochReport& report, std::uint32_t site_id) {
+  flowtable::write_report(impl_->out_, report, site_id);
 }
 
 // --- ReportServer -----------------------------------------------------------

@@ -13,9 +13,8 @@
 //     under concurrent connections.  Clients stream write_report bytes;
 //     the framing is the DRPT format itself.
 //
-// Both transports speak every wire version the repo can read (v1..v3);
-// version skew is the collector's problem to reconcile, not the
-// transport's (docs/collector.md).
+// Both transports carry DRPT v3, the one wire version (docs/collector.md);
+// a report the reader rejects ends its stream like a torn one.
 #pragma once
 
 #include <cstdint>
@@ -76,8 +75,7 @@ class ReportClient {
   ReportClient& operator=(const ReportClient&) = delete;
 
   /// Writes one report (write_report framing) and flushes it to the socket.
-  void send(const EpochReport& report, std::uint32_t site_id,
-            std::uint32_t version = flowtable::kReportVersion);
+  void send(const EpochReport& report, std::uint32_t site_id);
 
  private:
   struct Impl;

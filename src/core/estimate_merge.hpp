@@ -36,15 +36,11 @@
 
 namespace disco::core {
 
-/// A two-sided interval around a merged estimate.  `valid` is false when a
-/// contribution carried no usable error metadata (e.g. a v1/v2 legacy
-/// report with unknown base and no collector-level fallback): the estimate
-/// itself is still the unbiased sum, but no variance bound exists for it.
+/// A two-sided interval around a merged estimate.
 struct MergedInterval {
   double estimate = 0.0;
   double low = 0.0;   ///< clamped at 0: traffic cannot be negative
   double high = 0.0;
-  bool valid = true;
 };
 
 /// The error model one report declares for one metric axis (bytes come from
@@ -57,37 +53,19 @@ struct ErrorModel {
   /// Counting grid of an additive-error axis (the `unit` of
   /// theory::additive_error_sd); 0 when the axis has no additive error.
   double unit = 0.0;
-  /// False when the report carried no error metadata and no fallback base
-  /// applies: its estimates still sum unbiasedly, but bound nothing.
-  bool bounded = true;
 };
 
-/// The base one report axis is read at: its own `b`, or `fallback_b` when
-/// the axis declares neither a base nor an additive error unit (a v1/v2
-/// legacy report).
-[[nodiscard]] inline double effective_b(double b, double error_unit,
-                                        double fallback_b) {
-  return error_unit > 0.0 || b >= 1.0 ? b : fallback_b;
-}
-
-/// Decodes one report axis: its effective base `b`, its additive error unit,
-/// and the base to assume when the report carries neither (a v1/v2 legacy
-/// report; 0 = none, leaving its records unbounded).
+/// Decodes one report axis: its effective base `b` (>= 1) and its additive
+/// error unit (>= 0), as every DRPT report declares them.
 ///
 /// A single monitor's report declares one family: b > 1 with unit 0
 /// (DISCO), or b == 1 with unit > 0 (additive).  A merged report of a mixed
 /// fleet (fold_reports keeps the max of both) declares b > 1 AND unit > 0;
 /// its records then carry both terms, e^2 * est^2 + sd^2, so neither
 /// family's records are under-covered.
-[[nodiscard]] inline ErrorModel error_model(double b, double error_unit,
-                                            double fallback_b = 0.0) {
+[[nodiscard]] inline ErrorModel error_model(double b, double error_unit) {
   ErrorModel model;
-  if (error_unit > 0.0) {
-    model.unit = error_unit;
-  } else {
-    b = effective_b(b, error_unit, fallback_b);
-    model.bounded = b >= 1.0;
-  }
+  model.unit = error_unit;
   if (b > 1.0) {
     const double e = theory::cv_bound(b);
     model.cv2 = e * e;
@@ -107,10 +85,6 @@ class MixedEstimateAccumulator {
   /// (docs/collector.md).
   void add(double estimate, const ErrorModel& model, double packets) {
     sum_ += estimate;
-    if (!model.bounded) {
-      valid_ = false;  // unknown base: sum stays unbiased, bound is gone
-      return;
-    }
     if (model.cv2 > 0.0) variance_ += model.cv2 * estimate * estimate;
     if (model.unit > 0.0) {
       const long long rounded = std::llround(packets);
@@ -124,24 +98,19 @@ class MixedEstimateAccumulator {
   void merge(const MixedEstimateAccumulator& other) {
     sum_ += other.sum_;
     variance_ += other.variance_;
-    valid_ = valid_ && other.valid_;
   }
 
   [[nodiscard]] double sum() const noexcept { return sum_; }
-  /// Upper bound on Var(sum); meaningless when !interval_valid().
+  /// Upper bound on Var(sum).
   [[nodiscard]] double variance_bound() const noexcept { return variance_; }
-  [[nodiscard]] bool interval_valid() const noexcept { return valid_; }
 
   /// Normal-approximation interval for the merged sum at the given
   /// two-sided confidence level.  Degenerates to [sum, sum] when the
-  /// variance bound is zero (all contributions exact) and to an invalid
-  /// interval when any contribution lacked error metadata.
+  /// variance bound is zero (all contributions exact).
   [[nodiscard]] MergedInterval interval(double confidence) const {
     MergedInterval out;
     out.estimate = sum_;
-    out.valid = valid_;
-    if (!valid_ || confidence <= 0.0 || confidence >= 1.0 ||
-        variance_ <= 0.0) {
+    if (confidence <= 0.0 || confidence >= 1.0 || variance_ <= 0.0) {
       out.low = out.high = sum_;
       return out;
     }
@@ -155,7 +124,6 @@ class MixedEstimateAccumulator {
  private:
   double sum_ = 0.0;
   double variance_ = 0.0;
-  bool valid_ = true;
 };
 
 }  // namespace disco::core

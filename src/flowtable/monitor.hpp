@@ -138,9 +138,11 @@ class FlowMonitor {
     /// (core/estimate_merge.hpp) -- the collector and the modules layer do
     /// the latter.  Merged reports (fold_reports, as PipelineMonitor::rotate
     /// uses it) carry the max across shards, so derived intervals are
-    /// conservative for every member flow.
-    double volume_b = 0.0;
-    double size_b = 0.0;
+    /// conservative for every member flow.  1.0, the default and what
+    /// additive arrays report, means "no multiplicative error"; DRPT readers
+    /// reject anything below it (flowtable/report_io.hpp).
+    double volume_b = 1.0;
+    double size_b = 1.0;
     /// Additive-error mode only (Config.estimator == AdditiveError): the
     /// counting grid 2^s of each array when the report was produced -- the
     /// `unit` of core::theory::additive_error_sd.  0.0 under DISCO

@@ -1,10 +1,12 @@
 #include "flowtable/report_io.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <istream>
 #include <iterator>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "util/fault.hpp"
 
@@ -31,32 +33,38 @@ template <typename T>
   return value;
 }
 
-// Body shared by read_report and ReportReader: everything after the magic.
+// One double of a report that must be finite and at least `min`: 1 for a
+// base, 0 for an error unit or an estimate.  A NaN fails the comparison.
+[[nodiscard]] double get_at_least(std::istream& in, double min,
+                                  const char* field) {
+  const auto value = get<double>(in);
+  if (!(std::isfinite(value) && value >= min)) {
+    throw std::runtime_error(std::string("report_io: ") + field +
+                             " out of range");
+  }
+  return value;
+}
+
+// Everything of one report after its magic.
 [[nodiscard]] ReportReader::Item read_after_magic(std::istream& in) {
-  ReportReader::Item item;
-  const auto version = get<std::uint32_t>(in);
-  if (version < 1 || version > kReportVersion) {
+  if (get<std::uint32_t>(in) != kReportVersion) {
     throw std::runtime_error("report_io: unsupported version");
   }
-  item.version = version;
+  ReportReader::Item item;
   FlowMonitor::EpochReport& report = item.report;
   report.epoch = get<std::uint64_t>(in);
-  if (version >= 3) item.site_id = get<std::uint32_t>(in);
-  report.totals.bytes = get<double>(in);
-  report.totals.packets = get<double>(in);
+  item.site_id = get<std::uint32_t>(in);
+  report.totals.bytes = get_at_least(in, 0.0, "totals.bytes");
+  report.totals.packets = get_at_least(in, 0.0, "totals.packets");
   report.totals.flows = static_cast<std::size_t>(get<std::uint64_t>(in));
-  if (version >= 2) {
-    report.pressure.flows_rejected = get<std::uint64_t>(in);
-    report.pressure.flows_evicted = get<std::uint64_t>(in);
-    report.pressure.counters_saturated = get<std::uint64_t>(in);
-    report.pressure.rescale_events = get<std::uint64_t>(in);
-  }
-  if (version >= 3) {
-    report.volume_b = get<double>(in);
-    report.size_b = get<double>(in);
-    report.volume_error_unit = get<double>(in);
-    report.size_error_unit = get<double>(in);
-  }
+  report.pressure.flows_rejected = get<std::uint64_t>(in);
+  report.pressure.flows_evicted = get<std::uint64_t>(in);
+  report.pressure.counters_saturated = get<std::uint64_t>(in);
+  report.pressure.rescale_events = get<std::uint64_t>(in);
+  report.volume_b = get_at_least(in, 1.0, "volume_b");
+  report.size_b = get_at_least(in, 1.0, "size_b");
+  report.volume_error_unit = get_at_least(in, 0.0, "volume_error_unit");
+  report.size_error_unit = get_at_least(in, 0.0, "size_error_unit");
   const auto count = get<std::uint64_t>(in);
   report.flows.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(count, std::uint64_t{1} << 20)));
@@ -67,8 +75,8 @@ template <typename T>
     flow.flow.src_port = get<std::uint16_t>(in);
     flow.flow.dst_port = get<std::uint16_t>(in);
     flow.flow.protocol = get<std::uint8_t>(in);
-    flow.bytes = get<double>(in);
-    flow.packets = get<double>(in);
+    flow.bytes = get_at_least(in, 0.0, "record bytes");
+    flow.packets = get_at_least(in, 0.0, "record packets");
     report.flows.push_back(flow);
   }
   return item;
@@ -77,30 +85,22 @@ template <typename T>
 }  // namespace
 
 void write_report(std::ostream& out, const FlowMonitor::EpochReport& report,
-                  std::uint32_t site_id, std::uint32_t version) {
-  if (version < 1 || version > kReportVersion) {
-    // Programmer error (a caller invented a version), not an I/O failure.
-    throw std::invalid_argument("report_io: cannot write unsupported version");
-  }
+                  std::uint32_t site_id) {
   put(out, kReportMagic);
-  put(out, version);
+  put(out, kReportVersion);
   put(out, report.epoch);
-  if (version >= 3) put(out, site_id);
+  put(out, site_id);
   put(out, report.totals.bytes);
   put(out, report.totals.packets);
   put(out, static_cast<std::uint64_t>(report.totals.flows));
-  if (version >= 2) {
-    put(out, report.pressure.flows_rejected);
-    put(out, report.pressure.flows_evicted);
-    put(out, report.pressure.counters_saturated);
-    put(out, report.pressure.rescale_events);
-  }
-  if (version >= 3) {
-    put(out, report.volume_b);
-    put(out, report.size_b);
-    put(out, report.volume_error_unit);
-    put(out, report.size_error_unit);
-  }
+  put(out, report.pressure.flows_rejected);
+  put(out, report.pressure.flows_evicted);
+  put(out, report.pressure.counters_saturated);
+  put(out, report.pressure.rescale_events);
+  put(out, report.volume_b);
+  put(out, report.size_b);
+  put(out, report.volume_error_unit);
+  put(out, report.size_error_unit);
   put(out, static_cast<std::uint64_t>(report.flows.size()));
   for (const auto& flow : report.flows) {
     put(out, flow.flow.src_ip);
@@ -117,13 +117,6 @@ void write_report(std::ostream& out, const FlowMonitor::EpochReport& report,
   // collector.
   out.flush();
   if (!out) throw std::runtime_error("report_io: write failed");
-}
-
-FlowMonitor::EpochReport read_report(std::istream& in) {
-  if (get<std::uint32_t>(in) != kReportMagic) {
-    throw std::runtime_error("report_io: bad magic (not a DRPT report)");
-  }
-  return read_after_magic(in).report;
 }
 
 std::optional<ReportReader::Item> ReportReader::next() {
@@ -146,25 +139,11 @@ std::optional<ReportReader::Item> ReportReader::next() {
     if (magic != kReportMagic) {
       throw std::runtime_error("report_io: bad magic (not a DRPT report)");
     }
-    Item item = read_after_magic(*in_);
-    ++items_;
-    return item;
+    return read_after_magic(*in_);
   } catch (...) {
     poisoned_ = true;
     throw;
   }
-}
-
-void write_report_csv(std::ostream& out, const FlowMonitor::EpochReport& report) {
-  out << "src_ip,dst_ip,src_port,dst_port,protocol,bytes,packets\n";
-  for (const auto& flow : report.flows) {
-    out << flow.flow.src_ip << ',' << flow.flow.dst_ip << ','
-        << flow.flow.src_port << ',' << flow.flow.dst_port << ','
-        << static_cast<int>(flow.flow.protocol) << ',' << flow.bytes << ','
-        << flow.packets << '\n';
-  }
-  out.flush();  // same short-write rationale as write_report
-  if (!out) throw std::runtime_error("report_io: CSV write failed");
 }
 
 FlowMonitor::EpochReport fold_reports(

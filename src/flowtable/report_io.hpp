@@ -2,22 +2,18 @@
 //
 // A monitoring appliance rotates epochs and ships each interval's per-flow
 // records to a collector.  This module defines the wire format ("DRPT"): a
-// fixed header (epoch id, totals) followed by per-flow records (5-tuple,
-// estimated bytes, estimated packets).  Binary for collectors, CSV for
-// humans.  The collector side (src/collect, docs/collector.md) re-aggregates
-// reports from several appliances at the estimate level; counter-level
-// aggregation is core/disco.hpp's merge.
+// fixed header (epoch id, site id, totals, pressure counters, and the error
+// metadata -- effective bases volume_b/size_b and additive error units --
+// that lets a collector attach Theorem 2 / additive confidence intervals to
+// estimates merged across sites) followed by per-flow records (5-tuple,
+// estimated bytes, estimated packets).  docs/collector.md has the
+// byte-level table.  The collector side (src/collect) re-aggregates reports
+// from several appliances at the estimate level; counter-level aggregation
+// is core/disco.hpp's merge.
 //
-// Version history (docs/collector.md has the byte-level tables):
-//   v1  header (epoch, totals) + flow records.
-//   v2  inserts the report's PressureStats between totals and flows, so a
-//       collector can tell a clean report from one produced under pressure.
-//   v3  adds a site id after the epoch, and the estimator error metadata
-//       (effective bases volume_b/size_b, additive error units) after the
-//       pressure block -- everything a collector needs to attach Theorem 2
-//       / additive confidence intervals to estimates merged across sites.
-// Readers accept all versions; absent fields read as zero (volume_b == 0
-// marks a legacy report whose base is unknown).
+// There is one wire version, 3.  The reader rejects any other, and any
+// report whose error metadata or estimates no monitor would write, so
+// every report it returns carries a usable error model.
 #pragma once
 
 #include <cstdint>
@@ -34,21 +30,12 @@ inline constexpr std::uint32_t kReportMagic = 0x54505244;  // "DRPT" LE
 inline constexpr std::uint32_t kReportVersion = 3;
 
 /// Writes one epoch report.  `site_id` identifies the producing monitor
-/// process in a multi-site deployment (v3+ field; dropped when emitting
-/// older versions).  `version` selects the wire version, for mixed fleets
-/// where the collector is newer than some monitors.  Throws
-/// std::runtime_error on I/O failure -- including short writes a buffered
-/// sink only surfaces at flush time: the stream is flushed before this
-/// returns, so a report that came back without an exception is fully on the
-/// wire.
+/// process in a multi-site deployment.  Throws std::runtime_error on I/O
+/// failure -- including short writes a buffered sink only surfaces at flush
+/// time: the stream is flushed before this returns, so a report that came
+/// back without an exception is fully on the wire.
 void write_report(std::ostream& out, const FlowMonitor::EpochReport& report,
-                  std::uint32_t site_id = 0,
-                  std::uint32_t version = kReportVersion);
-
-/// Reads a report written by write_report (any supported version).  Throws
-/// std::runtime_error on malformed input.  Fields a version lacks read as
-/// zero; the v3 site id is not surfaced here (use ReportReader).
-[[nodiscard]] FlowMonitor::EpochReport read_report(std::istream& in);
+                  std::uint32_t site_id = 0);
 
 /// Streaming reader for a concatenated sequence of reports -- a spool file
 /// a monitor appends to, or a collector socket.  next() distinguishes the
@@ -60,29 +47,23 @@ class ReportReader {
   explicit ReportReader(std::istream& in) : in_(&in) {}
 
   struct Item {
-    std::uint32_t version = 0;  ///< wire version this report arrived as
-    std::uint32_t site_id = 0;  ///< 0 for pre-v3 reports
+    std::uint32_t site_id = 0;
     FlowMonitor::EpochReport report;
   };
 
   /// The next report, or nullopt at a clean end-of-stream.  Throws
-  /// std::runtime_error on truncation or malformed bytes; the reader is
+  /// std::runtime_error on truncation or malformed bytes: a bad magic, a
+  /// version other than kReportVersion, a base that is not finite and >= 1,
+  /// an error unit that is not finite and >= 0, or totals or a record's
+  /// bytes or packets that are NaN, infinite or negative.  The reader is
   /// then poisoned (every later call rethrows) because resynchronising
   /// inside a torn binary stream would risk double-counting.
   [[nodiscard]] std::optional<Item> next();
 
-  /// Reports returned so far (spool-offset bookkeeping for pollers).
-  [[nodiscard]] std::uint64_t items_read() const noexcept { return items_; }
-
  private:
   std::istream* in_;
-  std::uint64_t items_ = 0;
   bool poisoned_ = false;
 };
-
-/// Human-readable CSV: header row then "src_ip,dst_ip,src_port,dst_port,
-/// protocol,bytes,packets" per flow.
-void write_report_csv(std::ostream& out, const FlowMonitor::EpochReport& report);
 
 /// Merges the reports of one epoch's shards (or appliances) into one, in
 /// order: the flow records are moved out of `parts` and concatenated after

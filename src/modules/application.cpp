@@ -82,9 +82,7 @@ void ApplicationModule::export_text(std::ostream& out) const {
         total_bytes_ > 0.0 ? stats.bytes.sum() / total_bytes_ : 0.0;
     out << "  " << app_class_name(static_cast<AppClass>(i)) << "  "
         << share * 100.0 << "%  bytes " << stats.bytes.sum() << "  flows "
-        << stats.flows;
-    if (!stats.bytes.interval_valid()) out << "  [interval unavailable]";
-    out << '\n';
+        << stats.flows << '\n';
   }
 }
 
@@ -103,8 +101,8 @@ std::string ApplicationModule::export_json() const {
     const double share = total_bytes_ > 0.0 ? ci.estimate / total_bytes_ : 0.0;
     out << "{\"class\": \"" << app_class_name(static_cast<AppClass>(i))
         << "\", \"bytes\": " << json::number(ci.estimate)
-        << ", \"bytes_low\": " << json::bound(ci.low, ci.valid)
-        << ", \"bytes_high\": " << json::bound(ci.high, ci.valid)
+        << ", \"bytes_low\": " << json::number(ci.low)
+        << ", \"bytes_high\": " << json::number(ci.high)
         << ", \"share\": " << json::number(share)
         << ", \"packets\": " << json::number(stats.packets.sum())
         << ", \"flows\": " << stats.flows << '}';

@@ -67,14 +67,9 @@ void TopKeysModule::export_text(std::ostream& out) const {
       << " epoch(s)\n";
   for (const Entry& entry : top()) {
     out << "  " << label << ' ' << render_key(entry.key) << "  bytes "
-        << entry.bytes.estimate;
-    if (entry.bytes.valid) {
-      out << " [" << entry.bytes.low << ", " << entry.bytes.high << ']';
-    } else {
-      out << " [interval unavailable]";
-    }
-    out << "  packets " << entry.packets.estimate << "  flows " << entry.flows
-        << '\n';
+        << entry.bytes.estimate << " [" << entry.bytes.low << ", "
+        << entry.bytes.high << "]  packets " << entry.packets.estimate
+        << "  flows " << entry.flows << '\n';
   }
 }
 
@@ -89,15 +84,11 @@ std::string TopKeysModule::export_json() const {
     first = false;
     out << "{\"key\": \"" << render_key(entry.key)
         << "\", \"bytes\": " << json::number(entry.bytes.estimate)
-        << ", \"bytes_low\": "
-        << json::bound(entry.bytes.low, entry.bytes.valid)
-        << ", \"bytes_high\": "
-        << json::bound(entry.bytes.high, entry.bytes.valid)
+        << ", \"bytes_low\": " << json::number(entry.bytes.low)
+        << ", \"bytes_high\": " << json::number(entry.bytes.high)
         << ", \"packets\": " << json::number(entry.packets.estimate)
-        << ", \"packets_low\": "
-        << json::bound(entry.packets.low, entry.packets.valid)
-        << ", \"packets_high\": "
-        << json::bound(entry.packets.high, entry.packets.valid)
+        << ", \"packets_low\": " << json::number(entry.packets.low)
+        << ", \"packets_high\": " << json::number(entry.packets.high)
         << ", \"flows\": " << entry.flows << '}';
   }
   out << "]}";

@@ -1,13 +1,12 @@
 // Unit + adversarial coverage for the aggregation tier (src/collect):
 //
-//   * DRPT v3 wire format: site-id / error-metadata round-trip, downlevel
-//     (v1/v2) emission, streaming ReportReader semantics (clean EOF vs
-//     mid-report truncation);
+//   * DRPT v3 wire format: site-id / error-metadata round-trip, streaming
+//     ReportReader semantics (clean EOF vs mid-report truncation);
 //   * Collector merge semantics: disjoint-site sums, cross-site key fusion
 //     with variance-accounted intervals, duplicate / reordered / late /
 //     lagging-site stream hygiene (traffic counted at most once, always),
-//     legacy reports without error metadata, mixed DISCO+additive fleets,
-//     PressureStats reconciliation, subscriber + ModuleHost integration;
+//     mixed DISCO+additive fleets, PressureStats reconciliation, subscriber
+//     + ModuleHost integration;
 //   * transports: spool files with torn tails (including DISCO_FAULTS
 //     short-write injection) and the loopback socket path.
 #include <gtest/gtest.h>
@@ -83,7 +82,6 @@ TEST(ReportIoV3, SiteIdAndErrorMetadataRoundTrip) {
   flowtable::ReportReader reader(buf);
   const auto item = reader.next();
   ASSERT_TRUE(item.has_value());
-  EXPECT_EQ(item->version, flowtable::kReportVersion);
   EXPECT_EQ(item->site_id, 9u);
   EXPECT_EQ(item->report.epoch, 4u);
   EXPECT_DOUBLE_EQ(item->report.volume_b, 1.0625);
@@ -93,48 +91,23 @@ TEST(ReportIoV3, SiteIdAndErrorMetadataRoundTrip) {
   EXPECT_EQ(item->report.flows[0].flow, tuple(1));
   EXPECT_DOUBLE_EQ(item->report.flows[0].bytes, 1000.0);
   EXPECT_FALSE(reader.next().has_value());  // clean EOF
-  EXPECT_EQ(reader.items_read(), 1u);
 }
 
-TEST(ReportIoV3, DownlevelEmissionDropsNewerFields) {
-  auto report = make_report(7, 1.03, {{1, 64.0, 1.0}});
-  report.pressure = flowtable::PressureStats{1, 1, 1, 1};
-
-  std::stringstream v1;
-  flowtable::write_report(v1, report, /*site_id=*/5, /*version=*/1);
-  flowtable::ReportReader r1(v1);
-  const auto item1 = r1.next();
-  ASSERT_TRUE(item1.has_value());
-  EXPECT_EQ(item1->version, 1u);
-  EXPECT_EQ(item1->site_id, 0u);  // v1/v2 carry no site id
-  EXPECT_EQ(item1->report.pressure.flows_rejected, 0u);
-  EXPECT_DOUBLE_EQ(item1->report.volume_b, 0.0);  // legacy marker
-
-  std::stringstream v2;
-  flowtable::write_report(v2, report, /*site_id=*/5, /*version=*/2);
-  flowtable::ReportReader r2(v2);
-  const auto item2 = r2.next();
-  ASSERT_TRUE(item2.has_value());
-  EXPECT_EQ(item2->version, 2u);
-  EXPECT_EQ(item2->report.pressure.flows_rejected, 1u);  // v2 keeps pressure
-  EXPECT_DOUBLE_EQ(item2->report.volume_b, 0.0);
-
-  std::stringstream bad;
-  EXPECT_THROW(flowtable::write_report(bad, report, 0, 4),
-               std::invalid_argument);
-}
-
-TEST(ReportIoV3, ReaderStreamsConcatenatedMixedVersions) {
+TEST(ReportIoV3, ReaderStreamsConcatenatedReports) {
   std::stringstream buf;
-  flowtable::write_report(buf, make_report(0, 1.05, {{1, 10.0, 1.0}}), 0, 2);
-  flowtable::write_report(buf, make_report(1, 1.05, {{2, 20.0, 1.0}}), 3, 3);
-  flowtable::write_report(buf, make_report(2, 1.05, {{3, 30.0, 1.0}}), 3, 3);
+  flowtable::write_report(buf, make_report(0, 1.05, {{1, 10.0, 1.0}}), 0);
+  flowtable::write_report(buf, make_report(1, 1.05, {{2, 20.0, 1.0}}), 3);
+  flowtable::write_report(buf, make_report(2, 1.05, {{3, 30.0, 1.0}}), 3);
 
   flowtable::ReportReader reader(buf);
   std::vector<std::uint64_t> epochs;
-  while (auto item = reader.next()) epochs.push_back(item->report.epoch);
+  std::vector<std::uint32_t> sites;
+  while (auto item = reader.next()) {
+    epochs.push_back(item->report.epoch);
+    sites.push_back(item->site_id);
+  }
   EXPECT_EQ(epochs, (std::vector<std::uint64_t>{0, 1, 2}));
-  EXPECT_EQ(reader.items_read(), 3u);
+  EXPECT_EQ(sites, (std::vector<std::uint32_t>{0, 3, 3}));
 }
 
 TEST(ReportIoV3, ReaderThrowsOnTruncationAndStaysPoisoned) {
@@ -150,16 +123,15 @@ TEST(ReportIoV3, ReaderThrowsOnTruncationAndStaysPoisoned) {
   EXPECT_THROW((void)reader.next(), std::runtime_error);
   // Poisoned: no resync attempts that could smuggle in a half-read report.
   EXPECT_THROW((void)reader.next(), std::runtime_error);
-  EXPECT_EQ(reader.items_read(), 1u);
 }
 
 // --- collector merge semantics ----------------------------------------------
 
 TEST(Collector, DisjointSitesSumExactly) {
   Collector collector;
-  EXPECT_EQ(collector.ingest(0, 3, make_report(0, 1.05, {{1, 100.0, 2.0}})),
+  EXPECT_EQ(collector.ingest(0, make_report(0, 1.05, {{1, 100.0, 2.0}})),
             Collector::IngestResult::Accepted);
-  EXPECT_EQ(collector.ingest(1, 3, make_report(0, 1.05, {{2, 300.0, 4.0}})),
+  EXPECT_EQ(collector.ingest(1, make_report(0, 1.05, {{2, 300.0, 4.0}})),
             Collector::IngestResult::Accepted);
   collector.finalize_all();
 
@@ -167,7 +139,6 @@ TEST(Collector, DisjointSitesSumExactly) {
   EXPECT_DOUBLE_EQ(totals.bytes, 400.0);
   EXPECT_DOUBLE_EQ(totals.packets, 6.0);
   EXPECT_EQ(totals.flows, 2u);
-  EXPECT_TRUE(totals.interval_valid);
 
   const auto top = collector.top_k(10);
   ASSERT_EQ(top.size(), 2u);
@@ -182,8 +153,8 @@ TEST(Collector, KeyFusionPoolsVarianceAcrossSites) {
   // sums, and the pooled interval is NARROWER than a single-site estimate
   // of the same total would be (sum of squares < square of sum).
   Collector collector;
-  (void)collector.ingest(0, 3, make_report(0, 1.05, {{1, 1000.0, 10.0}}));
-  (void)collector.ingest(1, 3, make_report(0, 1.05, {{1, 1000.0, 10.0}}));
+  (void)collector.ingest(0, make_report(0, 1.05, {{1, 1000.0, 10.0}}));
+  (void)collector.ingest(1, make_report(0, 1.05, {{1, 1000.0, 10.0}}));
   collector.finalize_all();
 
   const auto top = collector.top_k(1);
@@ -204,8 +175,8 @@ TEST(Collector, KeyFusionPoolsVarianceAcrossSites) {
 TEST(Collector, DuplicateReportRejectedWithoutDoubleCount) {
   Collector collector;
   const auto report = make_report(0, 1.05, {{1, 100.0, 2.0}});
-  EXPECT_EQ(collector.ingest(0, 3, report), Collector::IngestResult::Accepted);
-  EXPECT_EQ(collector.ingest(0, 3, report), Collector::IngestResult::Duplicate);
+  EXPECT_EQ(collector.ingest(0, report), Collector::IngestResult::Accepted);
+  EXPECT_EQ(collector.ingest(0, report), Collector::IngestResult::Duplicate);
   collector.finalize_all();
 
   EXPECT_DOUBLE_EQ(collector.totals().bytes, 100.0);
@@ -222,15 +193,15 @@ TEST(Collector, ReorderedDeliveryConvergesToInOrderState) {
   const auto e2 = make_report(2, 1.05, {{2, 40.0, 2.0}});
 
   Collector in_order;
-  (void)in_order.ingest(0, 3, e0);
-  (void)in_order.ingest(0, 3, e1);
-  (void)in_order.ingest(0, 3, e2);
+  (void)in_order.ingest(0, e0);
+  (void)in_order.ingest(0, e1);
+  (void)in_order.ingest(0, e2);
   in_order.finalize_all();
 
   Collector shuffled;
-  (void)shuffled.ingest(0, 3, e2);
-  (void)shuffled.ingest(0, 3, e0);
-  (void)shuffled.ingest(0, 3, e1);
+  (void)shuffled.ingest(0, e2);
+  (void)shuffled.ingest(0, e0);
+  (void)shuffled.ingest(0, e1);
   shuffled.finalize_all();
 
   EXPECT_DOUBLE_EQ(shuffled.totals().bytes, in_order.totals().bytes);
@@ -255,15 +226,15 @@ TEST(Collector, LateReportFoldsOnceAndIsNotReEmitted) {
 
   // Site 0 races ahead: epochs 0 and 1 finalise (2 stays open as the
   // fleet highwater).
-  (void)collector.ingest(0, 3, make_report(0, 1.05, {{1, 10.0, 1.0}}));
-  (void)collector.ingest(0, 3, make_report(1, 1.05, {{1, 10.0, 1.0}}));
-  (void)collector.ingest(0, 3, make_report(2, 1.05, {{1, 10.0, 1.0}}));
+  (void)collector.ingest(0, make_report(0, 1.05, {{1, 10.0, 1.0}}));
+  (void)collector.ingest(0, make_report(1, 1.05, {{1, 10.0, 1.0}}));
+  (void)collector.ingest(0, make_report(2, 1.05, {{1, 10.0, 1.0}}));
   ASSERT_EQ(collector.epochs_finalized(), 2u);
 
   // A site the collector has never seen shows up with the finalised epoch
   // 0: late.  Its traffic still counts exactly once, but epoch 0 is not
   // re-emitted to subscribers.
-  EXPECT_EQ(collector.ingest(1, 3, make_report(0, 1.05, {{2, 50.0, 1.0}})),
+  EXPECT_EQ(collector.ingest(1, make_report(0, 1.05, {{2, 50.0, 1.0}})),
             Collector::IngestResult::Late);
   collector.finalize_all();
 
@@ -280,10 +251,10 @@ TEST(Collector, NewestEpochStaysOpenUntilFinalizeAll) {
   // missing, but the newest epoch itself must stay open -- an unknown site
   // may still contribute to it.
   Collector collector;
-  (void)collector.ingest(0, 3, make_report(0, 1.05, {{1, 10.0, 1.0}}));
-  (void)collector.ingest(1, 3, make_report(0, 1.05, {{2, 10.0, 1.0}}));
+  (void)collector.ingest(0, make_report(0, 1.05, {{1, 10.0, 1.0}}));
+  (void)collector.ingest(1, make_report(0, 1.05, {{2, 10.0, 1.0}}));
   EXPECT_EQ(collector.epochs_finalized(), 0u);
-  (void)collector.ingest(2, 3, make_report(0, 1.05, {{3, 10.0, 1.0}}));
+  (void)collector.ingest(2, make_report(0, 1.05, {{3, 10.0, 1.0}}));
   EXPECT_EQ(collector.epochs_finalized(), 0u);
   collector.finalize_all();
   EXPECT_EQ(collector.epochs_finalized(), 1u);
@@ -297,9 +268,9 @@ TEST(Collector, LaggingSiteStopsGatingFinalisation) {
   config.liveness_window = 2;
   Collector collector(config);
   // Site 1 delivers epoch 0 then goes quiet; site 0 keeps rotating.
-  (void)collector.ingest(1, 3, make_report(0, 1.05, {{9, 5.0, 1.0}}));
+  (void)collector.ingest(1, make_report(0, 1.05, {{9, 5.0, 1.0}}));
   for (std::uint64_t epoch = 0; epoch <= 5; ++epoch) {
-    (void)collector.ingest(0, 3, make_report(epoch, 1.05, {{1, 10.0, 1.0}}));
+    (void)collector.ingest(0, make_report(epoch, 1.05, {{1, 10.0, 1.0}}));
   }
   // Epochs 1+ cannot wait forever on site 1: once its lag exceeds the
   // window it stops gating, and epochs below the highwater finalise.
@@ -315,31 +286,10 @@ TEST(Collector, LaggingSiteStopsGatingFinalisation) {
   EXPECT_DOUBLE_EQ(collector.totals().bytes, 65.0);
 }
 
-TEST(Collector, LegacyReportsInvalidateIntervalUnlessFallback) {
-  auto legacy = make_report(0, 0.0, {{1, 100.0, 2.0}});  // v2: no metadata
-  Collector strict;
-  (void)strict.ingest(0, 2, legacy);
-  strict.finalize_all();
-  EXPECT_DOUBLE_EQ(strict.totals().bytes, 100.0);  // still unbiased
-  EXPECT_FALSE(strict.totals().interval_valid);
-  EXPECT_FALSE(strict.top_k(1)[0].interval_valid);
-  ASSERT_EQ(strict.sites().size(), 1u);
-  EXPECT_EQ(strict.sites()[0].legacy, 1u);
-
-  CollectorConfig config;
-  config.fallback_b = 1.05;
-  Collector lenient(config);
-  (void)lenient.ingest(0, 2, legacy);
-  lenient.finalize_all();
-  EXPECT_TRUE(lenient.totals().interval_valid);
-  EXPECT_GT(lenient.totals().bytes_high, lenient.totals().bytes);
-}
-
 TEST(Collector, MixedDiscoAndAdditiveSitesMerge) {
   Collector collector;
-  (void)collector.ingest(0, 3, make_report(0, 1.05, {{1, 1000.0, 10.0}}));
-  (void)collector.ingest(1, 3,
-                         make_additive_report(0, 4.0, {{1, 1000.0, 10.0}}));
+  (void)collector.ingest(0, make_report(0, 1.05, {{1, 1000.0, 10.0}}));
+  (void)collector.ingest(1, make_additive_report(0, 4.0, {{1, 1000.0, 10.0}}));
   collector.finalize_all();
 
   const auto top = collector.top_k(1);
@@ -366,9 +316,9 @@ TEST(Collector, PressureReconciliationSumsLatestPerSite) {
   a1.pressure = flowtable::PressureStats{25, 3, 0, 2};  // cumulative
   auto b0 = make_report(0, 1.05, {{2, 1.0, 1.0}});
   b0.pressure = flowtable::PressureStats{0, 0, 7, 0};
-  (void)collector.ingest(0, 3, a0);
-  (void)collector.ingest(0, 3, a1);
-  (void)collector.ingest(1, 3, b0);
+  (void)collector.ingest(0, a0);
+  (void)collector.ingest(0, a1);
+  (void)collector.ingest(1, b0);
   collector.finalize_all();
 
   // Per-site counters are cumulative: fleet pressure is the sum of each
@@ -388,7 +338,7 @@ TEST(Collector, TrackedFlowCapKeepsTotalsExact) {
   for (std::uint32_t i = 0; i < 10; ++i) {
     flows.push_back({i, 100.0, 1.0});
   }
-  (void)collector.ingest(0, 3, make_report(0, 1.05, flows));
+  (void)collector.ingest(0, make_report(0, 1.05, flows));
   collector.finalize_all();
 
   EXPECT_EQ(collector.tracked_flows(), 4u);
@@ -402,10 +352,10 @@ TEST(Collector, SubscribersAndModuleHostSeeMergedReports) {
   host.attach(modules::make_module("topports"));
   host.subscribe_to(collector);  // duck-typed: same surface as a monitor
 
-  (void)collector.ingest(0, 3, make_report(0, 1.05, {{1, 100.0, 2.0}}));
-  (void)collector.ingest(1, 3, make_report(0, 1.05, {{1, 50.0, 1.0}}));
-  (void)collector.ingest(0, 3, make_report(1, 1.05, {{2, 10.0, 1.0}}));
-  (void)collector.ingest(1, 3, make_report(1, 1.05, {{3, 20.0, 1.0}}));
+  (void)collector.ingest(0, make_report(0, 1.05, {{1, 100.0, 2.0}}));
+  (void)collector.ingest(1, make_report(0, 1.05, {{1, 50.0, 1.0}}));
+  (void)collector.ingest(0, make_report(1, 1.05, {{2, 10.0, 1.0}}));
+  (void)collector.ingest(1, make_report(1, 1.05, {{3, 20.0, 1.0}}));
   collector.finalize_all();
 
   EXPECT_EQ(host.epochs_dispatched(), 2u);
@@ -419,9 +369,9 @@ TEST(Collector, MergedEpochReportFusesDuplicateKeys) {
   std::vector<EpochReport> emitted;
   collector.subscribe(
       [&emitted](const EpochReport& r) { emitted.push_back(r); });
-  (void)collector.ingest(0, 3, make_report(0, 1.04, {{1, 100.0, 2.0}}));
-  (void)collector.ingest(1, 3, make_report(0, 1.08, {{1, 60.0, 1.0},
-                                                     {2, 40.0, 1.0}}));
+  (void)collector.ingest(0, make_report(0, 1.04, {{1, 100.0, 2.0}}));
+  (void)collector.ingest(1, make_report(0, 1.08, {{1, 60.0, 1.0},
+                                                  {2, 40.0, 1.0}}));
   collector.finalize_all();
 
   ASSERT_EQ(emitted.size(), 1u);
@@ -451,8 +401,8 @@ TEST(Collector, TopKIsThePrefixOfTheFullRanking) {
     site0.push_back({id, 100.0 * (1 + id % 5), 1.0 + id % 5});
     if (id % 3 == 0) site1.push_back({id, 100.0, 1.0});
   }
-  (void)collector.ingest(0, 3, make_report(0, 1.05, site0));
-  (void)collector.ingest(1, 3, make_report(0, 1.08, site1));
+  (void)collector.ingest(0, make_report(0, 1.05, site0));
+  (void)collector.ingest(1, make_report(0, 1.08, site1));
   collector.finalize_all();
 
   ASSERT_EQ(collector.tracked_flows(), 60u);

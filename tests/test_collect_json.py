@@ -8,11 +8,9 @@ document as text.  Numbers must print at round-trip precision: with every
 tracked flow listed, the per-flow byte estimates must sum to the global
 total, which 6-significant-digit output cannot do.
 
-Legacy v2 reports carry no error metadata.  Collected without
-`--fallback-b`, every interval over them is unavailable, in the modules
-as on the collector's global line: text says "interval unavailable" and
-JSON writes null bounds.  With `--fallback-b`, the modules' intervals
-have width, like the collector's.
+Every DRPT report declares its error model, so every interval the
+modules export has width: low < estimate < high on each topports,
+topdest, application and autofocus row.
 
 Usage:
     python3 tests/test_collect_json.py TOOLS_DIR
@@ -34,14 +32,11 @@ MODULES = {"topports", "topdest", "application", "active-flows",
            "anomaly-ewma", "scanner-detector", "autofocus"}
 
 
-LEGACY_MODULES = "topports,topdest,application,autofocus"
-
-
 def tool(name):
     return os.path.join(TOOLS_DIR, name)
 
 
-def run_sites(directory, extra=()):
+def run_sites(directory):
     """Runs SITES disco_monitor sites into spool files; returns the paths."""
     spools = []
     for site in range(SITES):
@@ -49,7 +44,7 @@ def run_sites(directory, extra=()):
         subprocess.run(
             [tool("disco_monitor"), "--site", str(site), "--sites",
              str(SITES), "--seed", "11", "--flows", "2000", "--epochs",
-             str(EPOCHS), "--spool", spool, *extra],
+             str(EPOCHS), "--spool", spool],
             check=True, stdout=subprocess.DEVNULL)
         spools.append(spool)
     return spools
@@ -90,68 +85,24 @@ class CollectJson(unittest.TestCase):
         top = self.doc["top"]
         self.assertEqual(self.doc["flows_dropped"], 0)
         self.assertEqual(len(top), self.doc["tracked_flows"])
-        self.assertTrue(totals["interval_valid"])
         self.assertLess(totals["bytes_low"], totals["bytes"])
         self.assertLess(totals["bytes"], totals["bytes_high"])
         flow_sum = sum(flow["bytes"] for flow in top)
         self.assertAlmostEqual(flow_sum / totals["bytes"], 1.0, delta=1e-9)
 
-
-class LegacyIntervals(unittest.TestCase):
-    @classmethod
-    def setUpClass(cls):
-        cls.tmp = tempfile.TemporaryDirectory()
-        cls.spools = run_sites(cls.tmp.name, ("--format", "2"))
-
-    @classmethod
-    def tearDownClass(cls):
-        cls.tmp.cleanup()
-
-    def collect(self, *extra):
-        return subprocess.run(
-            [tool("disco_collect"), "--spool", *self.spools, "--modules",
-             LEGACY_MODULES, *extra],
-            check=True, stdout=subprocess.PIPE, text=True).stdout
-
-    def modules(self, *extra):
-        doc = json.loads(self.collect("--json", *extra))
-        return doc, {m["module"]: m for m in doc["modules"]["modules"]}
-
-    @staticmethod
-    def bounded_rows(modules):
-        """(module, row, bound keys) for every interval the modules export."""
+    def test_module_intervals_have_width(self):
+        modules = {m["module"]: m for m in self.doc["modules"]["modules"]}
+        rows = []
         for name in ("topports", "topdest"):
-            for row in modules[name]["top"]:
-                yield name, row, ("bytes", "packets")
-        for row in modules["application"]["classes"]:
-            yield "application", row, ("bytes",)
-        for row in modules["autofocus"]["prefixes"]:
-            yield "autofocus", row, ("bytes",)
-
-    def test_without_fallback_bounds_are_absent(self):
-        doc, modules = self.modules()
-        self.assertFalse(doc["totals"]["interval_valid"])
-        rows = list(self.bounded_rows(modules))
+            rows += [(name, row, ("bytes", "packets"))
+                     for row in modules[name]["top"]]
+        rows += [("application", row, ("bytes",))
+                 for row in modules["application"]["classes"]]
+        rows += [("autofocus", row, ("bytes",))
+                 for row in modules["autofocus"]["prefixes"]]
         self.assertEqual({name for name, _, _ in rows},
                          {"topports", "topdest", "application", "autofocus"})
         for name, row, axes in rows:
-            for axis in axes:
-                self.assertIsNone(row[axis + "_low"], name)
-                self.assertIsNone(row[axis + "_high"], name)
-
-    def test_without_fallback_text_says_unavailable(self):
-        text = self.collect()
-        self.assertIn("interval unavailable: legacy reports", text)
-        module_lines = [line for line in text.splitlines()
-                        if line.startswith("  ") and " bytes " in line]
-        self.assertTrue(module_lines)
-        for line in module_lines:
-            self.assertIn("[interval unavailable]", line)
-
-    def test_fallback_b_reaches_the_modules(self):
-        doc, modules = self.modules("--fallback-b", "1.004")
-        self.assertTrue(doc["totals"]["interval_valid"])
-        for name, row, axes in self.bounded_rows(modules):
             for axis in axes:
                 self.assertLess(row[axis + "_low"], row[axis], name)
                 self.assertLess(row[axis], row[axis + "_high"], name)

@@ -80,7 +80,7 @@ Collector::GlobalTotals run_trial(int trial, std::vector<GlobalEstimate>* top,
   config.confidence = confidence;
   Collector collector(config);
   for (std::uint32_t s = 0; s < sites.size(); ++s) {
-    (void)collector.ingest(s, flowtable::kReportVersion, sites[s].rotate());
+    (void)collector.ingest(s, sites[s].rotate());
   }
   collector.finalize_all();
   if (top != nullptr) *top = collector.top_k(8);
@@ -93,7 +93,6 @@ TEST(CollectStatistical, MergedTotalsAreUnbiasedAcrossHeterogeneousFleet) {
   errors.reserve(kTrials);
   for (int trial = 0; trial < kTrials; ++trial) {
     const auto totals = run_trial(trial, nullptr);
-    EXPECT_TRUE(totals.interval_valid);
     errors.push_back(totals.bytes - truth);
   }
   const double n = static_cast<double>(errors.size());
@@ -115,7 +114,6 @@ TEST(CollectStatistical, AggregateIntervalsCoverTruthAtNominalRate) {
   int covered = 0;
   for (int trial = 0; trial < kTrials; ++trial) {
     const auto totals = run_trial(trial, nullptr);
-    ASSERT_TRUE(totals.interval_valid);
     ASSERT_LT(totals.bytes_low, totals.bytes_high);
     if (totals.bytes_low <= truth && truth <= totals.bytes_high) ++covered;
   }

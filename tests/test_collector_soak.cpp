@@ -124,11 +124,11 @@ std::unique_ptr<Collector> single_process_reference(std::uint64_t seed) {
     (void)monitor.ingest(tuple_for_flow(packet->flow_id), packet->length);
     ++index;
     if (rotated + 1 < kEpochs && index == per_epoch * (rotated + 1)) {
-      (void)reference->ingest(0, flowtable::kReportVersion, monitor.rotate());
+      (void)reference->ingest(0, monitor.rotate());
       ++rotated;
     }
   }
-  (void)reference->ingest(0, flowtable::kReportVersion, monitor.rotate());
+  (void)reference->ingest(0, monitor.rotate());
   reference->finalize_all();
   return reference;
 }
@@ -274,14 +274,12 @@ void check_convergence(Collector& collector, std::uint64_t seed) {
     EXPECT_EQ(site.duplicates, 0u) << site.site_id;
     EXPECT_EQ(site.late, 0u) << site.site_id;
     EXPECT_EQ(site.epoch_gaps, 0u) << site.site_id;
-    EXPECT_EQ(site.legacy, 0u) << site.site_id;
   }
 
   const GroundTruth truth = exact_truth(seed);
 
   // Theorem-2 aggregate interval covers exact truth, globally...
   const auto totals = collector.totals();
-  ASSERT_TRUE(totals.interval_valid);
   check_interval(totals.bytes_low, totals.bytes_high, truth.total_bytes,
                  "seed " + std::to_string(seed) + " global bytes");
   EXPECT_NEAR(totals.packets, truth.total_packets,
@@ -306,7 +304,6 @@ void check_convergence(Collector& collector, std::uint64_t seed) {
   // with honest 99.9% intervals -- they must overlap.
   const auto reference = single_process_reference(seed);
   const auto single = reference->totals();
-  ASSERT_TRUE(single.interval_valid);
   EXPECT_TRUE(totals.bytes_low <= single.bytes_high &&
               single.bytes_low <= totals.bytes_high)
       << "merged [" << totals.bytes_low << ", " << totals.bytes_high

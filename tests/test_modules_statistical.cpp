@@ -199,8 +199,8 @@ TEST(ModulesStatistical, TopPortsIntervalCoverageAcrossRuns) {
           SCOPED_TRACE(run);
           truth = run_port_workload({&site0, &site1}, 7000u + run);
         }
-        (void)collector.ingest(0, flowtable::kReportVersion, site0.rotate());
-        (void)collector.ingest(1, flowtable::kReportVersion, site1.rotate());
+        (void)collector.ingest(0, site0.rotate());
+        (void)collector.ingest(1, site1.rotate());
         collector.finalize_all();
         ASSERT_EQ(merged.size(), 1u);
         // The merged report really declares both families.

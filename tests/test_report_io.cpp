@@ -2,8 +2,11 @@
 // pipeline monitor's merged rotate/evict passthrough across its workers.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "flowtable/report_io.hpp"
 #include "pipeline/pipeline.hpp"
@@ -32,11 +35,19 @@ FlowMonitor::EpochReport sample_report() {
   return monitor.rotate();
 }
 
+/// The first report of `in`, read through ReportReader; throws like it.
+FlowMonitor::EpochReport read_one(std::istream& in) {
+  ReportReader reader(in);
+  auto item = reader.next();
+  if (!item) throw std::runtime_error("no report in stream");
+  return std::move(item->report);
+}
+
 TEST(ReportIo, BinaryRoundTrip) {
   const auto report = sample_report();
   std::stringstream buf;
   write_report(buf, report);
-  const auto parsed = read_report(buf);
+  const auto parsed = read_one(buf);
   EXPECT_EQ(parsed.epoch, report.epoch);
   EXPECT_DOUBLE_EQ(parsed.totals.bytes, report.totals.bytes);
   EXPECT_DOUBLE_EQ(parsed.totals.packets, report.totals.packets);
@@ -54,7 +65,7 @@ TEST(ReportIo, EmptyReportRoundTrips) {
   empty.epoch = 7;
   std::stringstream buf;
   write_report(buf, empty);
-  const auto parsed = read_report(buf);
+  const auto parsed = read_one(buf);
   EXPECT_EQ(parsed.epoch, 7u);
   EXPECT_TRUE(parsed.flows.empty());
 }
@@ -62,7 +73,7 @@ TEST(ReportIo, EmptyReportRoundTrips) {
 TEST(ReportIo, RejectsGarbageAndTruncation) {
   std::stringstream garbage;
   garbage << "nope";
-  EXPECT_THROW((void)read_report(garbage), std::runtime_error);
+  EXPECT_THROW((void)read_one(garbage), std::runtime_error);
 
   const auto report = sample_report();
   std::stringstream buf;
@@ -70,19 +81,7 @@ TEST(ReportIo, RejectsGarbageAndTruncation) {
   std::string bytes = buf.str();
   bytes.resize(bytes.size() - 9);
   std::stringstream cut(bytes);
-  EXPECT_THROW((void)read_report(cut), std::runtime_error);
-}
-
-TEST(ReportIo, CsvHasHeaderAndRows) {
-  const auto report = sample_report();
-  std::stringstream buf;
-  write_report_csv(buf, report);
-  std::string line;
-  ASSERT_TRUE(std::getline(buf, line));
-  EXPECT_EQ(line, "src_ip,dst_ip,src_port,dst_port,protocol,bytes,packets");
-  std::size_t rows = 0;
-  while (std::getline(buf, line)) ++rows;
-  EXPECT_EQ(rows, report.flows.size());
+  EXPECT_THROW((void)read_one(cut), std::runtime_error);
 }
 
 TEST(ReportIo, CombineSumsTotals) {
@@ -95,14 +94,14 @@ TEST(ReportIo, CombineSumsTotals) {
   EXPECT_EQ(merged.totals.flows, a.totals.flows + b.totals.flows);
 }
 
-// --- v2 pressure block -------------------------------------------------------
+// --- pressure block ----------------------------------------------------------
 
 TEST(ReportIo, PressureStatsRoundTripAndCombine) {
   auto a = sample_report();
   a.pressure = PressureStats{11, 7, 3, 2};
   std::stringstream buf;
   write_report(buf, a);
-  const auto parsed = read_report(buf);
+  const auto parsed = read_one(buf);
   EXPECT_EQ(parsed.pressure.flows_rejected, 11u);
   EXPECT_EQ(parsed.pressure.flows_evicted, 7u);
   EXPECT_EQ(parsed.pressure.counters_saturated, 3u);
@@ -116,25 +115,165 @@ TEST(ReportIo, PressureStatsRoundTripAndCombine) {
   EXPECT_EQ(merged.pressure.rescale_events, 6u);
 }
 
-TEST(ReportIo, ReadsLegacyV1WithZeroPressure) {
-  // Hand-built v1 stream: magic, version 1, epoch, totals, zero flows --
-  // exactly what a pre-pressure writer emitted.
-  std::stringstream buf;
-  auto put = [&buf](const auto& v) {
-    buf.write(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  put(kReportMagic);
-  put(std::uint32_t{1});
-  put(std::uint64_t{5});  // epoch
-  put(double{123.0});     // totals.bytes
-  put(double{4.0});       // totals.packets
-  put(std::uint64_t{2});  // totals.flows
-  put(std::uint64_t{0});  // flow records
-  const auto parsed = read_report(buf);
-  EXPECT_EQ(parsed.epoch, 5u);
-  EXPECT_EQ(parsed.totals.flows, 2u);
-  EXPECT_EQ(parsed.pressure.flows_rejected, 0u);
-  EXPECT_EQ(parsed.pressure.rescale_events, 0u);
+// --- the v3 byte layout and what the reader rejects ---------------------------
+
+/// Appends `value`'s bytes to `out` as the wire carries them (little-endian,
+/// no padding).
+template <typename T>
+void put(std::string& out, T value) {
+  out.append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+/// The fields of a hand-built one-record DRPT stream that a test varies.
+struct Wire {
+  std::uint32_t version = kReportVersion;
+  double totals_bytes = 1500.0;
+  double volume_b = 1.0625;
+  double size_b = 1.03125;
+  double volume_error_unit = 0.0;
+  double size_error_unit = 0.5;
+  double record_bytes = 1500.0;
+  double record_packets = 3.0;
+};
+
+/// A v3 stream built field by field, in docs/collector.md's table order.
+std::string v3_stream(const Wire& w = {}) {
+  std::string out;
+  put(out, kReportMagic);
+  put(out, w.version);
+  put(out, std::uint64_t{5});   // epoch
+  put(out, std::uint32_t{9});   // site id
+  put(out, w.totals_bytes);     // totals.bytes
+  put(out, double{3.0});        // totals.packets
+  put(out, std::uint64_t{1});   // totals.flows
+  put(out, std::uint64_t{11});  // pressure.flows_rejected
+  put(out, std::uint64_t{7});   // pressure.flows_evicted
+  put(out, std::uint64_t{3});   // pressure.counters_saturated
+  put(out, std::uint64_t{2});   // pressure.rescale_events
+  put(out, w.volume_b);
+  put(out, w.size_b);
+  put(out, w.volume_error_unit);
+  put(out, w.size_error_unit);
+  put(out, std::uint64_t{1});            // record count
+  put(out, std::uint32_t{0x0a000001u});  // src_ip
+  put(out, std::uint32_t{0xc0a80001u});  // dst_ip
+  put(out, std::uint16_t{1234});         // src_port
+  put(out, std::uint16_t{443});          // dst_port
+  put(out, std::uint8_t{6});             // protocol
+  put(out, w.record_bytes);
+  put(out, w.record_packets);
+  return out;
+}
+
+/// What ReportReader::next throws on `bytes` ("" if it returns a report).
+/// A reader that threw must stay poisoned.
+std::string rejection(const std::string& bytes) {
+  std::stringstream in(bytes);
+  ReportReader reader(in);
+  try {
+    (void)reader.next();
+  } catch (const std::runtime_error& e) {
+    EXPECT_THROW((void)reader.next(), std::runtime_error) << "not poisoned";
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ReportIo, V3ByteLayoutIsPinned) {
+  const std::string bytes = v3_stream();
+  ASSERT_EQ(bytes.size(), 116u + 29u);  // header, then one 29-byte record
+
+  std::stringstream in(bytes);
+  ReportReader reader(in);
+  const auto item = reader.next();
+  ASSERT_TRUE(item.has_value());
+  const FlowMonitor::EpochReport& r = item->report;
+  EXPECT_EQ(item->site_id, 9u);
+  EXPECT_EQ(r.epoch, 5u);
+  EXPECT_EQ(r.totals.bytes, 1500.0);
+  EXPECT_EQ(r.totals.packets, 3.0);
+  EXPECT_EQ(r.totals.flows, 1u);
+  EXPECT_EQ(r.pressure.flows_rejected, 11u);
+  EXPECT_EQ(r.pressure.flows_evicted, 7u);
+  EXPECT_EQ(r.pressure.counters_saturated, 3u);
+  EXPECT_EQ(r.pressure.rescale_events, 2u);
+  EXPECT_EQ(r.volume_b, 1.0625);
+  EXPECT_EQ(r.size_b, 1.03125);
+  EXPECT_EQ(r.volume_error_unit, 0.0);
+  EXPECT_EQ(r.size_error_unit, 0.5);
+  ASSERT_EQ(r.flows.size(), 1u);
+  EXPECT_EQ(r.flows[0].flow, (FiveTuple{0x0a000001u, 0xc0a80001u, 1234, 443, 6}));
+  EXPECT_EQ(r.flows[0].bytes, 1500.0);
+  EXPECT_EQ(r.flows[0].packets, 3.0);
+  EXPECT_FALSE(reader.next().has_value());
+
+  // The writer emits exactly these bytes for the same report.
+  std::stringstream out;
+  write_report(out, r, item->site_id);
+  EXPECT_EQ(out.str(), bytes);
+}
+
+TEST(ReportIo, RejectsEveryVersionButThree) {
+  // v1: magic, version, epoch, totals, record count.
+  std::string v1;
+  put(v1, kReportMagic);
+  put(v1, std::uint32_t{1});
+  put(v1, std::uint64_t{5});
+  put(v1, double{123.0});
+  put(v1, double{4.0});
+  put(v1, std::uint64_t{2});
+  put(v1, std::uint64_t{0});
+  EXPECT_NE(rejection(v1).find("unsupported version"), std::string::npos);
+
+  // v2: v1 plus the four pressure counters before the record count.
+  std::string v2;
+  put(v2, kReportMagic);
+  put(v2, std::uint32_t{2});
+  put(v2, std::uint64_t{5});
+  put(v2, double{123.0});
+  put(v2, double{4.0});
+  put(v2, std::uint64_t{2});
+  for (int i = 0; i < 4; ++i) put(v2, std::uint64_t{0});
+  put(v2, std::uint64_t{0});
+  EXPECT_NE(rejection(v2).find("unsupported version"), std::string::npos);
+
+  Wire v4;
+  v4.version = 4;
+  EXPECT_NE(rejection(v3_stream(v4)).find("unsupported version"),
+            std::string::npos);
+  EXPECT_EQ(rejection(v3_stream()), "");
+}
+
+TEST(ReportIo, RejectsHeadersWithoutAnErrorModel) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Wire zero_base;  // the old "no error metadata" marker
+  zero_base.volume_b = 0.0;
+  Wire nan_base;
+  nan_base.size_b = nan;
+  Wire negative_unit;
+  negative_unit.volume_error_unit = -1.0;
+  Wire infinite_unit;
+  infinite_unit.size_error_unit = std::numeric_limits<double>::infinity();
+  for (const Wire& w : {zero_base, nan_base, negative_unit, infinite_unit}) {
+    EXPECT_NE(rejection(v3_stream(w)), "");
+  }
+  Wire additive;  // b == 1 with a unit: an additive-error report
+  additive.volume_b = 1.0;
+  additive.size_b = 1.0;
+  additive.volume_error_unit = 4.0;
+  EXPECT_EQ(rejection(v3_stream(additive)), "");
+}
+
+TEST(ReportIo, RejectsEstimatesNoMonitorWrites) {
+  Wire nan_bytes;
+  nan_bytes.record_bytes = std::numeric_limits<double>::quiet_NaN();
+  Wire negative_packets;
+  negative_packets.record_packets = -2.0;
+  Wire infinite_totals;
+  infinite_totals.totals_bytes = std::numeric_limits<double>::infinity();
+  for (const Wire& w : {nan_bytes, negative_packets, infinite_totals}) {
+    EXPECT_NE(rejection(v3_stream(w)), "");
+  }
 }
 
 // --- short-write detection ---------------------------------------------------
@@ -152,7 +291,6 @@ TEST(ReportIo, DetectsSinkThatFailsAtFlushTime) {
   FailOnSyncBuf sink;
   std::ostream out(&sink);
   EXPECT_THROW(write_report(out, sample_report()), std::runtime_error);
-  EXPECT_THROW(write_report_csv(out, sample_report()), std::runtime_error);
 }
 
 /// A sink that stops accepting bytes after a quota -- a short write.
@@ -190,7 +328,7 @@ TEST(ReportIo, InjectedShortWriteThrowsAndRecovers) {
   util::fault::disarm_all();
   std::stringstream clean;
   write_report(clean, sample_report());
-  EXPECT_EQ(read_report(clean).flows.size(), sample_report().flows.size());
+  EXPECT_EQ(read_one(clean).flows.size(), sample_report().flows.size());
 }
 #endif  // DISCO_FAULTS
 
@@ -235,7 +373,7 @@ TEST(PipelineLifecycle, RotateMergesShardsAndClears) {
   // The merged report serialises like any single-monitor report.
   std::stringstream buf;
   write_report(buf, report);
-  EXPECT_EQ(read_report(buf).flows.size(), 20u);
+  EXPECT_EQ(read_one(buf).flows.size(), 20u);
 }
 
 }  // namespace

@@ -19,8 +19,6 @@
 //   --window W         liveness window in epochs: a site lagging more than
 //                      W epochs behind the fleet stops gating epoch
 //                      finalisation (default 2)
-//   --fallback-b B     effective base assumed for legacy v1/v2 reports
-//                      (default 0: their flows get no interval)
 //   --modules a,b,...  subscribe the named analysis modules ("all" for every
 //                      built-in; docs/modules.md) to the merged epoch stream
 //                      and print their reports
@@ -53,7 +51,7 @@ namespace {
 [[noreturn]] void usage(const char* error = nullptr) {
   if (error != nullptr) std::cerr << "error: " << error << "\n\n";
   std::cerr << "usage: disco_collect --spool FILE [FILE ...] [--top K]"
-               " [--confidence C] [--window W] [--fallback-b B]"
+               " [--confidence C] [--window W]"
                " [--sites N] [--modules a,b,...|all] [--json]\n"
                "       disco_collect --listen PORT [--expect R]"
                " [--wait-ms T] [same options]\n";
@@ -80,15 +78,9 @@ void print_text(const disco::collect::Collector& collector, std::size_t top) {
   std::cout << "reports: " << collector.reports_ingested()
             << ", epochs finalized: " << collector.epochs_finalized()
             << ", tracked flows: " << collector.tracked_flows() << "\n";
-  std::cout << "global bytes: " << fmt(totals.bytes, 0);
-  if (totals.interval_valid) {
-    std::cout << "  [" << fmt(totals.bytes_low, 0) << ", "
-              << fmt(totals.bytes_high, 0) << "]";
-  } else {
-    std::cout << "  [interval unavailable: legacy reports without"
-                 " --fallback-b]";
-  }
-  std::cout << ", packets: " << fmt(totals.packets, 0) << "\n";
+  std::cout << "global bytes: " << fmt(totals.bytes, 0) << "  ["
+            << fmt(totals.bytes_low, 0) << ", " << fmt(totals.bytes_high, 0)
+            << "], packets: " << fmt(totals.packets, 0) << "\n";
   const auto pressure = collector.pressure();
   std::cout << "fleet pressure: rejected " << pressure.flows_rejected
             << ", evicted " << pressure.flows_evicted << ", saturated "
@@ -98,14 +90,11 @@ void print_text(const disco::collect::Collector& collector, std::size_t top) {
   disco::stats::TextTable flows_table(
       {"flow", "bytes", "ci", "packets", "sites"});
   for (const auto& g : collector.top_k(top)) {
-    std::string interval = "-";
-    if (g.interval_valid) {
-      interval = "[";
-      interval.append(fmt(g.bytes_low, 0))
-          .append(", ")
-          .append(fmt(g.bytes_high, 0))
-          .append("]");
-    }
+    std::string interval = "[";
+    interval.append(fmt(g.bytes_low, 0))
+        .append(", ")
+        .append(fmt(g.bytes_high, 0))
+        .append("]");
     flows_table.add_row({flow_label(g.flow), fmt(g.bytes, 0), interval,
                          fmt(g.packets, 0), std::to_string(g.sites)});
   }
@@ -113,8 +102,8 @@ void print_text(const disco::collect::Collector& collector, std::size_t top) {
 
   std::cout << "\n";
   disco::stats::TextTable site_table({"site", "reports", "dup", "late",
-                                      "reorder", "gaps", "legacy", "lag",
-                                      "live", "b"});
+                                      "reorder", "gaps", "lag", "live",
+                                      "b"});
   for (const auto& s : collector.sites()) {
     site_table.add_row({std::to_string(s.site_id),
                         std::to_string(s.reports),
@@ -122,7 +111,6 @@ void print_text(const disco::collect::Collector& collector, std::size_t top) {
                         std::to_string(s.late),
                         std::to_string(s.reordered),
                         std::to_string(s.epoch_gaps),
-                        std::to_string(s.legacy),
                         std::to_string(s.lag_epochs),
                         s.lagging ? "lagging" : "live",
                         s.volume_b > 0.0 ? fmt(s.volume_b, 5) : "-"});
@@ -143,18 +131,15 @@ void print_json(const disco::collect::Collector& collector,
       << ",\"totals\":{\"bytes\":" << totals.bytes
       << ",\"packets\":" << totals.packets
       << ",\"bytes_low\":" << totals.bytes_low
-      << ",\"bytes_high\":" << totals.bytes_high
-      << ",\"interval_valid\":" << (totals.interval_valid ? "true" : "false")
-      << "},\"top\":[";
+      << ",\"bytes_high\":" << totals.bytes_high << "},\"top\":[";
   bool first = true;
   for (const auto& g : collector.top_k(top)) {
     if (!first) out << ',';
     first = false;
     out << "{\"flow\":\"" << flow_label(g.flow) << "\",\"bytes\":" << g.bytes
         << ",\"bytes_low\":" << g.bytes_low
-        << ",\"bytes_high\":" << g.bytes_high
-        << ",\"interval_valid\":" << (g.interval_valid ? "true" : "false")
-        << ",\"packets\":" << g.packets << ",\"sites\":" << g.sites << "}";
+        << ",\"bytes_high\":" << g.bytes_high << ",\"packets\":" << g.packets
+        << ",\"sites\":" << g.sites << "}";
   }
   out << "],\"sites\":[";
   first = true;
@@ -164,7 +149,7 @@ void print_json(const disco::collect::Collector& collector,
     out << "{\"site\":" << s.site_id << ",\"reports\":" << s.reports
         << ",\"duplicates\":" << s.duplicates << ",\"late\":" << s.late
         << ",\"reordered\":" << s.reordered
-        << ",\"epoch_gaps\":" << s.epoch_gaps << ",\"legacy\":" << s.legacy
+        << ",\"epoch_gaps\":" << s.epoch_gaps
         << ",\"lag_epochs\":" << s.lag_epochs
         << ",\"lagging\":" << (s.lagging ? "true" : "false") << "}";
   }
@@ -207,7 +192,6 @@ int main(int argc, char** argv) {
     else if (arg == "--top") top = static_cast<std::size_t>(std::atoll(value().c_str()));
     else if (arg == "--confidence") config.confidence = std::atof(value().c_str());
     else if (arg == "--window") config.liveness_window = static_cast<std::uint64_t>(std::atoll(value().c_str()));
-    else if (arg == "--fallback-b") config.fallback_b = std::atof(value().c_str());
     else if (arg == "--modules") modules_selection = value();
     else if (arg == "--json") json = true;
     else usage(("unknown option: " + arg).c_str());

@@ -17,8 +17,6 @@
 //   --epochs E         measurement intervals / rotations (default 3)
 //   --bits B           counter bits per flow (default 12)
 //   --estimator disco|additive   counter family (default disco)
-//   --format V         DRPT wire version to emit, 1..3 (default 3);
-//                      < 3 simulates a legacy monitor in a mixed fleet
 //   --max-flows M      monitor table capacity (default 4096)
 //
 // This is the producer half of the multi-process convergence soak suite
@@ -50,7 +48,7 @@ namespace {
   std::cerr << "usage: disco_monitor --site I --sites N"
                " (--spool PATH | --connect HOST:PORT) [--flows F]"
                " [--alpha A] [--seed S] [--epochs E] [--bits B]"
-               " [--estimator disco|additive] [--format V] [--max-flows M]\n";
+               " [--estimator disco|additive] [--max-flows M]\n";
   std::exit(2);
 }
 
@@ -84,7 +82,6 @@ int main(int argc, char** argv) {
   std::uint32_t epochs = 3;
   int bits = 12;
   bool additive = false;
-  std::uint32_t format = flowtable::kReportVersion;
   std::size_t max_flows = 4096;
 
   for (int i = 1; i < argc; ++i) {
@@ -108,7 +105,6 @@ int main(int argc, char** argv) {
       else if (kind == "additive") additive = true;
       else usage("unknown estimator (expected disco|additive)");
     }
-    else if (arg == "--format") format = static_cast<std::uint32_t>(std::atoll(value().c_str()));
     else if (arg == "--max-flows") max_flows = static_cast<std::size_t>(std::atoll(value().c_str()));
     else usage(("unknown option: " + arg).c_str());
   }
@@ -119,9 +115,6 @@ int main(int argc, char** argv) {
     usage("exactly one of --spool / --connect is required");
   }
   if (epochs == 0 || flows == 0) usage("--epochs and --flows must be > 0");
-  if (format < 1 || format > flowtable::kReportVersion) {
-    usage("--format must be 1..3");
-  }
 
   // Every site regenerates the identical trace from the shared seed...
   util::Rng traffic_rng(seed);
@@ -165,9 +158,9 @@ int main(int argc, char** argv) {
   const auto site_id = static_cast<std::uint32_t>(site);
   auto ship = [&](const flowtable::FlowMonitor::EpochReport& report) {
     if (client) {
-      client->send(report, site_id, format);
+      client->send(report, site_id);
     } else {
-      flowtable::write_report(spool_out, report, site_id, format);
+      flowtable::write_report(spool_out, report, site_id);
     }
   };
 
@@ -195,6 +188,6 @@ int main(int argc, char** argv) {
 
   std::cout << "site " << site << "/" << sites << ": ingested " << ingested
             << " of " << total_packets << " packets, shipped " << rotated
-            << " epoch reports (DRPT v" << format << ")\n";
+            << " epoch reports (DRPT v" << flowtable::kReportVersion << ")\n";
   return 0;
 }

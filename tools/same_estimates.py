@@ -17,9 +17,11 @@ builds run the same workloads:
     once as text and once with --json.
 
 Every pair of outputs (standard output of each analyze and collect run,
-and each site's spool file) must be byte-identical.  Prints one line per
-check; exits 0 when all are identical, 1 on any difference, 2 when a build
-or a run fails.
+and each site's spool file) must be byte-identical.  One more check keeps
+the base's reports readable: the working tree's disco_collect --modules
+all --json over the base's four spool files must print what it prints
+over its own.  Prints one line per check; exits 0 when all are identical,
+1 on any difference, 2 when a build or a run fails.
 """
 
 import argparse
@@ -73,9 +75,14 @@ def run_to(cmd, path):
         run(cmd, stdout=out)
 
 
+def collect(tools, spools, extra, path):
+    run_to([os.path.join(tools, "disco_collect"), "--spool", *spools,
+            "--modules", "all", *extra], path)
+
+
 def workloads(tools, traces, out_dir):
-    """Runs every workload with the tools in `tools`; returns
-    [(check name, output file)] in print order."""
+    """Runs every workload with the tools in `tools`; returns the spool
+    files and [(check name, output file)] in print order."""
     os.makedirs(out_dir)
     tool = lambda name: os.path.join(tools, name)
     outputs = []
@@ -94,10 +101,9 @@ def workloads(tools, traces, out_dir):
         outputs.append((f"disco_monitor site {site} spool", spool))
     for extra, name in (([], "text"), (["--json"], "json")):
         path = os.path.join(out_dir, f"collect.{name}")
-        run_to([tool("disco_collect"), "--spool", *spools, "--modules", "all",
-                *extra], path)
+        collect(tools, spools, extra, path)
         outputs.append((f"disco_collect --modules all ({name})", path))
-    return outputs
+    return spools, outputs
 
 
 def main():
@@ -125,19 +131,29 @@ def main():
                 run([os.path.join(base_tools, "disco_tracegen"), scenario, flows,
                      trace, "--seed", "3"])
                 traces.append(trace)
-            base = workloads(base_tools, traces, os.path.join(tmp, "base_out"))
-            head = workloads(head_tools, traces, os.path.join(tmp, "head_out"))
+            base_spools, base = workloads(base_tools, traces,
+                                          os.path.join(tmp, "base_out"))
+            _, head = workloads(head_tools, traces,
+                                os.path.join(tmp, "head_out"))
+            checks = [(name, base_path, head_path)
+                      for (name, base_path), (_, head_path) in zip(base, head)]
+            cross = os.path.join(tmp, "cross_read.json")
+            collect(head_tools, base_spools, ["--json"], cross)
+            checks.append(("working tree's disco_collect --json over the "
+                           "base's spools",
+                           os.path.join(tmp, "head_out", "collect.json"),
+                           cross))
         except (RunError, subprocess.CalledProcessError) as e:
             print(f"same_estimates: {e}", file=sys.stderr)
             return 2
 
         differ = 0
-        for (name, base_path), (_, head_path) in zip(base, head):
-            same = filecmp.cmp(base_path, head_path, shallow=False)
+        for name, expected, actual in checks:
+            same = filecmp.cmp(expected, actual, shallow=False)
             differ += not same
             print(f"{'identical' if same else 'DIFFERENT'}  {name}")
-    print(f"same_estimates: {len(base) - differ} of {len(base)} identical "
-          f"to {args.base_ref}")
+    print(f"same_estimates: {len(checks) - differ} of {len(checks)} "
+          f"identical to {args.base_ref}")
     return 1 if differ else 0
 
 
