@@ -418,7 +418,7 @@ void BM_MonitorIngest(benchmark::State& state) {
 // --- probe path at a gated shard's size ------------------------------------
 // One FlowMonitor shard as perfbench's gated pipelines build it:
 // PipelineMonitor::shard_config at 2^20 provisioned flows over 2 workers
-// (655,360 flows, a 20 MiB bucket array on huge pages), holding 5*10^4 live
+// (655,360 flows, a 4 MiB bucket array on huge pages), holding 5*10^4 live
 // flows.  One-packet bursts that carry their hash, in random flow order,
 // go through ingest_batch in calls of 64, the chunk a worker applies
 // between two looks at its command ring.  One thread, so the TLB and cache

@@ -1,7 +1,7 @@
 #include "collect/collector.hpp"
 
 #include <algorithm>
-#include <bitset>
+#include <bit>
 #include <cstddef>
 #include <utility>
 
@@ -62,8 +62,7 @@ void Collector::fold_report(SiteState& site, const EpochReport& report) {
       core::error_model(report.volume_b, report.volume_error_unit);
   const core::ErrorModel size =
       core::error_model(report.size_b, report.size_error_unit);
-  const std::uint64_t site_bit =
-      site.index < 64 ? (std::uint64_t{1} << site.index) : 0;
+  const std::uint64_t site_bit = std::uint64_t{1} << (site.index % 64);
   for (const FlowEstimate& flow : report.flows) {
     // Totals stay exact past the key cap: fold before admission.
     total_bytes_.add(flow.bytes, volume, flow.packets);
@@ -80,7 +79,14 @@ void Collector::fold_report(SiteState& site, const EpochReport& report) {
     KeyState& key = it->second;
     key.bytes.add(flow.bytes, volume, flow.packets);
     key.packets.add(flow.packets, size, flow.packets);
-    key.site_mask |= site_bit;
+    if (site.index < 64) {
+      key.site_mask |= site_bit;
+    } else {
+      std::vector<std::uint64_t>& words = overflow_sites_[flow.flow];
+      const std::size_t word = (site.index - 64) / 64;
+      if (words.size() <= word) words.resize(word + 1);
+      words[word] |= site_bit;
+    }
   }
   tracked_metric_->set(static_cast<std::int64_t>(keys_.size()));
   site.status.volume_b = std::max(site.status.volume_b, report.volume_b);
@@ -243,11 +249,22 @@ std::vector<GlobalEstimate> Collector::top_k(std::size_t k) const {
         key.bytes.interval(config_.confidence);
     g.bytes_low = interval.low;
     g.bytes_high = interval.high;
-    g.sites = static_cast<std::uint32_t>(
-        std::bitset<64>(key.site_mask).count());
+    g.sites = site_count(flow, key);
     out.push_back(g);
   }
   return out;
+}
+
+std::uint32_t Collector::site_count(const FiveTuple& flow,
+                                    const KeyState& key) const {
+  auto n = static_cast<std::uint32_t>(std::popcount(key.site_mask));
+  const auto it = overflow_sites_.find(flow);
+  if (it != overflow_sites_.end()) {
+    for (const std::uint64_t word : it->second) {
+      n += static_cast<std::uint32_t>(std::popcount(word));
+    }
+  }
+  return n;
 }
 
 Collector::GlobalTotals Collector::totals() const {

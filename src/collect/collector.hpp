@@ -205,10 +205,16 @@ class Collector {
   void try_finalize();
   void finalize_epoch(std::uint64_t epoch);
   [[nodiscard]] bool site_lagging(const SiteState& site) const;
+  [[nodiscard]] std::uint32_t site_count(const FiveTuple& flow,
+                                         const KeyState& key) const;
 
   CollectorConfig config_;
   std::map<std::uint32_t, SiteState> sites_;
   std::unordered_map<FiveTuple, KeyState> keys_;
+  // Site bits past the first 64 (site index 64 + 64w + i is bit i of word
+  // w), held only for keys that heard from such a site, so a fleet of 64
+  // sites or fewer keeps KeyState and its per-record cost as they are.
+  std::unordered_map<FiveTuple, std::vector<std::uint64_t>> overflow_sites_;
   core::MixedEstimateAccumulator total_bytes_;
   core::MixedEstimateAccumulator total_packets_;
   // Open epochs: per-epoch per-site reports awaiting finalisation.

@@ -23,7 +23,8 @@
 // The UseSimd template knob exists for the differential suite, which runs
 // the SSE2 and scalar engines side by side in one binary and requires
 // bit-identical tables; production code uses the default, `FlowTable`.
-// Keys are stored twice: bucket array + slot-ordered list.
+// Each key is stored once, in the slot-ordered list `keys_`; a bucket holds
+// its flow's 4-byte slot id, and the full-key compare reads keys_[bucket].
 #pragma once
 
 #include <bit>
@@ -65,6 +66,7 @@ class BasicFlowTable {
     tags_.assign(buckets + tagprobe::kGroupWidth, tagprobe::kEmptyTag);
     mask_ = buckets - 1;
     keys_.reserve(capacity);
+    slot_used_.reserve(capacity);
     probe_hist_ =
         &telemetry::Registry::global().histogram("flow_table.probe_length");
   }
@@ -100,7 +102,7 @@ class BasicFlowTable {
       const FiveTuple& key, std::uint64_t hash) {
     const Probe p = probe(key, hash);
     account(p.length);
-    if (p.found) return buckets_[p.index].slot;
+    if (p.found) return buckets_[p.index];
     // kAllocFailure models the slot allocator running dry early (e.g. a
     // smaller SRAM part): each new-flow allocation attempt consults the
     // armed plan, and an injected failure takes the exact code path a
@@ -122,9 +124,7 @@ class BasicFlowTable {
       keys_.push_back(key);
       slot_used_.push_back(true);
     }
-    Bucket& b = buckets_[p.index];
-    b.key = key;
-    b.slot = slot;
+    buckets_[p.index] = slot;
     set_tag(p.index, tagprobe::make_tag(hash));
     ++size_;
     return slot;
@@ -142,7 +142,7 @@ class BasicFlowTable {
     const Probe p = probe(key, hash);
     account(p.length);
     if (!p.found) return std::nullopt;
-    return buckets_[p.index].slot;
+    return buckets_[p.index];
   }
 
   /// Removes a flow, freeing its slot for reuse by later inserts (the
@@ -154,7 +154,7 @@ class BasicFlowTable {
     account(p.length);
     if (!p.found) return std::nullopt;
     const std::size_t i = p.index;
-    const std::uint32_t freed = buckets_[i].slot;
+    const std::uint32_t freed = buckets_[i];
     slot_used_[freed] = false;
     free_slots_.push_back(freed);
     --size_;
@@ -165,7 +165,7 @@ class BasicFlowTable {
     std::size_t gap = i;
     std::size_t k = (i + 1) & mask_;
     while (tags_[k] != tagprobe::kEmptyTag) {
-      const std::uint64_t h = hash_of(buckets_[k].key);
+      const std::uint64_t h = hash_of(keys_[buckets_[k]]);
       const std::size_t home = static_cast<std::size_t>(h) & mask_;
       // Move bucket k into the gap unless its home lies cyclically within
       // (gap, k] -- in that case it is already as close to home as allowed.
@@ -209,15 +209,17 @@ class BasicFlowTable {
                          : static_cast<double>(probes_) / static_cast<double>(lookups_);
   }
 
-  /// SRAM footprint of the table structure itself (keys + slot ids + tags).
+  /// Everything the table holds: the slot ids and tags of every bucket, and
+  /// the key list and slot bitmap, both reserved to capacity.
   [[nodiscard]] std::size_t storage_bits() const noexcept {
-    return (buckets_.size() * (sizeof(FiveTuple) + 4) + tags_.size()) * 8;
+    return (buckets_.size() * sizeof(std::uint32_t) + tags_.size() +
+            capacity_ * sizeof(FiveTuple)) * 8 + capacity_;
   }
 
   /// Removes all flows (start of a new measurement epoch).  Capacity and
   /// statistics counters are preserved.  Only the 1-byte tags are reset:
-  /// probe() never reads a bucket behind an empty tag, so the stale bucket
-  /// array is dead until an insert rewrites it.
+  /// probe() never reads a bucket behind an empty tag, so the stale slot
+  /// ids are dead until an insert rewrites them.
   void clear() noexcept {
     tags_.assign(tags_.size(), tagprobe::kEmptyTag);
     keys_.clear();
@@ -227,12 +229,6 @@ class BasicFlowTable {
   }
 
  private:
-  /// Meaningful only while its tag is non-empty: an emptied bucket keeps
-  /// its stale contents until an insert reuses it.
-  struct Bucket {
-    FiveTuple key{};
-    std::uint32_t slot = 0;
-  };
   /// Probe-length histogram sampling: 1 in 64 lookups (starting with the
   /// first, so the metric is live as soon as traffic flows).  record()
   /// is one relaxed enabled() load while telemetry is runtime-disabled,
@@ -281,7 +277,7 @@ class BasicFlowTable {
         const unsigned off = static_cast<unsigned>(std::countr_zero(match));
         if (off >= first_empty) break;
         const std::size_t idx = (base + off) & mask_;
-        if (buckets_[idx].key == key) {
+        if (keys_[buckets_[idx]] == key) {
           return Probe{idx, ((idx - start) & mask_) + 1, true};
         }
         match &= match - 1;
@@ -313,9 +309,10 @@ class BasicFlowTable {
   std::size_t capacity_;
   std::size_t mask_ = 0;
   // Built in full by the constructor, so huge pages fit them
-  // (util/huge_pages.hpp); keys_ fills one insert at a time and stays on
-  // 4 KiB pages.
-  util::HugePageVector<Bucket> buckets_;
+  // (util/huge_pages.hpp).  A bucket's slot id is meaningful only while its
+  // tag is non-empty.  keys_ fills one insert at a time and stays on 4 KiB
+  // pages.
+  util::HugePageVector<std::uint32_t> buckets_;
   util::HugePageVector<std::uint8_t> tags_;
   std::vector<FiveTuple> keys_;
   std::vector<bool> slot_used_;

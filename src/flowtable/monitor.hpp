@@ -106,6 +106,8 @@ class FlowMonitor {
   struct MemoryReport {
     std::size_t volume_counter_bits = 0;
     std::size_t size_counter_bits = 0;
+    /// Slot ids, tags, and the key list and slot bitmap at capacity
+    /// (FlowTable::storage_bits).
     std::size_t flow_table_bits = 0;
     [[nodiscard]] std::size_t total() const noexcept {
       return volume_counter_bits + size_counter_bits + flow_table_bits;

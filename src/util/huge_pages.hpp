@@ -1,10 +1,10 @@
 // Transparent huge pages for large flat arrays.
 //
-// The flow table's bucket and tag arrays, the bit-packed counter words and
-// the monitor's timestamps are allocated once and written in full when they
-// are built (zero-filled), then random-accessed per packet.  At a gated
-// shard's size the bucket array alone spans 5,120 pages of 4 KiB, more than
-// a second-level TLB holds, and building it takes one page fault per 4 KiB.
+// The flow table's bucket and tag arrays and the bit-packed counter words
+// are allocated once and written in full when they are built (zero-filled),
+// then random-accessed per packet.  At a gated shard's size the bucket array
+// alone spans 1,024 pages of 4 KiB, most of a second-level TLB, and
+// building it takes one page fault per 4 KiB.
 // HugePageAllocator gives such an array 2 MiB-aligned storage and asks the
 // kernel (MADV_HUGEPAGE) to back its whole 2 MiB pages with huge pages
 // BEFORE the first write, so the zero-fill itself faults them in 2 MiB at a

@@ -172,6 +172,27 @@ TEST(Collector, KeyFusionPoolsVarianceAcrossSites) {
   EXPECT_LT(top[0].bytes_high - top[0].bytes, single_half);
 }
 
+TEST(Collector, SitesPastTheSixtyFourthAreCounted) {
+  // Flow 1 is heard from 70 sites, flow 2 only from the last ten (60..69),
+  // which straddle the 64th.  A second epoch from site 69 adds no site.
+  Collector collector;
+  for (std::uint32_t site = 0; site < 70; ++site) {
+    std::vector<FlowSpec> flows{{1, 100.0, 1.0}};
+    if (site >= 60) flows.push_back({2, 10.0, 1.0});
+    (void)collector.ingest(site, make_report(0, 1.05, flows));
+  }
+  (void)collector.ingest(69, make_report(1, 1.05, {{1, 100.0, 1.0}}));
+  collector.finalize_all();
+
+  const auto top = collector.top_k(2);
+  ASSERT_EQ(top.size(), 2u);
+  EXPECT_EQ(top[0].flow, tuple(1));
+  EXPECT_DOUBLE_EQ(top[0].bytes, 7100.0);
+  EXPECT_EQ(top[0].sites, 70u);
+  EXPECT_EQ(top[1].flow, tuple(2));
+  EXPECT_EQ(top[1].sites, 10u);
+}
+
 TEST(Collector, DuplicateReportRejectedWithoutDoubleCount) {
   Collector collector;
   const auto report = make_report(0, 1.05, {{1, 100.0, 2.0}});
